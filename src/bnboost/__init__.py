@@ -11,10 +11,8 @@ cli (command-line interface).
 
 from .dist2x2 import (
     JointDist2x2,
-    PathParams,
     find_t_plus,
     kl_divergence,
-    make_dist,
     mutual_information,
     reference_dist,
 )
@@ -32,8 +30,6 @@ from .data import (
     BinaryDataset,
     Dag,
     Network,
-    conditional_joint,
-    family_counts,
     load_dataset,
     load_network,
     random_network,
@@ -59,13 +55,12 @@ from .evaluate import ExperimentConfig, Pdag, dag_to_cpdag, run_experiment, shd
 __version__ = "0.1.0"
 
 __all__ = [
-    "JointDist2x2", "PathParams", "find_t_plus", "kl_divergence", "make_dist",
-    "mutual_information", "reference_dist",
+    "JointDist2x2", "find_t_plus", "kl_divergence", "mutual_information",
+    "reference_dist",
     "BetaTable", "beta_bruteforce", "beta_exact", "beta_mc", "build_table",
     "load_table", "query_neg_ln_beta", "save_table",
-    "BinaryDataset", "Dag", "Network", "conditional_joint", "family_counts",
-    "load_dataset", "load_network", "random_network", "sample",
-    "save_dataset", "save_network",
+    "BinaryDataset", "Dag", "Network", "load_dataset", "load_network",
+    "random_network", "sample", "save_dataset", "save_network",
     "ParentSetScoreTable", "ScoreConfig", "build_parent_set_scores", "dim",
     "edge_boost", "edge_strength", "load_scores", "log_likelihood",
     "save_scores", "total_score",

@@ -55,8 +55,9 @@ __all__ = [
 ]
 
 DEFAULT_N_GRID = (20, 50, 100, 200, 500, 1000, 2000, 5000, 10000)
-DEFAULT_EXACT_CAP = 200  # table cells use the type sum up to here, MC beyond
+EXACT_CAP = 200  # table cells use the type sum up to here, MC beyond
 BETA_EXACT_MAX_N = 2000
+ESS_FLOOR = 100.0  # beta_mc fails below this effective sample size
 BRUTE_MAX_N = 8
 ETA_CONJECTURE_LIMIT = 0.11  # proposal centering is only validated below this
 _BATCH_ELEMENTS = 1 << 19  # cache-friendly enumeration batches
@@ -154,17 +155,15 @@ def _beta_exact_multi(n: int, gammas, ref: JointDist2x2) -> np.ndarray:
     return np.minimum(acc, 1.0)
 
 
-def beta_exact(
-    n: int, gamma: float, ref: JointDist2x2, max_n: int = BETA_EXACT_MAX_N
-) -> float:
+def beta_exact(n: int, gamma: float, ref: JointDist2x2) -> float:
     """Exact Type II error by summation over all types of length n.
 
-    Cost grows cubically in n; n above max_n (default 2000) is rejected.
+    Cost grows cubically in n; n above BETA_EXACT_MAX_N is rejected.
     """
     if n < 1:
         raise ValueError(f"n={n} must be >= 1")
-    if n > max_n:
-        raise ValueError(f"n={n} above the exact-computation cap {max_n}")
+    if n > BETA_EXACT_MAX_N:
+        raise ValueError(f"n={n} above the exact-computation cap {BETA_EXACT_MAX_N}")
     if gamma < 0.0:
         raise ValueError(f"gamma={gamma!r} must be >= 0")
     _validate_ref(ref)
@@ -264,7 +263,6 @@ def beta_mc(
     eta: float,
     samples: int = 100_000,
     seed: int = 0,
-    ess_floor: float = 100.0,
 ) -> float:
     """Importance-sampled estimate of beta(n, gamma) against the eta reference.
 
@@ -274,7 +272,8 @@ def beta_mc(
     Gaussian at 1/2 with width max(0.02, 1/(2*sqrt(n))), offset t from a
     Gaussian at t_gamma with width measured from the integrand peak. The
     (pA0, pB0, t) chart has unit Jacobian, so no volume correction appears.
-    Deterministic given seed.
+    Deterministic given seed; raises EffectiveSampleSizeError when the
+    effective sample size falls below ESS_FLOOR.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -327,9 +326,9 @@ def beta_mc(
     wsum = float(w.sum())
     wsq = float((w * w).sum())
     ess = wsum * wsum / wsq if wsq > 0.0 else 0.0
-    if ess < ess_floor:
+    if ess < ESS_FLOOR:
         raise EffectiveSampleSizeError(
-            f"effective sample size {ess:.1f} below floor {ess_floor:g} "
+            f"effective sample size {ess:.1f} below floor {ESS_FLOOR:g} "
             f"at n={n}, gamma={gamma!r}, eta={eta!r}"
         )
     return min(wsum / samples, 1.0)
@@ -338,6 +337,17 @@ def beta_mc(
 # ---------------------------------------------------------------------------
 # precomputed table with interpolation
 # ---------------------------------------------------------------------------
+
+def _check_grids(eta: float, N_grid, gamma_grid) -> None:
+    if not N_grid or not gamma_grid:
+        raise ValueError("grids must be nonempty")
+    if any(b <= a for a, b in zip(N_grid, N_grid[1:])) or N_grid[0] < 1:
+        raise ValueError(f"N_grid {list(N_grid)} must ascend from >= 1")
+    if any(b <= a for a, b in zip(gamma_grid, gamma_grid[1:])):
+        raise ValueError(f"gamma_grid {list(gamma_grid)} must be ascending")
+    if gamma_grid[0] < 0.0 or gamma_grid[-1] >= eta:
+        raise ValueError(f"gamma_grid {list(gamma_grid)} must lie in [0, {eta!r})")
+
 
 @dataclass
 class BetaTable:
@@ -355,11 +365,12 @@ class BetaTable:
     _cols: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        _check_grids(self.eta, self.N_grid, self.gamma_grid)
         self.neg_ln_beta = np.asarray(self.neg_ln_beta, dtype=np.float64)
         if self.neg_ln_beta.shape != (len(self.N_grid), len(self.gamma_grid)):
             raise ValueError("neg_ln_beta shape does not match the grids")
-        if (self.neg_ln_beta < 0).any():
-            raise ValueError("neg_ln_beta entries must be >= 0")
+        if not (np.isfinite(self.neg_ln_beta) & (self.neg_ln_beta >= 0)).all():
+            raise ValueError("neg_ln_beta entries must be finite and >= 0")
         # interpolation axis: ascending KL, i.e. gamma descending, with a
         # virtual boundary column (kl=0 -> 0 boost) for continuity at eta
         kl = np.asarray(self.kl_of_gamma, dtype=np.float64)[::-1]
@@ -422,13 +433,10 @@ def build_table(
     gamma_grid=None,
     samples: int = 100_000,
     seed: int = 0,
-    exact_cap: int = DEFAULT_EXACT_CAP,
-    ess_floor: float = 100.0,
-    allow_large_eta: bool = False,
 ) -> BetaTable:
     """Tabulate -ln(beta) over the (N, gamma) grid for one eta.
 
-    Cells with N <= exact_cap use the exact type sum, larger N the Monte
+    Cells with N <= EXACT_CAP use the exact type sum, larger N the Monte
     Carlo estimate with a per-cell seed derived from (seed, row, column) so
     the result is independent of evaluation order. gamma = 0 cells always
     use the exact product-type sum: the continuous relaxation assigns the
@@ -436,23 +444,16 @@ def build_table(
     """
     if not (0.0 < eta < MI_UPPER):
         raise ValueError(f"eta={eta!r} outside (0, ln 2)")
-    if eta > ETA_CONJECTURE_LIMIT and not allow_large_eta:
+    if eta > ETA_CONJECTURE_LIMIT:
         raise ValueError(
             f"eta={eta!r} above {ETA_CONJECTURE_LIMIT}; proposal centering is "
-            "unvalidated there, pass allow_large_eta=True to override"
+            "unvalidated there"
         )
     N_grid = list(DEFAULT_N_GRID) if N_grid is None else [int(n) for n in N_grid]
     gamma_grid = (
         default_gamma_grid(eta) if gamma_grid is None else [float(g) for g in gamma_grid]
     )
-    if not N_grid or not gamma_grid:
-        raise ValueError("grids must be nonempty")
-    if any(b <= a for a, b in zip(N_grid, N_grid[1:])) or N_grid[0] < 1:
-        raise ValueError("N_grid must be ascending with entries >= 1")
-    if any(b <= a for a, b in zip(gamma_grid, gamma_grid[1:])):
-        raise ValueError("gamma_grid must be ascending")
-    if gamma_grid[0] < 0.0 or gamma_grid[-1] >= eta:
-        raise ValueError("gamma_grid must lie within [0, eta)")
+    _check_grids(eta, N_grid, gamma_grid)
 
     ref = reference_dist(eta)
     kl_of_gamma = [_kl_coordinate(g, eta) for g in gamma_grid]
@@ -464,18 +465,18 @@ def build_table(
             try:
                 if g == 0.0:
                     b = beta_product_mass(n, ref)
-                elif n <= exact_cap:
+                elif n <= EXACT_CAP:
                     b = None  # filled below in one enumeration per n
                 else:
                     cell_seed = int(
                         np.random.SeedSequence((seed, i, j)).generate_state(1)[0]
                     )
-                    b = beta_mc(n, g, eta, samples, cell_seed, ess_floor)
+                    b = beta_mc(n, g, eta, samples, cell_seed)
             except Exception as exc:
                 raise TableBuildError(f"cell N={n}, gamma={g!r}: {exc}") from exc
             if b is not None:
                 neg[i, j] = max(0.0, -math.log(max(b, 1e-300)))
-        if n <= exact_cap and pos:
+        if n <= EXACT_CAP and pos:
             try:
                 bs = _beta_exact_multi(n, [g for _, g in pos], ref)
             except Exception as exc:

@@ -18,6 +18,7 @@ from .data import (
     Dag,
     load_dataset,
     load_network,
+    load_structure,
     random_network,
     sample,
     save_dataset,
@@ -49,16 +50,6 @@ def _resolve_seed(args) -> int:
     if local is not None:
         return local
     return args.global_seed if args.global_seed is not None else 0
-
-
-def _load_structure(path) -> tuple[list[str], Dag]:
-    """Read {variables, edges} from a network or structure JSON file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    names = list(doc["variables"])
-    pos = {name: k for k, name in enumerate(names)}
-    edges = frozenset((pos[u], pos[v]) for u, v in doc["edges"])
-    return names, Dag(len(names), edges)
 
 
 def _cmd_gen_net(args) -> int:
@@ -140,8 +131,8 @@ def _cmd_learn(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    names_t, dag_t = _load_structure(args.true)
-    names_l, dag_l = _load_structure(args.learned)
+    names_t, dag_t = load_structure(args.true)
+    names_l, dag_l = load_structure(args.learned)
     if set(names_t) != set(names_l):
         raise SystemExit("the two structures name different variables")
     if names_t != names_l:  # align the learned graph to the truth's order

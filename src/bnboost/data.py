@@ -1,9 +1,9 @@
-"""Binary datasets, synthetic generating networks, and empirical counts.
+"""Binary datasets, DAGs and synthetic generating networks, with their files.
 
 Synthetic networks attach a logistic conditional to every node:
 P(X_i = 1 | parents) = sigmoid(sum_j theta_ij * x_j + u_i) with the parent
 values entering as raw bits. Datasets are plain 0/1 matrices with named
-columns; all empirical statistics needed by scoring are computed here.
+columns.
 """
 
 from __future__ import annotations
@@ -14,20 +14,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dist2x2 import JointDist2x2
-
 __all__ = [
     "BinaryDataset",
     "Dag",
     "Network",
     "random_network",
     "sample",
-    "conditional_joint",
-    "family_counts",
     "save_dataset",
     "load_dataset",
     "save_network",
     "load_network",
+    "load_structure",
     "network_to_dict",
     "network_from_dict",
 ]
@@ -205,52 +202,6 @@ def sample(net: Network, n_rows: int, seed: int) -> BinaryDataset:
     return BinaryDataset(net.variable_names, rows)
 
 
-def conditional_joint(
-    data: BinaryDataset, a: int, b: int, cond: tuple[int, ...] = (),
-    assignment: tuple[int, ...] = (),
-):
-    """Empirical joint of (a, b) among rows where cond == assignment.
-
-    Returns (dist, n_matched) with dist the normalized JointDist2x2 of the
-    matching rows, or (None, 0) when no row matches.
-    """
-    if a == b or a in cond or b in cond:
-        raise ValueError("a, b must be distinct and outside the conditioning set")
-    if len(cond) != len(assignment):
-        raise ValueError("assignment length does not match the conditioning set")
-    if cond:
-        mask = np.ones(data.n_rows, dtype=bool)
-        for c, v in zip(cond, assignment):
-            mask &= data.rows[:, c] == v
-        sub = data.rows[mask]
-    else:
-        sub = data.rows
-    n_s = sub.shape[0]
-    if n_s == 0:
-        return None, 0
-    idx = sub[:, a].astype(np.intp) * 2 + sub[:, b]
-    counts = np.bincount(idx, minlength=4)
-    dist = JointDist2x2(*(counts / n_s))
-    return dist, int(n_s)
-
-
-def family_counts(data: BinaryDataset, i: int, parents: tuple[int, ...]) -> np.ndarray:
-    """Contingency counts for node i given its parent set.
-
-    Shape (2^k, 2): row index encodes the parent assignment with parent
-    `parents[j]` (sorted ascending) contributing bit j, column the child
-    value. Rows sum to the number of observations.
-    """
-    parents = tuple(sorted(parents))
-    if i in parents:
-        raise ValueError(f"node {i} cannot be its own parent")
-    k = len(parents)
-    idx = data.rows[:, i].astype(np.intp)
-    for j, p in enumerate(parents):
-        idx = idx + (data.rows[:, p].astype(np.intp) << (j + 1))
-    return np.bincount(idx, minlength=2 ** (k + 1)).reshape(2 ** k, 2)
-
-
 # ---------------------------------------------------------------------------
 # file formats
 # ---------------------------------------------------------------------------
@@ -287,20 +238,38 @@ def network_to_dict(net: Network) -> dict:
     }
 
 
+def _index(pos: dict[str, int], name: str, where: str) -> int:
+    try:
+        return pos[name]
+    except KeyError:
+        raise ValueError(f"{where} names unknown variable {name!r}") from None
+
+
+def _structure_from_dict(doc: dict) -> tuple[tuple[str, ...], dict[str, int], Dag]:
+    """Names, name -> index map and DAG of a {variables, edges} document."""
+    names = tuple(doc["variables"])
+    pos: dict[str, int] = {}
+    for k, name in enumerate(names):
+        if name in pos:
+            raise ValueError(f"variable {name!r} is listed twice")
+        pos[name] = k
+    edges = frozenset(
+        (_index(pos, u, "edge"), _index(pos, v, "edge")) for u, v in doc["edges"]
+    )
+    return names, pos, Dag(len(names), edges)
+
+
 def network_from_dict(doc: dict) -> Network:
-    names = list(doc["variables"])
-    pos = {name: k for k, name in enumerate(names)}
-    edges = frozenset((pos[u], pos[v]) for u, v in doc["edges"])
+    names, pos, dag = _structure_from_dict(doc)
     theta: dict[int, dict[int, float]] = {i: {} for i in range(len(names))}
     bias: dict[int, float] = {}
     for name, cpd in doc["cpds"].items():
-        i = pos[name]
-        theta[i] = {pos[p]: float(w) for p, w in cpd["theta"].items()}
+        i = _index(pos, name, "cpd")
+        theta[i] = {
+            _index(pos, p, f"cpd of {name!r}"): float(w) for p, w in cpd["theta"].items()
+        }
         bias[i] = float(cpd["u"])
-    return Network(
-        dag=Dag(len(names), edges), theta=theta, bias=bias,
-        variable_names=tuple(names),
-    )
+    return Network(dag=dag, theta=theta, bias=bias, variable_names=names)
 
 
 def save_network(net: Network, path) -> None:
@@ -312,3 +281,10 @@ def save_network(net: Network, path) -> None:
 def load_network(path) -> Network:
     with open(path, "r", encoding="utf-8") as fh:
         return network_from_dict(json.load(fh))
+
+
+def load_structure(path) -> tuple[tuple[str, ...], Dag]:
+    """Variable names and DAG of a network or learned-structure JSON file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        names, _, dag = _structure_from_dict(json.load(fh))
+    return names, dag

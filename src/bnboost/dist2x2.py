@@ -2,7 +2,7 @@
 
 All information quantities are in nats. Cell (a, b) holds P(A=a, B=b); the
 flat order is (p00, p01, p10, p11). The correlation-offset parameterization
-used throughout maps (pA0, pB0, t) to
+that beta.beta_mc samples in maps (pA0, pB0, t) to
 
     p00 = pA0*pB0 + t      p01 = pA0*(1-pB0) - t
     p10 = (1-pA0)*pB0 - t  p11 = (1-pA0)*(1-pB0) + t
@@ -19,12 +19,10 @@ from dataclasses import dataclass
 
 __all__ = [
     "JointDist2x2",
-    "PathParams",
     "SupportError",
     "mutual_information",
     "kl_divergence",
     "mi_from_counts",
-    "make_dist",
     "uniform_marginal_dist",
     "find_t_plus",
     "reference_dist",
@@ -32,6 +30,8 @@ __all__ = [
 
 SUM_TOL = 1e-12
 MI_UPPER = math.log(2.0)  # sup of MI over uniform-marginal 2x2 distributions
+T_PLUS_TOL = 1e-12  # |MI - eta| at which find_t_plus stops bisecting
+T_PLUS_STEPS = 200  # bisection step cap
 
 
 class SupportError(ValueError):
@@ -63,46 +63,6 @@ class JointDist2x2:
 
     def marginal_b(self) -> tuple[float, float]:
         return (self.p00 + self.p10, self.p01 + self.p11)
-
-
-@dataclass(frozen=True)
-class PathParams:
-    """Coordinates (pA0, pB0, t) of the correlation-offset parameterization.
-
-    t must lie strictly inside the admissible interval
-    (-min(pA0*pB0, (1-pA0)*(1-pB0)), min((1-pA0)*pB0, pA0*(1-pB0)))
-    so that all four cells are strictly positive.
-    """
-
-    pA0: float
-    pB0: float
-    t: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.pA0 <= 1.0 and 0.0 <= self.pB0 <= 1.0):
-            raise ValueError(f"marginals ({self.pA0}, {self.pB0}) outside [0, 1]")
-        lo, hi = t_bounds(self.pA0, self.pB0)
-        if not (lo < self.t < hi):
-            raise ValueError(
-                f"t={self.t!r} outside the open admissible interval ({lo!r}, {hi!r})"
-            )
-
-
-def t_bounds(pA0: float, pB0: float) -> tuple[float, float]:
-    """Open interval of correlation offsets t keeping all four cells positive."""
-    pA1 = 1.0 - pA0
-    pB1 = 1.0 - pB0
-    return (-min(pA0 * pB0, pA1 * pB1), min(pA1 * pB0, pA0 * pB1))
-
-
-def make_dist(params: PathParams) -> JointDist2x2:
-    """Build the joint distribution with the given marginals and offset t."""
-    pA0, pB0, t = params.pA0, params.pB0, params.t
-    pA1 = 1.0 - pA0
-    pB1 = 1.0 - pB0
-    return JointDist2x2(
-        pA0 * pB0 + t, pA0 * pB1 - t, pA1 * pB0 - t, pA1 * pB1 + t
-    )
 
 
 def uniform_marginal_dist(t: float) -> JointDist2x2:
@@ -175,20 +135,20 @@ def _mi_on_path(t: float) -> float:
     return 0.5 * ((1.0 + x) * math.log1p(x) + (1.0 - x) * math.log1p(-x))
 
 
-def find_t_plus(eta: float, tol: float = 1e-12, max_iter: int = 200) -> float:
+def find_t_plus(eta: float) -> float:
     """Positive offset t with MI(uniform-marginal dist at t) = eta.
 
     MI is strictly increasing on (0, 1/4) with range (0, ln 2), so the root
-    is unique; located by bisection to |MI - eta| <= tol.
+    is unique; located by bisection to |MI - eta| <= T_PLUS_TOL.
     """
     if not (0.0 < eta < MI_UPPER):
         raise ValueError(f"eta={eta!r} outside (0, ln 2)")
     lo, hi = 0.0, 0.25
     t = 0.125
-    for _ in range(max_iter):
+    for _ in range(T_PLUS_STEPS):
         t = 0.5 * (lo + hi)
         m = _mi_on_path(t)
-        if abs(m - eta) <= tol:
+        if abs(m - eta) <= T_PLUS_TOL:
             return t
         if m < eta:
             lo = t
@@ -197,6 +157,6 @@ def find_t_plus(eta: float, tol: float = 1e-12, max_iter: int = 200) -> float:
     return t
 
 
-def reference_dist(eta: float, tol: float = 1e-12) -> JointDist2x2:
+def reference_dist(eta: float) -> JointDist2x2:
     """Uniform-marginal distribution with MI = eta (positive-offset branch)."""
-    return uniform_marginal_dist(find_t_plus(eta, tol=tol))
+    return uniform_marginal_dist(find_t_plus(eta))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -198,6 +198,8 @@ def run_experiment(cfg: ExperimentConfig, beta_table: BetaTable | None = None) -
     of N rows, fold the configured score into a parent-set table, search,
     and record the SHD between the completed PDAGs of truth and the learned
     graph. Failures are logged and leave their row's result fields empty.
+    Each seed row also holds the learned Dag under "dag" (None on failure),
+    which is not a CSV column.
     """
     needs_table = any(s == "boost" for s, _ in cfg.methods)
     if needs_table and beta_table is None:
@@ -209,6 +211,7 @@ def run_experiment(cfg: ExperimentConfig, beta_table: BetaTable | None = None) -
             f"beta table eta {beta_table.eta!r} != score eta {cfg.score.eta!r}"
         )
 
+    bic = replace(cfg.score, psi2=0.0)
     shared_net = load_network(cfg.network_path) if cfg.network_path else None
     rows: list[dict] = []
     for seed in sorted(cfg.seeds):
@@ -221,16 +224,10 @@ def run_experiment(cfg: ExperimentConfig, beta_table: BetaTable | None = None) -
                     "seed": seed, "n": net.n, "d": cfg.d, "N": n_rows,
                     "score_name": score_name, "eta": cfg.score.eta,
                     "search_method": method, "shd": "", "total_score": "",
-                    "score_build_ms": "", "search_ms": "",
+                    "score_build_ms": "", "search_ms": "", "dag": None,
                 }
                 try:
-                    run_cfg = (
-                        cfg.score if score_name == "boost"
-                        else ScoreConfig(
-                            eta=cfg.score.eta, kappa=cfg.score.kappa, psi2=0.0,
-                            d=cfg.score.d, sepset_mode=cfg.score.sepset_mode,
-                        )
-                    )
+                    run_cfg = cfg.score if score_name == "boost" else bic
                     t0 = time.perf_counter()
                     table = build_parent_set_scores(
                         data, beta_table if score_name == "boost" else None, run_cfg
@@ -244,6 +241,7 @@ def run_experiment(cfg: ExperimentConfig, beta_table: BetaTable | None = None) -
                     row["total_score"] = result.score
                     row["score_build_ms"] = (t1 - t0) * 1e3
                     row["search_ms"] = (t2 - t1) * 1e3
+                    row["dag"] = result.dag
                 except Exception:
                     log.exception(
                         "run failed: seed=%s N=%s method=%s/%s",

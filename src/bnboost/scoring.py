@@ -37,9 +37,6 @@ __all__ = [
     "load_scores",
 ]
 
-BOUNDED = "bounded-size"
-PARENT_BASED = "parent-based"
-
 
 @dataclass(frozen=True)
 class ScoreConfig:
@@ -47,15 +44,13 @@ class ScoreConfig:
 
     eta: MI level treated as solid dependence (nats); kappa: weight of the
     ln(N) complexity penalty (1/2 gives BIC/MDL); psi2: weight on the boost
-    sum; d: max in-degree and max separating-set size; sepset_mode: which
-    collection of separating sets certifies a missing edge.
+    sum; d: max in-degree and max separating-set size.
     """
 
     eta: float = 0.01
     kappa: float = 0.5
     psi2: float = 1.0
     d: int = 2
-    sepset_mode: str = BOUNDED
 
     def __post_init__(self):
         if self.eta <= 0.0:
@@ -66,12 +61,21 @@ class ScoreConfig:
             raise ValueError(f"psi2={self.psi2!r} must be >= 0")
         if self.d < 0:
             raise ValueError(f"d={self.d} must be >= 0")
-        if self.sepset_mode not in (BOUNDED, PARENT_BASED):
-            raise ValueError(f"unknown sepset_mode {self.sepset_mode!r}")
 
 
-def _family_ll(counts: np.ndarray) -> float:
-    """Maximized log-likelihood contribution of one family's contingency counts."""
+def _contingency(rows: np.ndarray, cols, weights=None) -> np.ndarray:
+    """Joint counts of the binary columns cols of rows, flat over 2^len(cols)
+    cells; column cols[j] is bit j of the cell index. With weights, each
+    row adds its weight instead of 1."""
+    idx = rows[:, cols[0]].astype(np.intp)
+    for j, c in enumerate(cols[1:], start=1):
+        idx += rows[:, c].astype(np.intp) << j
+    return np.bincount(idx, weights=weights, minlength=1 << len(cols))
+
+
+def _family_ll(data: BinaryDataset, i: int, parents) -> float:
+    """Maximized log-likelihood contribution of node i given its parents."""
+    counts = _contingency(data.rows, (i, *sorted(parents))).reshape(-1, 2)
     totals = counts.sum(axis=1, keepdims=True)
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.where(
@@ -80,21 +84,11 @@ def _family_ll(counts: np.ndarray) -> float:
     return float(terms.sum())
 
 
-def _counts_for_family(data: BinaryDataset, i: int, parents) -> np.ndarray:
-    parents = tuple(sorted(parents))
-    idx = data.rows[:, i].astype(np.intp)
-    for j, p in enumerate(parents):
-        idx = idx + (data.rows[:, p].astype(np.intp) << (j + 1))
-    return np.bincount(idx, minlength=2 ** (len(parents) + 1)).reshape(-1, 2)
-
-
 def log_likelihood(data: BinaryDataset, dag: Dag) -> float:
     """Log-likelihood of the data under dag with MLE conditionals, in nats."""
     if dag.n != data.n_vars:
         raise ValueError("dag and dataset disagree on the variable count")
-    return sum(
-        _family_ll(_counts_for_family(data, i, dag.parents(i))) for i in range(dag.n)
-    )
+    return sum(_family_ll(data, i, dag.parents(i)) for i in range(dag.n))
 
 
 def dim(dag: Dag) -> int:
@@ -102,41 +96,26 @@ def dim(dag: Dag) -> int:
     return sum(2 ** dag.in_degree(i) for i in range(dag.n))
 
 
-def _separating_sets(n: int, a: int, b: int, cfg: ScoreConfig, dag: Dag | None):
-    if cfg.sepset_mode == BOUNDED:
-        rest = [v for v in range(n) if v != a and v != b]
-        out = []
-        for k in range(min(cfg.d, len(rest)) + 1):
-            out.extend(combinations(rest, k))
-        return out
-    if dag is None:
-        raise ValueError("parent-based separating sets need the candidate graph")
-    sa = tuple(sorted(set(dag.parents(a)) - {b}))
-    sb = tuple(sorted(set(dag.parents(b)) - {a}))
-    return list({sa, sb})
-
-
-def _boost_for_pair(data, a, b, table, sepsets) -> float:
-    rows = data.rows
+def _boost_for_pair(data, a, b, table, d: int) -> float:
+    """max over separating sets S (|S| <= d) of the min over assignments s
+    of -ln(beta) at (N_s, empirical MI of a and b given S = s)."""
+    rest = [v for v in range(data.n_vars) if v != a and v != b]
     best = 0.0
-    for sep in sepsets:
-        k = len(sep)
-        idx = rows[:, b].astype(np.intp) + (rows[:, a].astype(np.intp) << 1)
-        for j, c in enumerate(sep):
-            idx += rows[:, c].astype(np.intp) << (j + 2)
-        tables = np.bincount(idx, minlength=4 * 2 ** k).reshape(2 ** k, 2, 2)
-        worst = math.inf
-        for s_idx in range(2 ** k):
-            t = tables[s_idx]
-            n_s = int(t.sum())
-            if n_s == 0:
-                worst = 0.0  # unobserved assignment: no evidence, no reward
-                break
-            mi = mi_from_counts(int(t[0, 0]), int(t[0, 1]), int(t[1, 0]), int(t[1, 1]))
-            worst = min(worst, query_neg_ln_beta(table, n_s, mi))
-            if worst == 0.0:
-                break
-        best = max(best, worst)
+    for k in range(min(d, len(rest)) + 1):
+        for sep in combinations(rest, k):
+            # cells (s, a, b): b is bit 0, a bit 1, the separating set above
+            tables = _contingency(data.rows, (b, a, *sep)).reshape(-1, 4)
+            worst = math.inf
+            for c00, c01, c10, c11 in tables.tolist():
+                n_s = c00 + c01 + c10 + c11
+                if n_s == 0:
+                    worst = 0.0  # unobserved assignment: no evidence, no reward
+                    break
+                mi = mi_from_counts(c00, c01, c10, c11)
+                worst = min(worst, query_neg_ln_beta(table, n_s, mi))
+                if worst == 0.0:
+                    break
+            best = max(best, worst)
     return best
 
 
@@ -156,17 +135,14 @@ def edge_boost(
     """
     if dag.adjacent(a, b):
         raise ValueError(f"({a}, {b}) is an edge of the graph, no boost applies")
-    return _boost_for_pair(data, a, b, table, _separating_sets(data.n_vars, a, b, cfg, dag))
+    return _boost_for_pair(data, a, b, table, cfg.d)
 
 
 def pair_boosts(data: BinaryDataset, table: BetaTable, cfg: ScoreConfig) -> dict:
-    """Boost of every unordered pair under bounded-size separating sets."""
-    if cfg.sepset_mode != BOUNDED:
-        raise ValueError("graph-independent pair boosts need bounded-size mode")
-    n = data.n_vars
+    """Boost of every unordered pair; it does not depend on the graph."""
     return {
-        (a, b): _boost_for_pair(data, a, b, table, _separating_sets(n, a, b, cfg, None))
-        for a, b in combinations(range(n), 2)
+        (a, b): _boost_for_pair(data, a, b, table, cfg.d)
+        for a, b in combinations(range(data.n_vars), 2)
     }
 
 
@@ -243,11 +219,7 @@ def build_parent_set_scores(
     Each pair's boost is charged to whichever family contains the adjacency
     (the child's), and the constant carries the boost sum of the fully
     nonadjacent baseline, so adjacency exactly cancels its pair's reward.
-    Requires bounded-size separating sets; parent-based sets depend on the
-    graph and cannot be decomposed this way.
     """
-    if cfg.sepset_mode != BOUNDED:
-        raise ValueError("parent-set scores require bounded-size separating sets")
     n = data.n_vars
     log_n = math.log(data.n_rows)
     if cfg.psi2 > 0.0:
@@ -267,7 +239,7 @@ def build_parent_set_scores(
         for k in range(min(cfg.d, len(others)) + 1):
             for pa in combinations(others, k):
                 value = (
-                    _family_ll(_counts_for_family(data, i, pa))
+                    _family_ll(data, i, pa)
                     - cfg.kappa * log_n * 2 ** k
                     - cfg.psi2 * sum(boost_of(i, j) for j in pa)
                 )
@@ -284,19 +256,22 @@ def build_parent_set_scores(
 # true conditional dependence of a generating network
 # ---------------------------------------------------------------------------
 
-def _joint_probabilities(net: Network) -> np.ndarray:
-    """Exact joint over all 2^n states; state bit i holds the value of X_i."""
+def _joint_probabilities(net: Network) -> tuple[np.ndarray, np.ndarray]:
+    """All 2^n states as 0/1 rows (state k holds X_i in bit i of k) and
+    their exact probabilities."""
     n = net.n
-    states = np.arange(2 ** n, dtype=np.int64)
+    codes = np.arange(2 ** n, dtype=np.int64)
+    states = np.empty((2 ** n, n), dtype=np.uint8)
+    for i in range(n):
+        states[:, i] = (codes >> i) & 1
     probs = np.ones(2 ** n)
     for i in range(n):
         act = np.full(2 ** n, net.bias[i])
         for p, w in net.theta[i].items():
-            act += w * ((states >> p) & 1)
+            act += w * states[:, p]
         p1 = 1.0 / (1.0 + np.exp(-act))
-        bit = (states >> i) & 1
-        probs *= np.where(bit == 1, p1, 1.0 - p1)
-    return probs
+        probs *= np.where(states[:, i] == 1, p1, 1.0 - p1)
+    return states, probs
 
 
 def edge_strength(net: Network, a: int, b: int, d: int) -> float:
@@ -312,23 +287,15 @@ def edge_strength(net: Network, a: int, b: int, d: int) -> float:
         raise ValueError(f"n={n} too large for exact enumeration (max 20)")
     if a == b or not (0 <= a < n and 0 <= b < n):
         raise ValueError(f"bad pair ({a}, {b})")
-    probs = _joint_probabilities(net)
-    states = np.arange(2 ** n, dtype=np.int64)
-    bit_a = (states >> a) & 1
-    bit_b = (states >> b) & 1
+    states, probs = _joint_probabilities(net)
     others = [v for v in range(n) if v != a and v != b]
 
     best = math.inf
     for k in range(min(d, len(others)) + 1):
         for sep in combinations(others, k):
-            idx = bit_b + (bit_a << 1)
-            for j, c in enumerate(sep):
-                idx = idx + (((states >> c) & 1) << (j + 2))
-            mass = np.bincount(idx, weights=probs, minlength=4 * 2 ** k)
-            mass = mass.reshape(2 ** k, 4)
+            mass = _contingency(states, (b, a, *sep), weights=probs).reshape(-1, 4)
             worst = 0.0
-            for s_idx in range(2 ** k):
-                cell = mass[s_idx]
+            for cell in mass:
                 total = cell.sum()
                 if total <= 0.0:
                     continue
@@ -359,6 +326,8 @@ def save_scores(table: ParentSetScoreTable, path) -> None:
 def load_scores(path) -> ParentSetScoreTable:
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
+    if not lines:
+        raise ValueError(f"scores file {path} is empty")
     head = lines[0].split()
     if len(head) != 4 or head[0] != "n" or head[2] != "constant":
         raise ValueError(f"bad scores header: {lines[0]!r}")
@@ -367,10 +336,15 @@ def load_scores(path) -> ParentSetScoreTable:
     scores: dict[int, dict[frozenset, float]] = {i: {} for i in range(n)}
     for ln in lines[1:]:
         toks = ln.split()
-        node = int(toks[0])
-        k = int(toks[1])
-        if len(toks) != k + 3:
+        if len(toks) < 3 or len(toks) != int(toks[1]) + 3:
             raise ValueError(f"bad scores line: {ln!r}")
-        parents = frozenset(int(t) for t in toks[2:2 + k])
+        node = int(toks[0])
+        parents = frozenset(int(t) for t in toks[2:-1])
+        if not all(0 <= v < n for v in (node, *parents)):
+            raise ValueError(f"index outside 0..{n - 1} in scores line: {ln!r}")
+        if node in parents or len(parents) != len(toks) - 3:
+            raise ValueError(f"node or parent repeated in scores line: {ln!r}")
+        if parents in scores[node]:
+            raise ValueError(f"family listed twice in scores line: {ln!r}")
         scores[node][parents] = float(toks[-1])
     return ParentSetScoreTable(n=n, scores=scores, constant=constant)

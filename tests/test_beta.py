@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -133,9 +134,9 @@ def test_mc_rejects_bad_args():
         beta_mc(0, 0.005, ETA, 1000, seed=0)
 
 
-def test_mc_ess_floor_triggers():
+def test_mc_low_effective_sample_size_raises():
     with pytest.raises(EffectiveSampleSizeError):
-        beta_mc(100, 0.005, ETA, 50, seed=0, ess_floor=100.0)
+        beta_mc(100, 0.005, ETA, 50, seed=0)
 
 
 # ----------------------------------------------------------------- table build
@@ -148,7 +149,6 @@ def small_table():
         gamma_grid=[0.0, 0.002, 0.005],
         samples=50_000,
         seed=11,
-        exact_cap=200,
     )
 
 
@@ -211,9 +211,6 @@ def test_table_validation_errors():
         build_table(ETA, N_grid=[10], gamma_grid=[0.02])  # gamma >= eta
     with pytest.raises(ValueError):
         build_table(0.2, N_grid=[10], gamma_grid=[0.001])  # conjecture guard
-    build_table(
-        0.2, N_grid=[10], gamma_grid=[0.001], allow_large_eta=True, samples=1000
-    )
 
 
 def test_table_build_error_carries_cell_coords():
@@ -309,6 +306,18 @@ def test_table_json_roundtrip(small_table, tmp_path):
     assert query_neg_ln_beta(again, 123, 0.003) == query_neg_ln_beta(
         small_table, 123, 0.003
     )
+
+
+@pytest.mark.parametrize("field, value, match", [
+    ("neg_ln_beta", lambda v: [math.nan] + v[1:], "finite"),
+    ("N_grid", lambda v: v[::-1], "N_grid"),
+    ("gamma_grid", lambda v: v[:-1] + [ETA], "gamma_grid"),
+], ids=["nan-cell", "reversed-N", "gamma-at-eta"])
+def test_table_from_json_rejects_bad_grids_and_cells(small_table, field, value, match):
+    doc = json.loads(table_to_json(small_table))
+    doc[field] = value(doc[field])
+    with pytest.raises(ValueError, match=match):
+        table_from_json(json.dumps(doc))
 
 
 def test_table_rejects_malformed():

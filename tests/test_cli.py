@@ -80,6 +80,20 @@ def test_learn_greedy_and_brute(tmp_path):
     assert structure_score(outs["greedy"]) <= structure_score(outs["dp"]) + 1e-9
 
 
+def test_eval_names_the_bad_variable(tmp_path):
+    net = tmp_path / "net.json"
+    run("--quiet", "gen-net", "--n", 3, "--d", 1, "--seed", 1, "--out", net)
+    unknown = tmp_path / "unknown.json"
+    unknown.write_text(json.dumps({"variables": ["X0", "X1", "X2"],
+                                   "edges": [["X0", "Q"]]}))
+    twice = tmp_path / "twice.json"
+    twice.write_text(json.dumps({"variables": ["X0", "X1", "X1"], "edges": []}))
+    with pytest.raises(ValueError, match="'Q'"):
+        run("--quiet", "eval", "--true", net, "--learned", unknown)
+    with pytest.raises(ValueError, match="'X1'"):
+        run("--quiet", "eval", "--true", twice, "--learned", net)
+
+
 def test_score_requires_table_for_boost(tmp_path):
     net = tmp_path / "net.json"
     data = tmp_path / "data.csv"

@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -8,8 +9,6 @@ from bnboost.data import (
     CycleError,
     Dag,
     Network,
-    conditional_joint,
-    family_counts,
     load_dataset,
     load_network,
     network_from_dict,
@@ -149,62 +148,6 @@ def test_sample_strong_edge_conditional():
     assert abs(p_hat - p) <= 3 * se + 1e-3
 
 
-# ------------------------------------------------------------------- counting
-
-def test_conditional_joint_unconditioned(four_rows):
-    dist, n_s = conditional_joint(four_rows, 0, 1)
-    assert n_s == 4
-    assert dist.cells == (0.5, 0.0, 0.0, 0.5)
-    assert sum(dist.cells) == pytest.approx(1.0)
-
-
-def test_conditional_joint_marginalizes(four_rows):
-    dist, _ = conditional_joint(four_rows, 0, 1)
-    assert dist.marginal_a() == (
-        (four_rows.rows[:, 0] == 0).mean(),
-        (four_rows.rows[:, 0] == 1).mean(),
-    )
-
-
-def test_conditional_joint_with_conditioning():
-    rows = np.array(
-        [[0, 0, 0], [0, 1, 0], [1, 0, 0], [1, 1, 0], [0, 0, 1], [1, 1, 1]]
-    )
-    data = BinaryDataset(("A", "B", "S"), rows)
-    dist, n_s = conditional_joint(data, 0, 1, (2,), (1,))
-    assert n_s == 2
-    assert dist.p00 == 0.5 and dist.p11 == 0.5
-    empty, zero = conditional_joint(
-        BinaryDataset(("A", "B", "S"), rows[:4]), 0, 1, (2,), (1,)
-    )
-    assert empty is None and zero == 0
-
-
-def test_conditional_joint_validation(four_rows):
-    with pytest.raises(ValueError):
-        conditional_joint(four_rows, 0, 0)
-    with pytest.raises(ValueError):
-        conditional_joint(four_rows, 0, 1, (1,), (0,))
-
-
-def test_family_counts(four_rows):
-    marg = family_counts(four_rows, 0, ())
-    assert marg.tolist() == [[2, 2]]
-    fam = family_counts(four_rows, 1, (0,))
-    assert fam.tolist() == [[2, 0], [0, 2]]
-    assert fam.sum() == four_rows.n_rows
-    with pytest.raises(ValueError):
-        family_counts(four_rows, 1, (1,))
-
-
-def test_family_counts_partition():
-    net = random_network(6, 2, seed=5)
-    data = sample(net, 333, seed=6)
-    for i in range(6):
-        for pa in ((), (0,) if i != 0 else (1,), tuple(net.dag.parents(i))):
-            assert family_counts(data, i, pa).sum() == 333
-
-
 # ----------------------------------------------------------------------- files
 
 def test_dataset_roundtrip(tmp_path, four_rows):
@@ -230,6 +173,18 @@ def test_network_roundtrip(tmp_path):
     d1 = sample(net, 50, seed=1)
     d2 = sample(again, 50, seed=1)
     assert (d1.rows == d2.rows).all()
+
+
+def test_network_from_dict_names_the_bad_variable():
+    doc = network_to_dict(random_network(4, 2, seed=13))
+    edge, cpd, parent, twice = (copy.deepcopy(doc) for _ in range(4))
+    edge["edges"].append(["X0", "Q"])
+    cpd["cpds"]["Q"] = {"theta": {}, "u": 0.0}
+    parent["cpds"]["X1"]["theta"]["Q"] = 1.0
+    twice["variables"][2] = "X1"
+    for bad, name in ((edge, "'Q'"), (cpd, "'Q'"), (parent, "'Q'"), (twice, "'X1'")):
+        with pytest.raises(ValueError, match=name):
+            network_from_dict(bad)
 
 
 def test_dataset_validation():

@@ -5,15 +5,12 @@ import pytest
 
 from bnboost.dist2x2 import (
     JointDist2x2,
-    PathParams,
     SupportError,
     find_t_plus,
     kl_divergence,
-    make_dist,
     mi_from_counts,
     mutual_information,
     reference_dist,
-    t_bounds,
     uniform_marginal_dist,
 )
 
@@ -45,14 +42,17 @@ def test_mi_diagonal_is_ln2():
 
 
 def test_mi_path_point_one():
-    p = make_dist(PathParams(0.5, 0.5, 0.1))
+    # the (pA0, pB0, t) = (0.5, 0.5, 0.1) point of the correlation-offset chart
+    p = JointDist2x2(0.25 + 0.1, 0.25 - 0.1, 0.25 - 0.1, 0.25 + 0.1)
     assert p.cells == pytest.approx((0.35, 0.15, 0.15, 0.35), abs=1e-15)
     assert mutual_information(p) == pytest.approx(MI_T01, abs=1e-14)
     assert mutual_information(p) == pytest.approx(direct_mi(p.cells), abs=1e-15)
 
 
 def test_kl_identity_and_point_mass():
-    p = make_dist(PathParams(0.3, 0.6, 0.05))
+    # (pA0, pB0, t) = (0.3, 0.6, 0.05)
+    p = JointDist2x2(0.3 * 0.6 + 0.05, 0.3 * 0.4 - 0.05, 0.7 * 0.6 - 0.05,
+                     0.7 * 0.4 + 0.05)
     assert kl_divergence(p, p) == 0.0
     point = JointDist2x2(1.0, 0.0, 0.0, 0.0)
     unif = JointDist2x2(0.25, 0.25, 0.25, 0.25)
@@ -71,40 +71,6 @@ def test_kl_support_violation():
     q = JointDist2x2(1.0, 0.0, 0.0, 0.0)
     with pytest.raises(SupportError):
         kl_divergence(p, q)
-
-
-def test_make_dist_uniform_at_zero():
-    assert make_dist(PathParams(0.5, 0.5, 0.0)).cells == (0.25, 0.25, 0.25, 0.25)
-
-
-def test_make_dist_admissible_interval():
-    # t_max for (0.3, 0.5) is min(0.7*0.5, 0.3*0.5) = 0.15
-    assert t_bounds(0.3, 0.5)[1] == pytest.approx(0.15, abs=1e-15)
-    make_dist(PathParams(0.3, 0.5, 0.1499))
-    with pytest.raises(ValueError):
-        PathParams(0.3, 0.5, 0.15)
-    with pytest.raises(ValueError):
-        PathParams(0.3, 0.5, 0.16)
-
-
-def test_make_dist_boundary_rejected():
-    # the open-interval rule also rejects the uniform-marginal corner t=1/4;
-    # zero-cell distributions are constructed directly instead
-    with pytest.raises(ValueError):
-        PathParams(0.5, 0.5, 0.25)
-    JointDist2x2(0.5, 0.0, 0.0, 0.5)
-
-
-def test_marginals_do_not_depend_on_t():
-    rng = np.random.default_rng(7)
-    for _ in range(200):
-        pa0 = rng.uniform(0.05, 0.95)
-        pb0 = rng.uniform(0.05, 0.95)
-        lo, hi = t_bounds(pa0, pb0)
-        t = rng.uniform(lo * 0.999, hi * 0.999)
-        p = make_dist(PathParams(pa0, pb0, t))
-        assert p.marginal_a()[0] == pytest.approx(pa0, abs=1e-12)
-        assert p.marginal_b()[0] == pytest.approx(pb0, abs=1e-12)
 
 
 def test_mi_symmetric_in_t():

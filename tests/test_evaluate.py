@@ -231,6 +231,7 @@ def test_run_experiment_recovers_strong_edge(tmp_path, tiny_table):
     runs = [r for r in rows if r["seed"] != "mean"]
     assert len(runs) == 1
     assert runs[0]["shd"] == 0
+    assert dag_to_cpdag(runs[0]["dag"]) == dag_to_cpdag(net.dag)
 
 
 def test_recovery_with_detectable_edges(tiny_table):
@@ -314,6 +315,7 @@ def test_run_experiment_failure_leaves_empty_row(tiny_table):
     runs = [r for r in rows if r["seed"] != "mean"]
     assert len(runs) == 1
     assert runs[0]["shd"] == "" and runs[0]["total_score"] == ""
+    assert runs[0]["dag"] is None
     assert not [r for r in rows if r["seed"] == "mean"]
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 from itertools import combinations
 
 import numpy as np
@@ -7,7 +8,6 @@ import pytest
 from bnboost.beta import build_table
 from bnboost.data import BinaryDataset, Dag, Network, random_network, sample
 from bnboost.scoring import (
-    PARENT_BASED,
     ParentSetScoreTable,
     ScoreConfig,
     build_parent_set_scores,
@@ -199,18 +199,6 @@ def test_total_score_rejects_in_degree_violation(table):
         total_score(data, g, table, ScoreConfig(d=2))
 
 
-def test_total_score_parent_based_mode(table):
-    net = random_network(4, 2, seed=81)
-    data = sample(net, 200, seed=82)
-    cfg = ScoreConfig(sepset_mode=PARENT_BASED)
-    g = Dag(4, frozenset({(0, 1), (1, 2)}))
-    value = total_score(data, g, table, cfg)
-    assert np.isfinite(value)
-    # parent-based collections are graph-dependent, so scores may differ
-    bounded = total_score(data, g, table, ScoreConfig())
-    assert np.isfinite(bounded)
-
-
 # ------------------------------------------------------- decomposed score table
 
 def test_reconstruction_identity_random_dags(table):
@@ -248,13 +236,6 @@ def test_parent_set_scores_d_zero(table):
     )
 
 
-def test_parent_set_scores_reject_parent_based(table):
-    net = random_network(3, 1, seed=95)
-    data = sample(net, 50, seed=96)
-    with pytest.raises(ValueError):
-        build_parent_set_scores(data, table, ScoreConfig(sepset_mode=PARENT_BASED))
-
-
 def test_scores_file_roundtrip(tmp_path, table):
     net = random_network(4, 2, seed=97)
     data = sample(net, 100, seed=98)
@@ -268,6 +249,20 @@ def test_scores_file_roundtrip(tmp_path, table):
         assert back.scores[i] == pst.scores[i]
     g = random_network(4, 2, seed=99).dag
     assert back.dag_score(g) == pst.dag_score(g)
+
+
+@pytest.mark.parametrize("body, bad_line", [
+    ("", None),
+    ("n 2 constant 0\n0 0 -1.5\n2 0 -1.0\n", "2 0 -1.0"),
+    ("n 2 constant 0\n0 1 2 -1.5\n", "0 1 2 -1.5"),
+    ("n 2 constant 0\n1 1 1 -1.5\n", "1 1 1 -1.5"),
+    ("n 2 constant 0\n0 0 -1.5\n0 0 -1.25\n", "0 0 -1.25"),
+], ids=["empty", "node-range", "parent-range", "own-parent", "duplicate"])
+def test_load_scores_rejects_bad_files(tmp_path, body, bad_line):
+    path = tmp_path / "scores.txt"
+    path.write_text(body)
+    with pytest.raises(ValueError, match=re.escape(bad_line or "empty")):
+        load_scores(path)
 
 
 def test_score_table_missing_family():
@@ -336,5 +331,3 @@ def test_score_config_validation():
         ScoreConfig(psi2=-1.0)
     with pytest.raises(ValueError):
         ScoreConfig(d=-1)
-    with pytest.raises(ValueError):
-        ScoreConfig(sepset_mode="nope")
