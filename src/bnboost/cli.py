@@ -23,6 +23,7 @@ from .data import (
     sample,
     save_dataset,
     save_network,
+    save_structure,
 )
 from .evaluate import (
     dag_to_cpdag,
@@ -117,14 +118,7 @@ def _cmd_learn(args) -> int:
         result = greedy_hill_climb(table, restarts=args.restarts, seed=_resolve_seed(args))
     else:
         result = brute_force(table)
-    names = table.variable_names
-    doc = {
-        "variables": list(names),
-        "edges": [[names[u], names[v]] for u, v in sorted(result.dag.edges)],
-    }
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    save_structure(table.variable_names, result.dag, args.out)
     log.info("%s search: score %.6f, %d edges, %.1f ms",
              result.method, result.score, len(result.dag.edges), result.runtime_ms)
     return 0

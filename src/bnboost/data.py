@@ -9,6 +9,7 @@ columns.
 from __future__ import annotations
 
 import csv
+import heapq
 import json
 from dataclasses import dataclass, field
 
@@ -24,6 +25,7 @@ __all__ = [
     "load_dataset",
     "save_network",
     "load_network",
+    "save_structure",
     "load_structure",
     "network_to_dict",
     "network_from_dict",
@@ -40,57 +42,51 @@ class Dag:
 
     n: int
     edges: frozenset[tuple[int, int]]
+    # sorted parents of every node, built once from edges
+    _parents: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"node count {self.n} must be >= 1")
         object.__setattr__(self, "edges", frozenset(self.edges))
+        parents: list[list[int]] = [[] for _ in range(self.n)]
         for u, v in self.edges:
             if not (0 <= u < self.n and 0 <= v < self.n) or u == v:
                 raise ValueError(f"bad edge ({u}, {v}) for n={self.n}")
+            parents[v].append(u)
+        object.__setattr__(self, "_parents", tuple(tuple(sorted(p)) for p in parents))
         self.topological_order()  # raises CycleError if cyclic
 
     def parents(self, i: int) -> tuple[int, ...]:
-        return tuple(sorted(u for u, v in self.edges if v == i))
-
-    def children(self, i: int) -> tuple[int, ...]:
-        return tuple(sorted(v for u, v in self.edges if u == i))
+        return self._parents[i]
 
     def in_degree(self, i: int) -> int:
-        return sum(1 for _, v in self.edges if v == i)
-
-    def max_in_degree(self) -> int:
-        return max((self.in_degree(i) for i in range(self.n)), default=0)
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return (u, v) in self.edges
+        return len(self._parents[i])
 
     def adjacent(self, u: int, v: int) -> bool:
         return (u, v) in self.edges or (v, u) in self.edges
 
     def topological_order(self) -> list[int]:
         """Kahn's algorithm; ties broken by smallest node index."""
-        indeg = [0] * self.n
-        childmap: list[list[int]] = [[] for _ in range(self.n)]
+        indeg = [len(p) for p in self._parents]
+        children: list[list[int]] = [[] for _ in range(self.n)]
         for u, v in self.edges:
-            indeg[v] += 1
-            childmap[u].append(v)
-        ready = sorted(i for i in range(self.n) if indeg[i] == 0)
+            children[u].append(v)
+        ready = [i for i in range(self.n) if indeg[i] == 0]
         order: list[int] = []
         while ready:
-            i = ready.pop(0)
+            i = heapq.heappop(ready)
             order.append(i)
-            for v in sorted(childmap[i]):
+            for v in children[i]:
                 indeg[v] -= 1
                 if indeg[v] == 0:
-                    ready.append(v)
-            ready.sort()
+                    heapq.heappush(ready, v)
         if len(order) != self.n:
             raise CycleError("edge set contains a directed cycle")
         return order
 
     def check_in_degree(self, d: int) -> None:
-        bad = [i for i in range(self.n) if self.in_degree(i) > d]
+        bad = [i for i, p in enumerate(self._parents) if len(p) > d]
         if bad:
             raise ValueError(f"nodes {bad} exceed the in-degree bound {d}")
 
@@ -216,18 +212,49 @@ def save_dataset(data: BinaryDataset, path) -> None:
 
 
 def load_dataset(path) -> BinaryDataset:
+    """Read a save_dataset CSV; a malformed file raises ValueError naming
+    the file and its 1-based line. Cells may carry surrounding spaces."""
     with open(path, "r", newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        rows = [[int(cell) for cell in row] for row in reader if row]
-    return BinaryDataset(tuple(header), np.asarray(rows, dtype=np.uint8))
+        header = next(reader, [])
+        lines, rows = [], []
+        try:
+            for row in filter(None, reader):  # blank lines read as []
+                lines.append(reader.line_num)
+                if len(row) != len(header):
+                    raise ValueError(f"{len(row)} cells, the header has {len(header)}")
+                rows.append(list(map(int, row)))
+        except ValueError as exc:
+            raise ValueError(f"{path} line {reader.line_num}: {exc}") from None
+    if not rows:
+        raise ValueError(f"{path} line {reader.line_num + 1}: no data rows")
+    try:
+        cells = np.asarray(rows, dtype=np.int8)
+    except OverflowError:  # a cell beyond int8, still reported by its line below
+        cells = np.asarray(rows, dtype=object)
+    bad = np.flatnonzero(((cells < 0) | (cells > 1)).any(axis=1))
+    if bad.size:
+        raise ValueError(f"{path} line {lines[bad[0]]}: cells must be 0 or 1")
+    return BinaryDataset(tuple(header), cells.astype(np.uint8))
+
+
+def _structure_to_dict(names, dag: Dag) -> dict:
+    return {
+        "variables": list(names),
+        "edges": [[names[u], names[v]] for u, v in sorted(dag.edges)],
+    }
+
+
+def _dump_json(doc: dict, path) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
 
 
 def network_to_dict(net: Network) -> dict:
     names = net.variable_names
     return {
-        "variables": list(names),
-        "edges": [[names[u], names[v]] for u, v in sorted(net.dag.edges)],
+        **_structure_to_dict(names, net.dag),
         "cpds": {
             names[i]: {
                 "theta": {names[p]: w for p, w in sorted(net.theta[i].items())},
@@ -273,14 +300,17 @@ def network_from_dict(doc: dict) -> Network:
 
 
 def save_network(net: Network, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(network_to_dict(net), fh, indent=2)
-        fh.write("\n")
+    _dump_json(network_to_dict(net), path)
 
 
 def load_network(path) -> Network:
     with open(path, "r", encoding="utf-8") as fh:
         return network_from_dict(json.load(fh))
+
+
+def save_structure(names, dag: Dag, path) -> None:
+    """Write the {variables, edges} JSON file that load_structure reads."""
+    _dump_json(_structure_to_dict(names, dag), path)
 
 
 def load_structure(path) -> tuple[tuple[str, ...], Dag]:

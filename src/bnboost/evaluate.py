@@ -88,7 +88,6 @@ def dag_to_cpdag(dag: Dag) -> Pdag:
     rank = {e: k for k, e in enumerate(edges)}
     UNKNOWN, COMPELLED, REVERSIBLE = 0, 1, 2
     label = {e: UNKNOWN for e in edges}
-    parents = {i: dag.parents(i) for i in range(dag.n)}
 
     while True:
         unknown = [e for e in edges if label[e] == UNKNOWN]
@@ -96,22 +95,22 @@ def dag_to_cpdag(dag: Dag) -> Pdag:
             break
         x, y = min(unknown, key=rank.get)
         forced = False
-        for w in parents[x]:
+        for w in dag.parents(x):
             if label[(w, x)] != COMPELLED:
                 continue
-            if w not in parents[y]:
-                for z in parents[y]:
+            if w not in dag.parents(y):
+                for z in dag.parents(y):
                     label[(z, y)] = COMPELLED
                 forced = True
                 break
             label[(w, y)] = COMPELLED
         if forced:
             continue
-        if any(z != x and z not in parents[x] for z in parents[y]):
+        if any(z != x and z not in dag.parents(x) for z in dag.parents(y)):
             verdict = COMPELLED
         else:
             verdict = REVERSIBLE
-        for z in parents[y]:
+        for z in dag.parents(y):
             if label[(z, y)] == UNKNOWN:
                 label[(z, y)] = verdict
 

@@ -323,7 +323,19 @@ def save_scores(table: ParentSetScoreTable, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _numbers(ln: str, toks: list[str]) -> tuple[list[int], float]:
+    """All but the last token as integers, the last as a finite float."""
+    try:
+        ints, last = [int(t) for t in toks[:-1]], float(toks[-1])
+        if math.isfinite(last):
+            return ints, last
+    except ValueError:
+        pass
+    raise ValueError(f"non-integer or non-finite number in scores line: {ln!r}")
+
+
 def load_scores(path) -> ParentSetScoreTable:
+    """Read a save_scores file; a malformed line raises ValueError quoting it."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
     if not lines:
@@ -331,20 +343,18 @@ def load_scores(path) -> ParentSetScoreTable:
     head = lines[0].split()
     if len(head) != 4 or head[0] != "n" or head[2] != "constant":
         raise ValueError(f"bad scores header: {lines[0]!r}")
-    n = int(head[1])
-    constant = float(head[3])
+    (n,), constant = _numbers(lines[0], head[1::2])
     scores: dict[int, dict[frozenset, float]] = {i: {} for i in range(n)}
     for ln in lines[1:]:
-        toks = ln.split()
-        if len(toks) < 3 or len(toks) != int(toks[1]) + 3:
+        ints, score = _numbers(ln, ln.split())
+        if len(ints) < 2 or len(ints) != ints[1] + 2:
             raise ValueError(f"bad scores line: {ln!r}")
-        node = int(toks[0])
-        parents = frozenset(int(t) for t in toks[2:-1])
+        node, parents = ints[0], frozenset(ints[2:])
         if not all(0 <= v < n for v in (node, *parents)):
             raise ValueError(f"index outside 0..{n - 1} in scores line: {ln!r}")
-        if node in parents or len(parents) != len(toks) - 3:
+        if node in parents or len(parents) != ints[1]:
             raise ValueError(f"node or parent repeated in scores line: {ln!r}")
         if parents in scores[node]:
             raise ValueError(f"family listed twice in scores line: {ln!r}")
-        scores[node][parents] = float(toks[-1])
+        scores[node][parents] = score
     return ParentSetScoreTable(n=n, scores=scores, constant=constant)

@@ -34,67 +34,30 @@ class SearchResult:
     runtime_ms: float
 
 
-def _mask_scores(table: ParentSetScoreTable):
-    """Per node: dict mask(parent set) -> family score; mask over all n bits."""
-    out = []
-    for i in range(table.n):
-        d = {}
-        for pa, s in table.scores.get(i, {}).items():
-            mask = 0
-            for p in pa:
-                mask |= 1 << p
-            d[mask] = s
-        out.append(d)
-    return out
-
-
-def _sorted_families(table: ParentSetScoreTable):
-    """Families per node ordered by the tie-break: fewer parents first, then
-    lexicographic parent list."""
-    out = []
-    for i in range(table.n):
-        fams = sorted(
-            table.scores.get(i, {}).items(), key=lambda kv: (len(kv[0]), sorted(kv[0]))
-        )
-        out.append([(frozenset(pa), s) for pa, s in fams])
-    return out
-
-
-def _best_family_within(families, allowed_mask: int):
-    """Best (score, parents) over table families contained in allowed_mask,
-    honoring the smaller-then-lexicographic tie-break via scan order."""
-    best = None
-    best_score = NEG_INF
-    for pa, s in families:
-        ok = all(allowed_mask >> p & 1 for p in pa)
-        if ok and s > best_score:
-            best_score = s
-            best = pa
-    return best_score, best
-
-
 def exact_dp(table: ParentSetScoreTable) -> SearchResult:
-    """Global maximizer of the decomposed score over all DAGs the table covers."""
+    """Global maximizer of the decomposed score over all DAGs the table covers.
+
+    Memory: the best-parent-set table bps is n * 2^n float64 (38 MB at
+    n = 18, 3.2 GB at n = 24), and phase 2 adds about 18 bytes per subset.
+    Ties go to the lowest-index sink of each node subset, then to the
+    parent set with the fewest parents, then the smallest sorted list.
+    """
     n = table.n
     if n > DP_MAX_N:
         raise ValueError(f"n={n} above the exact search cap {DP_MAX_N}")
     t0 = time.perf_counter()
     size = 1 << n
-    mask_scores = _mask_scores(table)
 
-    # phase 1: bps[i][W] = best family score of i with parents inside W
+    # phase 1: bps[i, W] = best family score of i with parents inside W,
+    # a subset max taken one bit at a time over in-place views
     bps = np.full((n, size), NEG_INF)
     for i in range(n):
-        col = bps[i]
-        for mask, s in mask_scores[i].items():
-            if s > col[mask]:
-                col[mask] = s
+        for pa, s in table.scores.get(i, {}).items():
+            bps[i, sum(1 << p for p in pa)] = s
         for b in range(n):
-            if b == i:
-                continue
-            bit = 1 << b
-            has = (np.arange(size) & bit).astype(bool)
-            col[has] = np.maximum(col[has], col[np.arange(size)[has] ^ bit])
+            if b != i:
+                half = bps[i].reshape(-1, 2, 1 << b)  # [:, 1] holds the sets with b
+                np.maximum(half[:, 1], half[:, 0], out=half[:, 1])
 
     # phase 2: best[U] over orderings of U; sink[U] records the last node.
     # processed layer by layer in subset size so every best[U \ i] is final
@@ -118,20 +81,21 @@ def exact_dp(table: ParentSetScoreTable) -> SearchResult:
     if not math.isfinite(best[size - 1]):
         raise ValueError("the score table covers no complete DAG")
 
-    # reconstruct: peel sinks, then re-derive each node's parent set
-    families = _sorted_families(table)
+    # reconstruct: peel sinks; each sink takes its best family inside the rest
     edges = set()
     u = size - 1
     while u:
         i = int(sink[u])
         u ^= 1 << i
-        _, pa = _best_family_within(families[i], u)
-        for p in pa:
-            edges.add((p, i))
+        pa = min(
+            (pa for pa, s in table.scores[i].items()
+             if s == bps[i, u] and all(u >> p & 1 for p in pa)),
+            key=lambda pa: (len(pa), sorted(pa)),
+        )
+        edges.update((p, i) for p in pa)
     dag = Dag(n, frozenset(edges))
-    score = table.dag_score(dag)
     return SearchResult(
-        dag=dag, score=score, method="dp",
+        dag=dag, score=table.dag_score(dag), method="dp",
         runtime_ms=(time.perf_counter() - t0) * 1e3,
     )
 

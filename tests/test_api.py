@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import bnboost
+from bnboost import evaluate
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 MODULES = ("dist2x2", "beta", "data", "scoring", "search", "evaluate")
@@ -39,3 +40,29 @@ def test_tracer_patch_points_resolve():
 def test_all_names_resolve(name):
     module = importlib.import_module(f"bnboost.{name}" if name else "bnboost")
     assert [n for n in module.__all__ if not hasattr(module, n)] == []
+
+
+def test_run_experiment_calls_through_evaluate_globals(monkeypatch):
+    """perfbench's recovery-n8 records score tables and search results by
+    swapping these two names in bnboost.evaluate; a run_experiment that
+    stopped calling them there would fail every benchmark job."""
+    build, dp = evaluate.build_parent_set_scores, evaluate.exact_dp
+    built, searched = [], []
+
+    def recording_build(data, table, cfg):
+        built.append(build(data, table, cfg))
+        return built[-1]
+
+    def recording_dp(scores):
+        searched.append(dp(scores))
+        return searched[-1]
+
+    monkeypatch.setattr(evaluate, "build_parent_set_scores", recording_build)
+    monkeypatch.setattr(evaluate, "exact_dp", recording_dp)
+    cfg = evaluate.ExperimentConfig(
+        N_schedule=[200], methods=[("bic", "dp")], seeds=[0], n=3
+    )
+    (row,) = [r for r in evaluate.run_experiment(cfg) if r["seed"] != "mean"]
+    assert len(built) == 1 and len(searched) == 1
+    assert row["dag"] is searched[0].dag
+    assert row["total_score"] == searched[0].score

@@ -1,4 +1,5 @@
 import copy
+import json
 import math
 
 import numpy as np
@@ -11,12 +12,14 @@ from bnboost.data import (
     Network,
     load_dataset,
     load_network,
+    load_structure,
     network_from_dict,
     network_to_dict,
     random_network,
     sample,
     save_dataset,
     save_network,
+    save_structure,
 )
 
 
@@ -35,9 +38,7 @@ def four_rows():
 def test_dag_basics():
     g = Dag(3, frozenset({(0, 2), (1, 2)}))
     assert g.parents(2) == (0, 1)
-    assert g.children(0) == (2,)
     assert g.in_degree(2) == 2
-    assert g.max_in_degree() == 2
     assert g.topological_order().index(0) < g.topological_order().index(2)
     g.check_in_degree(2)
     with pytest.raises(ValueError):
@@ -82,7 +83,7 @@ def test_random_network_deterministic():
 def test_random_network_respects_in_degree():
     for seed in range(20):
         net = random_network(12, 2, seed=seed)
-        assert net.dag.max_in_degree() <= 2
+        net.dag.check_in_degree(2)
 
 
 def test_theta_moments():
@@ -158,6 +159,31 @@ def test_dataset_roundtrip(tmp_path, four_rows):
     assert (back.rows == four_rows.rows).all()
 
 
+@pytest.mark.parametrize("body, line", [
+    ("", 1),
+    ("A,B\n", 2),
+    ("A,B\n0,1\n1\n", 3),
+    ("A,B\n0,1\n0,1,1\n", 3),
+    ("A,B\n0,1\n0,x\n", 3),
+    ("A,B\n0,1\n0,1.0\n", 3),
+    ("A,B\n0,1\n\n-1,0\n", 4),
+    ("A,B\n0,2\n", 2),
+    ("A,B\n0,1\n1,99999999999999999999999\n", 3),
+], ids=["empty", "header-only", "short-row", "long-row", "non-integer", "float",
+        "negative", "two", "huge"])
+def test_load_dataset_names_the_bad_line(tmp_path, body, line):
+    path = tmp_path / "d.csv"
+    path.write_text(body)
+    with pytest.raises(ValueError, match=rf"d\.csv line {line}:"):
+        load_dataset(path)
+
+
+def test_load_dataset_tolerates_spaces(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_text("A,B\n0, 1\n 1 ,0\n")
+    assert load_dataset(path).rows.tolist() == [[0, 1], [1, 0]]
+
+
 def test_network_roundtrip(tmp_path):
     net = random_network(7, 2, seed=13)
     doc = network_to_dict(net)
@@ -173,6 +199,16 @@ def test_network_roundtrip(tmp_path):
     d1 = sample(net, 50, seed=1)
     d2 = sample(again, 50, seed=1)
     assert (d1.rows == d2.rows).all()
+
+
+def test_structure_roundtrip(tmp_path):
+    net = random_network(6, 2, seed=21)
+    path = tmp_path / "s.json"
+    save_structure(net.variable_names, net.dag, path)
+    assert load_structure(path) == (net.variable_names, net.dag)
+    assert json.loads(path.read_text()) == {
+        k: v for k, v in network_to_dict(net).items() if k != "cpds"
+    }
 
 
 def test_network_from_dict_names_the_bad_variable():

@@ -257,7 +257,13 @@ def test_scores_file_roundtrip(tmp_path, table):
     ("n 2 constant 0\n0 1 2 -1.5\n", "0 1 2 -1.5"),
     ("n 2 constant 0\n1 1 1 -1.5\n", "1 1 1 -1.5"),
     ("n 2 constant 0\n0 0 -1.5\n0 0 -1.25\n", "0 0 -1.25"),
-], ids=["empty", "node-range", "parent-range", "own-parent", "duplicate"])
+    ("n 2 constant 0\n0 x -1.0\n", "0 x -1.0"),
+    ("n x constant 0\n", "n x constant 0"),
+    ("n 2 constant 0\n0 0 nan\n", "0 0 nan"),
+    ("n 2 constant 0\n0 0 inf\n", "0 0 inf"),
+    ("n 2 constant nan\n0 0 -1.0\n", "n 2 constant nan"),
+], ids=["empty", "node-range", "parent-range", "own-parent", "duplicate",
+        "non-integer", "non-integer-header", "nan", "inf", "nan-constant"])
 def test_load_scores_rejects_bad_files(tmp_path, body, bad_line):
     path = tmp_path / "scores.txt"
     path.write_text(body)

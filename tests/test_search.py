@@ -78,7 +78,7 @@ def test_exact_dp_respects_coverage():
     for trial in range(10):
         table = random_table(5, 1, rng)
         res = exact_dp(table)
-        assert res.dag.max_in_degree() <= 1
+        res.dag.check_in_degree(1)
 
 
 def test_exact_dp_beats_random_dags():
@@ -100,6 +100,24 @@ def test_exact_dp_relabeling_invariance():
     }
     table2 = ParentSetScoreTable(n=5, scores=scores2, constant=table.constant)
     assert exact_dp(table2).score == pytest.approx(exact_dp(table).score, abs=1e-9)
+
+
+@pytest.mark.parametrize("tied, edges", [
+    # node 0's families inside {1, 2} tie: fewest parents, then smallest list
+    (0, {(1, 0)}),
+    # sinks tie first: the lowest index (0) is peeled last, so node 2 then
+    # chooses inside {1}
+    (2, {(1, 2)}),
+])
+def test_exact_dp_tie_breaks(tied, edges):
+    others = [v for v in range(3) if v != tied]
+    scores = {i: {frozenset(): 0.0} for i in range(3)}
+    for k in (1, 2):
+        for pa in combinations(others, k):
+            scores[tied][frozenset(pa)] = 1.0
+    res = exact_dp(ParentSetScoreTable(n=3, scores=scores))
+    assert res.dag.edges == frozenset(edges)
+    assert res.score == 1.0
 
 
 def test_exact_dp_rejects_oversize():
