@@ -12,7 +12,8 @@ Three routes are provided, in increasing applicability:
                    relaxation of the type sum, cost independent of N
 
 BetaTable precomputes -ln(beta) on an (N, gamma) grid for one eta so that
-scoring can answer interpolated queries cheaply.
+scoring can answer interpolated queries cheaply, a whole array of them per
+neg_ln_beta_batch call.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 from scipy.special import gammaln
@@ -30,10 +30,9 @@ from .dist2x2 import (
     JointDist2x2,
     MI_UPPER,
     find_t_plus,
-    kl_divergence,
+    find_t_plus_batch,
     mi_from_counts,
     reference_dist,
-    uniform_marginal_dist,
 )
 
 __all__ = [
@@ -45,6 +44,7 @@ __all__ = [
     "beta_mc",
     "beta_product_mass",
     "build_table",
+    "neg_ln_beta_batch",
     "query_neg_ln_beta",
     "table_to_json",
     "table_from_json",
@@ -361,6 +361,7 @@ class BetaTable:
     kl_of_gamma: list[float]
     mc_samples: int
     seed: int
+    _n_axis: np.ndarray = field(init=False, repr=False)
     _kl_axis: np.ndarray = field(init=False, repr=False)
     _cols: np.ndarray = field(init=False, repr=False)
 
@@ -380,51 +381,75 @@ class BetaTable:
         if kl[0] > 0.0:
             kl = np.concatenate(([0.0], kl))
             cols = np.concatenate((np.zeros((cols.shape[0], 1)), cols), axis=1)
+        self._n_axis = np.asarray(self.N_grid, dtype=np.float64)
         self._kl_axis = kl
         self._cols = cols
 
 
-def _kl_coordinate_uncached(gamma: float, eta: float) -> float:
-    ref = reference_dist(eta)
-    p = uniform_marginal_dist(find_t_plus(gamma)) if gamma > 0.0 \
-        else JointDist2x2(0.25, 0.25, 0.25, 0.25)
-    return kl_divergence(p, ref)
+def _kl_of_gammas(gammas, eta: float) -> np.ndarray:
+    """H(p_gamma || p_eta) for each gamma in [0, eta), where p_g is the
+    uniform-marginal distribution with MI g; one lockstep bisection finds
+    the offsets of the positive gammas and of eta together."""
+    g = np.asarray(gammas, dtype=np.float64)
+    pos = g > 0.0
+    t_pos = find_t_plus_batch(np.append(g[pos], eta))
+    t = np.zeros(g.shape)
+    t[pos] = t_pos[:-1]
+    t_eta = t_pos[-1]
+    kl = np.zeros(g.shape)
+    for sign in (1.0, -1.0, -1.0, 1.0):  # cells p00, p01, p10, p11
+        p = 0.25 + sign * t
+        kl += p * np.log(p / (0.25 + sign * t_eta))
+    return np.maximum(kl, 0.0)
 
 
-_kl_coordinate = lru_cache(maxsize=1 << 16)(_kl_coordinate_uncached)
-
-
-def _interp_extrap(x: float, xs: np.ndarray, ys: np.ndarray) -> float:
-    """Piecewise-linear in the interior, linear extrapolation from the two
-    end knots outside."""
+def _segment(xs: np.ndarray, x: np.ndarray):
+    """Knots (j0, j1) of the piece of the ascending axis xs that gives the
+    value at x, with x - xs[j0] and xs[j1] - xs[j0]. Interior points fall
+    in their own piece; outside, the end piece extrapolates linearly."""
     if xs.size == 1:
-        return float(ys[0])
-    j = int(np.searchsorted(xs, x))
-    j = min(max(j, 1), xs.size - 1)
-    x0, x1 = xs[j - 1], xs[j]
-    y0, y1 = ys[j - 1], ys[j]
-    return float(y0 + (y1 - y0) * (x - x0) / (x1 - x0))
+        j = np.zeros(x.shape, dtype=np.intp)
+        return j, j, np.zeros(x.shape), np.ones(x.shape)
+    j1 = np.clip(np.searchsorted(xs, x), 1, xs.size - 1)
+    j0 = j1 - 1
+    return j0, j1, x - xs[j0], xs[j1] - xs[j0]
+
+
+def neg_ln_beta_batch(table: BetaTable, ns, gammas) -> np.ndarray:
+    """Interpolated -ln(beta) at every (ns[i], gammas[i]); 0 where gamma >= eta.
+
+    Bilinear in the coordinates (N, H(p_gamma||p_eta)); linear extrapolation
+    in N outside the grid; clamped at 0 from below.
+    """
+    ns, gammas = np.broadcast_arrays(
+        np.asarray(ns, dtype=np.float64), np.asarray(gammas, dtype=np.float64)
+    )
+    if not (ns >= 1).all():
+        raise ValueError(f"n={ns[~(ns >= 1)][0]:g} must be >= 1")
+    if not (gammas >= 0.0).all():
+        raise ValueError(f"gamma={float(gammas[~(gammas >= 0.0)][0])!r} must be >= 0")
+    out = np.zeros(ns.shape)
+    below = gammas < table.eta
+    if not below.any():
+        return out
+    uniq, inverse = np.unique(gammas[below], return_inverse=True)
+    kl = _kl_of_gammas(uniq, table.eta)[inverse]
+    n = ns[below]
+    k0, k1, dk, sk = _segment(table._kl_axis, kl)
+    r0, r1, dn, sn = _segment(table._n_axis, n)
+    cols = table._cols
+    v0 = cols[r0, k0] + (cols[r0, k1] - cols[r0, k0]) * dk / sk
+    v1 = cols[r1, k0] + (cols[r1, k1] - cols[r1, k0]) * dk / sk
+    out[below] = np.maximum(v0 + (v1 - v0) * dn / sn, 0.0)
+    return out
 
 
 def query_neg_ln_beta(table: BetaTable, n: int, gamma: float) -> float:
     """Interpolated -ln(beta) at (n, gamma); 0 for gamma >= eta.
 
-    Bilinear in the coordinates (N, H(p_gamma||p_eta)); linear extrapolation
-    in N outside the grid; clamped at 0 from below.
+    A one-element call of neg_ln_beta_batch, which states the interpolation.
     """
-    if n < 1:
-        raise ValueError(f"n={n} must be >= 1")
-    if gamma < 0.0:
-        raise ValueError(f"gamma={gamma!r} must be >= 0")
-    if gamma >= table.eta:
-        return 0.0
-    klq = _kl_coordinate(float(gamma), float(table.eta))
-    per_row = np.array(
-        [_interp_extrap(klq, table._kl_axis, row) for row in table._cols]
-    )
-    ns = np.asarray(table.N_grid, dtype=np.float64)
-    val = _interp_extrap(float(n), ns, per_row)
-    return max(val, 0.0)
+    return float(neg_ln_beta_batch(table, n, gamma))
 
 
 def build_table(
@@ -456,7 +481,7 @@ def build_table(
     _check_grids(eta, N_grid, gamma_grid)
 
     ref = reference_dist(eta)
-    kl_of_gamma = [_kl_coordinate(g, eta) for g in gamma_grid]
+    kl_of_gamma = _kl_of_gammas(gamma_grid, eta).tolist()
     pos = [(j, g) for j, g in enumerate(gamma_grid) if g > 0.0]
 
     neg = np.zeros((len(N_grid), len(gamma_grid)))

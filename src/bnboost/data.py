@@ -217,6 +217,11 @@ def load_dataset(path) -> BinaryDataset:
     with open(path, "r", newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
+        repeated = [name for j, name in enumerate(header) if name in header[:j]]
+        if repeated:
+            raise ValueError(
+                f"{path} line {reader.line_num}: duplicate variable name {repeated[0]!r}"
+            )
         lines, rows = [], []
         try:
             for row in filter(None, reader):  # blank lines read as []

@@ -17,6 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 __all__ = [
     "JointDist2x2",
     "SupportError",
@@ -25,6 +27,7 @@ __all__ = [
     "mi_from_counts",
     "uniform_marginal_dist",
     "find_t_plus",
+    "find_t_plus_batch",
     "reference_dist",
 ]
 
@@ -126,35 +129,49 @@ def mi_from_counts(c00: int, c01: int, c10: int, c11: int) -> float:
     return mi if mi > 0.0 else 0.0
 
 
-def _mi_on_path(t: float) -> float:
-    """MI of the uniform-marginal distribution at offset t, in closed form."""
-    if t == 0.0:
-        return 0.0
-    x = 4.0 * abs(t)
-    # MI = (1/2+2|t|) ln(1+4|t|) + (1/2-2|t|) ln(1-4|t|); even in t
-    return 0.5 * ((1.0 + x) * math.log1p(x) + (1.0 - x) * math.log1p(-x))
+def _mi_on_path(t: np.ndarray) -> np.ndarray:
+    """MI of the uniform-marginal distribution at offsets t >= 0, in closed
+    form: (1/2+2t) ln(1+4t) + (1/2-2t) ln(1-4t)."""
+    x = 4.0 * t
+    return 0.5 * ((1.0 + x) * np.log1p(x) + (1.0 - x) * np.log1p(-x))
+
+
+def find_t_plus_batch(etas) -> np.ndarray:
+    """find_t_plus of every element of etas, bisected in lockstep.
+
+    Each element takes the same decisions as its own bisection would and
+    keeps the first midpoint within T_PLUS_TOL, so the result does not
+    depend on which other elements share the call.
+    """
+    eta = np.asarray(etas, dtype=np.float64)
+    bad = ~((eta > 0.0) & (eta < MI_UPPER))
+    if bad.any():
+        raise ValueError(f"eta={float(eta[bad].flat[0])!r} outside (0, ln 2)")
+    lo = np.zeros(eta.shape)
+    hi = np.full(eta.shape, 0.25)
+    t = np.full(eta.shape, 0.125)
+    active = np.ones(eta.shape, dtype=bool)
+    for _ in range(T_PLUS_STEPS):
+        mid = 0.5 * (lo + hi)
+        np.copyto(t, mid, where=active)
+        m = _mi_on_path(mid)
+        active &= np.abs(m - eta) > T_PLUS_TOL
+        if not active.any():
+            break
+        below = m < eta
+        np.copyto(lo, mid, where=below)
+        np.copyto(hi, mid, where=~below)
+    return t
 
 
 def find_t_plus(eta: float) -> float:
     """Positive offset t with MI(uniform-marginal dist at t) = eta.
 
     MI is strictly increasing on (0, 1/4) with range (0, ln 2), so the root
-    is unique; located by bisection to |MI - eta| <= T_PLUS_TOL.
+    is unique; located by bisection to |MI - eta| <= T_PLUS_TOL. A scalar
+    call of find_t_plus_batch.
     """
-    if not (0.0 < eta < MI_UPPER):
-        raise ValueError(f"eta={eta!r} outside (0, ln 2)")
-    lo, hi = 0.0, 0.25
-    t = 0.125
-    for _ in range(T_PLUS_STEPS):
-        t = 0.5 * (lo + hi)
-        m = _mi_on_path(t)
-        if abs(m - eta) <= T_PLUS_TOL:
-            return t
-        if m < eta:
-            lo = t
-        else:
-            hi = t
-    return t
+    return float(find_t_plus_batch(eta))
 
 
 def reference_dist(eta: float) -> JointDist2x2:

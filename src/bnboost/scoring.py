@@ -13,15 +13,20 @@ the candidate graph, so the whole score decomposes into per-family terms
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 
-from .beta import BetaTable, query_neg_ln_beta
+from .beta import BetaTable, _mi_n_of_types, neg_ln_beta_batch
 from .data import BinaryDataset, Dag, Network
-from .dist2x2 import JointDist2x2, mi_from_counts, mutual_information
+from .dist2x2 import JointDist2x2, mutual_information
+
+# Not called here: perfbench/tracing.py wraps these two names in this module.
+from .beta import query_neg_ln_beta  # noqa: F401
+from .dist2x2 import mi_from_counts  # noqa: F401
 
 __all__ = [
     "ScoreConfig",
@@ -36,6 +41,8 @@ __all__ = [
     "save_scores",
     "load_scores",
 ]
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -96,27 +103,39 @@ def dim(dag: Dag) -> int:
     return sum(2 ** dag.in_degree(i) for i in range(dag.n))
 
 
-def _boost_for_pair(data, a, b, table, d: int) -> float:
-    """max over separating sets S (|S| <= d) of the min over assignments s
-    of -ln(beta) at (N_s, empirical MI of a and b given S = s)."""
-    rest = [v for v in range(data.n_vars) if v != a and v != b]
-    best = 0.0
-    for k in range(min(d, len(rest)) + 1):
-        for sep in combinations(rest, k):
-            # cells (s, a, b): b is bit 0, a bit 1, the separating set above
-            tables = _contingency(data.rows, (b, a, *sep)).reshape(-1, 4)
-            worst = math.inf
-            for c00, c01, c10, c11 in tables.tolist():
-                n_s = c00 + c01 + c10 + c11
-                if n_s == 0:
-                    worst = 0.0  # unobserved assignment: no evidence, no reward
-                    break
-                mi = mi_from_counts(c00, c01, c10, c11)
-                worst = min(worst, query_neg_ln_beta(table, n_s, mi))
-                if worst == 0.0:
-                    break
-            best = max(best, worst)
-    return best
+def _strata(data: BinaryDataset, pairs, d: int):
+    """N_s and the empirical MI of a and b given S = s, for each pair (a, b)
+    in pairs, each separating set S (|S| <= d) of the other variables and
+    each assignment s, stacked in that order; with the first stratum of
+    each separating set and the first separating set of each pair. MI reads
+    0 where N_s = 0."""
+    blocks, set_starts, pair_starts = [], [], []
+    rows = 0
+    for a, b in pairs:
+        rest = [v for v in range(data.n_vars) if v != a and v != b]
+        pair_starts.append(len(set_starts))
+        for k in range(min(d, len(rest)) + 1):
+            for sep in combinations(rest, k):
+                # cells (s, a, b): b is bit 0, a bit 1, the separating set above
+                blocks.append(_contingency(data.rows, (b, a, *sep)))
+                set_starts.append(rows)
+                rows += 1 << k
+    counts = np.concatenate(blocks).reshape(-1, 4) if blocks else np.zeros((0, 4), int)
+    n_s = counts.sum(axis=1)
+    mi_n = _mi_n_of_types(*counts.T, n_s)
+    mi = np.divide(mi_n, n_s, out=np.zeros(n_s.shape), where=n_s > 0)
+    return n_s, np.maximum(mi, 0.0), np.array(set_starts, int), np.array(pair_starts, int)
+
+
+def _reduce_boosts(table: BetaTable, n_s, mi, set_starts, pair_starts) -> np.ndarray:
+    """max over separating sets of the min over their assignments of
+    -ln(beta) at (N_s, MI); an assignment never seen gives 0."""
+    if pair_starts.size == 0:
+        return np.zeros(0)
+    seen = n_s > 0
+    values = np.zeros(n_s.shape)
+    values[seen] = neg_ln_beta_batch(table, n_s[seen], mi[seen])
+    return np.maximum.reduceat(np.minimum.reduceat(values, set_starts), pair_starts)
 
 
 def edge_boost(
@@ -135,15 +154,28 @@ def edge_boost(
     """
     if dag.adjacent(a, b):
         raise ValueError(f"({a}, {b}) is an edge of the graph, no boost applies")
-    return _boost_for_pair(data, a, b, table, cfg.d)
+    return float(_reduce_boosts(table, *_strata(data, [(a, b)], cfg.d))[0])
+
+
+def _log_strata(table: BetaTable, n_s, mi, set_starts, pair_starts) -> None:
+    seen = n_s > 0
+    interpolated = n_s[seen & (mi < table.eta)]  # the rest read 0, whatever N_s
+    log.debug(
+        "pair_boosts: %d pairs, %d separating sets, %d tables, %d queries "
+        "(%d below eta: %d above and %d below the N grid), %d unseen assignments",
+        pair_starts.size, set_starts.size, n_s.size, int(seen.sum()),
+        interpolated.size, int((interpolated > table.N_grid[-1]).sum()),
+        int((interpolated < table.N_grid[0]).sum()), int((~seen).sum()),
+    )
 
 
 def pair_boosts(data: BinaryDataset, table: BetaTable, cfg: ScoreConfig) -> dict:
     """Boost of every unordered pair; it does not depend on the graph."""
-    return {
-        (a, b): _boost_for_pair(data, a, b, table, cfg.d)
-        for a, b in combinations(range(data.n_vars), 2)
-    }
+    pairs = list(combinations(range(data.n_vars), 2))
+    strata = _strata(data, pairs, cfg.d)
+    if log.isEnabledFor(logging.DEBUG):
+        _log_strata(table, *strata)
+    return dict(zip(pairs, _reduce_boosts(table, *strata).tolist()))
 
 
 def total_score(
@@ -162,11 +194,8 @@ def total_score(
         return score
     if table is None:
         raise ValueError("a beta table is required when psi2 > 0")
-    boost = sum(
-        edge_boost(data, a, b, table, cfg, dag)
-        for a, b in combinations(range(dag.n), 2)
-        if not dag.adjacent(a, b)
-    )
+    pairs = [p for p in combinations(range(dag.n), 2) if not dag.adjacent(*p)]
+    boost = sum(_reduce_boosts(table, *_strata(data, pairs, cfg.d)).tolist())
     return score + cfg.psi2 * boost
 
 
@@ -344,6 +373,8 @@ def load_scores(path) -> ParentSetScoreTable:
     if len(head) != 4 or head[0] != "n" or head[2] != "constant":
         raise ValueError(f"bad scores header: {lines[0]!r}")
     (n,), constant = _numbers(lines[0], head[1::2])
+    if n < 1:
+        raise ValueError(f"node count below 1 in scores header: {lines[0]!r}")
     scores: dict[int, dict[frozenset, float]] = {i: {} for i in range(n)}
     for ln in lines[1:]:
         ints, score = _numbers(ln, ln.split())

@@ -5,7 +5,11 @@ import numpy as np
 import pytest
 
 from bnboost.dist2x2 import (
+    T_PLUS_TOL,
     JointDist2x2,
+    find_t_plus,
+    find_t_plus_batch,
+    mutual_information,
     reference_dist,
     uniform_marginal_dist,
 )
@@ -20,6 +24,7 @@ from bnboost.beta import (
     build_table,
     default_gamma_grid,
     load_table,
+    neg_ln_beta_batch,
     query_neg_ln_beta,
     save_table,
     table_from_json,
@@ -283,6 +288,43 @@ def test_query_rejects_bad_args(small_table):
         query_neg_ln_beta(small_table, 0, 0.005)
     with pytest.raises(ValueError):
         query_neg_ln_beta(small_table, 10, -1e-9)
+
+
+def test_batch_equals_element_by_element(small_table):
+    # one array mixing gamma = 0, gamma >= eta, repeated gammas, and n below,
+    # inside and above N_grid = [40, 80, 300]
+    rng = np.random.default_rng(17)
+    gammas = np.concatenate((
+        [0.0, 0.0, ETA, 0.5, 0.002, 0.002, ETA - 1e-9],
+        rng.uniform(0.0, 1.2 * ETA, 40),
+    ))
+    ns = np.concatenate(([1, 7, 40, 1000, 60, 301, 79], rng.integers(1, 700, 40)))
+    batch = neg_ln_beta_batch(small_table, ns, gammas)
+    one_by_one = [neg_ln_beta_batch(small_table, n, g) for n, g in zip(ns, gammas)]
+    assert batch.tolist() == [float(v) for v in one_by_one]
+    assert batch.tolist() == [
+        query_neg_ln_beta(small_table, int(n), float(g)) for n, g in zip(ns, gammas)
+    ]
+    assert (batch[gammas >= ETA] == 0.0).all()
+    assert (batch[gammas < ETA] > 0.0).any()
+    assert neg_ln_beta_batch(small_table, [], []).shape == (0,)
+    with pytest.raises(ValueError):
+        neg_ln_beta_batch(small_table, [40, 0], [0.001, 0.001])
+    with pytest.raises(ValueError):
+        neg_ln_beta_batch(small_table, [40, 40], [0.001, -1e-9])
+
+
+def test_lockstep_t_plus_equals_find_t_plus():
+    etas = np.concatenate((
+        [1e-12, 1e-6, ETA, ETA, 0.3, math.log(2.0) - 1e-9],
+        np.random.default_rng(23).uniform(1e-9, 0.02, 50),
+    ))
+    ts = find_t_plus_batch(etas)
+    assert ts.tolist() == [find_t_plus(float(e)) for e in etas]
+    for t, eta in zip(ts, etas):
+        assert abs(mutual_information(uniform_marginal_dist(t)) - eta) <= T_PLUS_TOL
+    with pytest.raises(ValueError):
+        find_t_plus_batch([0.01, 0.0])
 
 
 # ----------------------------------------------------------------- file format

@@ -169,8 +169,9 @@ def test_dataset_roundtrip(tmp_path, four_rows):
     ("A,B\n0,1\n\n-1,0\n", 4),
     ("A,B\n0,2\n", 2),
     ("A,B\n0,1\n1,99999999999999999999999\n", 3),
+    ("A,A\n0,1\n", 1),
 ], ids=["empty", "header-only", "short-row", "long-row", "non-integer", "float",
-        "negative", "two", "huge"])
+        "negative", "two", "huge", "duplicate-name"])
 def test_load_dataset_names_the_bad_line(tmp_path, body, line):
     path = tmp_path / "d.csv"
     path.write_text(body)

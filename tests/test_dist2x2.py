@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from bnboost.beta import _mi_n_of_types
 from bnboost.dist2x2 import (
     JointDist2x2,
     SupportError,
@@ -143,6 +144,7 @@ def test_kl_uniform_equals_mi_for_uniform_marginals():
 
 def test_mi_from_counts_product_tables_exact_zero():
     rng = np.random.default_rng(5)
+    tables = []
     for _ in range(500):
         r0, c0, n = rng.integers(0, 50), rng.integers(0, 50), 50
         if (r0 * c0) % n:
@@ -152,6 +154,11 @@ def test_mi_from_counts_product_tables_exact_zero():
         if min(table) < 0:
             continue
         assert mi_from_counts(*table) == 0.0
+        tables.append(table)
+    # the vectorized kernel the score uses, all tables in one call
+    assert len(tables) > 20
+    counts = np.array(tables, dtype=np.int64)
+    assert (_mi_n_of_types(*counts.T, counts.sum(axis=1)) == 0.0).all()
     assert mi_from_counts(1, 0, 0, 1) == pytest.approx(LN2, abs=1e-15)
     with pytest.raises(ValueError):
         mi_from_counts(0, 0, 0, 0)

@@ -1,3 +1,4 @@
+import logging
 import math
 import re
 from itertools import combinations
@@ -5,17 +6,20 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from bnboost.beta import build_table
+from bnboost.beta import build_table, query_neg_ln_beta
 from bnboost.data import BinaryDataset, Dag, Network, random_network, sample
+from bnboost.dist2x2 import mi_from_counts
 from bnboost.scoring import (
     ParentSetScoreTable,
     ScoreConfig,
+    _contingency,
     build_parent_set_scores,
     dim,
     edge_boost,
     edge_strength,
     load_scores,
     log_likelihood,
+    pair_boosts,
     save_scores,
     total_score,
 )
@@ -57,6 +61,37 @@ def bic_reference(data, dag):
                 if c:
                     ll += c * math.log(c / tot)
     return ll - (math.log(n_rows) / 2) * params
+
+
+def boost_reference(data, a, b, table, d):
+    """Independent boost oracle: one scalar query per stratum, the min over
+    assignments (0 once one is unseen), the max over separating sets."""
+    rest = [v for v in range(data.n_vars) if v not in (a, b)]
+    best = 0.0
+    for k in range(min(d, len(rest)) + 1):
+        for sep in combinations(rest, k):
+            worst = math.inf
+            tables = _contingency(data.rows, (b, a, *sep)).reshape(-1, 4)
+            for c00, c01, c10, c11 in tables.tolist():
+                n_s = c00 + c01 + c10 + c11
+                if n_s == 0:
+                    worst = 0.0
+                    break
+                mi = mi_from_counts(c00, c01, c10, c11)
+                worst = min(worst, query_neg_ln_beta(table, n_s, mi))
+            best = max(best, worst)
+    return best
+
+
+def strong_chain(n_rows, seed):
+    """X0 -> X1 -> X2 with 10% flips, X3 and X4 fair coins: the two edges
+    of the chain have MI far above eta given every separating set."""
+    rng = np.random.default_rng(seed)
+    x = rng.integers(0, 2, size=(n_rows, 5))
+    flip = rng.random((n_rows, 2)) < 0.1
+    x[:, 1] = x[:, 0] ^ flip[:, 0]
+    x[:, 2] = x[:, 1] ^ flip[:, 1]
+    return BinaryDataset(tuple("ABCDE"), x.astype(np.uint8))
 
 
 # ------------------------------------------------------------------ LL and dim
@@ -167,6 +202,60 @@ def test_boost_unobserved_assignment_contributes_zero(table):
     assert boost == pytest.approx(only_empty, abs=1e-12)
 
 
+def skewed_sample(n_rows, seed):
+    """Six variables with P(X = 1) near 0.12: at 30 rows some strata of
+    some two-variable separating sets stay empty, and for some pairs such a
+    set would win the max if its empty strata were skipped."""
+    net = random_network(6, 2, seed=seed)
+    skewed = Network(dag=net.dag, theta=net.theta, bias={i: -2.0 for i in range(6)})
+    return sample(skewed, n_rows, seed=seed + 1)
+
+
+@pytest.mark.parametrize("data", [
+    skewed_sample(30, seed=61),
+    strong_chain(2000, seed=63),
+    sample(random_network(6, 2, seed=64), 700, seed=65),
+], ids=["n6-N30-unseen-strata", "mi-above-eta", "n6-N700"])
+def test_pair_boosts_match_scalar_reference(table, data):
+    cfg = ScoreConfig()
+    got = pair_boosts(data, table, cfg)
+    want = {
+        (a, b): boost_reference(data, a, b, table, cfg.d)
+        for a, b in combinations(range(data.n_vars), 2)
+    }
+    assert list(got) == list(want)
+    for pair, value in want.items():
+        assert got[pair] == pytest.approx(value, rel=1e-12, abs=1e-12), pair
+    assert any(v > 0.0 for v in want.values())
+
+
+def test_reference_datasets_reach_unseen_strata_and_mi_above_eta():
+    unseen = skewed_sample(30, seed=61)
+    assert any(
+        (_contingency(unseen.rows, sep) == 0).any()
+        for sep in combinations(range(unseen.n_vars), 2)
+    )
+    chain = strong_chain(2000, seed=63)
+    for a, b in ((0, 1), (1, 2)):
+        assert mi_from_counts(*_contingency(chain.rows, (b, a)).tolist()) > 0.1
+
+
+def test_pair_boosts_logs_batch_counts_at_debug(table, caplog):
+    # C is constant, so the stratum C = 1 of the pair (A, B) is never seen
+    rows = np.array([[0, 0, 0], [0, 0, 0], [1, 1, 0], [1, 1, 0]])
+    data = BinaryDataset(("A", "B", "C"), rows)
+    with caplog.at_level(logging.INFO, logger="bnboost.scoring"):
+        pair_boosts(data, table, ScoreConfig())
+    assert caplog.records == []
+    with caplog.at_level(logging.DEBUG, logger="bnboost.scoring"):
+        pair_boosts(data, table, ScoreConfig())
+    (record,) = caplog.records
+    assert record.getMessage() == (
+        "pair_boosts: 3 pairs, 6 separating sets, 9 tables, 8 queries "
+        "(6 below eta: 0 above and 6 below the N grid), 1 unseen assignments"
+    )
+
+
 # ----------------------------------------------------------------- total score
 
 def test_total_score_psi2_zero_is_bic(table):
@@ -262,8 +351,11 @@ def test_scores_file_roundtrip(tmp_path, table):
     ("n 2 constant 0\n0 0 nan\n", "0 0 nan"),
     ("n 2 constant 0\n0 0 inf\n", "0 0 inf"),
     ("n 2 constant nan\n0 0 -1.0\n", "n 2 constant nan"),
+    ("n 0 constant 0\n", "n 0 constant 0"),
+    ("n -1 constant 0\n", "n -1 constant 0"),
 ], ids=["empty", "node-range", "parent-range", "own-parent", "duplicate",
-        "non-integer", "non-integer-header", "nan", "inf", "nan-constant"])
+        "non-integer", "non-integer-header", "nan", "inf", "nan-constant",
+        "zero-nodes", "negative-nodes"])
 def test_load_scores_rejects_bad_files(tmp_path, body, bad_line):
     path = tmp_path / "scores.txt"
     path.write_text(body)
