@@ -32,6 +32,7 @@ from .dist2x2 import (
     find_t_plus,
     find_t_plus_batch,
     mi_from_counts,
+    mi_from_counts_batch,
     reference_dist,
 )
 
@@ -121,21 +122,6 @@ def _type_enumeration_batches(n: int):
         a = b
 
 
-def _mi_n_of_types(t00, t01, t10, t11, n: int) -> np.ndarray:
-    """n * MI for each type, exactly 0.0 on product tables."""
-    r0 = t00 + t01
-    r1 = t10 + t11
-    c0 = t00 + t10
-    c1 = t01 + t11
-    out = np.zeros(t00.shape, dtype=np.float64)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for t, r, c in ((t00, r0, c0), (t01, r0, c1), (t10, r1, c0), (t11, r1, c1)):
-            num = (t * n).astype(np.float64)
-            den = (r * c).astype(np.float64)
-            out += np.where(t > 0, t * np.log(np.where(t > 0, num / den, 1.0)), 0.0)
-    return out
-
-
 def _beta_exact_multi(n: int, gammas, ref: JointDist2x2) -> np.ndarray:
     """beta(n, gamma, ref) for several gammas from one type enumeration."""
     lnp = np.log(np.asarray(ref.cells))
@@ -149,7 +135,7 @@ def _beta_exact_multi(n: int, gammas, ref: JointDist2x2) -> np.ndarray:
             + t00 * lnp[0] + t01 * lnp[1] + t10 * lnp[2] + t11 * lnp[3]
         )
         w = np.exp(logw)
-        mi = _mi_n_of_types(t00, t01, t10, t11, n) / n
+        mi = mi_from_counts_batch(t00, t01, t10, t11)
         for j, g in enumerate(gam):
             acc[j] += w[mi <= g].sum()
     return np.minimum(acc, 1.0)

@@ -25,6 +25,7 @@ __all__ = [
     "mutual_information",
     "kl_divergence",
     "mi_from_counts",
+    "mi_from_counts_batch",
     "uniform_marginal_dist",
     "find_t_plus",
     "find_t_plus_batch",
@@ -127,6 +128,25 @@ def mi_from_counts(c00: int, c01: int, c10: int, c11: int) -> float:
         s += c11 * math.log(c11 * n / (r1 * k1))
     mi = s / n
     return mi if mi > 0.0 else 0.0
+
+
+def mi_from_counts_batch(c00, c01, c10, c11) -> np.ndarray:
+    """mi_from_counts of every table (c00[i], c01[i], c10[i], c11[i]) of
+    integer arrays at once. The products stay integral here too, so product
+    tables give exactly 0.0; an empty table gives 0.0 instead of raising."""
+    n = c00 + c01 + c10 + c11
+    r0 = c00 + c01
+    r1 = c10 + c11
+    k0 = c00 + c10
+    k1 = c01 + c11
+    s = np.zeros(n.shape, dtype=np.float64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for c, r, k in ((c00, r0, k0), (c01, r0, k1), (c10, r1, k0), (c11, r1, k1)):
+            num = (c * n).astype(np.float64)
+            den = (r * k).astype(np.float64)
+            s += np.where(c > 0, c * np.log(np.where(c > 0, num / den, 1.0)), 0.0)
+    mi = np.divide(s, n, out=np.zeros(n.shape), where=n > 0)
+    return np.maximum(mi, 0.0)
 
 
 def _mi_on_path(t: np.ndarray) -> np.ndarray:

@@ -20,11 +20,13 @@ from itertools import combinations
 
 import numpy as np
 
-from .beta import BetaTable, _mi_n_of_types, neg_ln_beta_batch
+from .beta import BetaTable, neg_ln_beta_batch
 from .data import BinaryDataset, Dag, Network
-from .dist2x2 import JointDist2x2, mutual_information
+from .dist2x2 import JointDist2x2, mi_from_counts_batch, mutual_information
 
-# Not called here: perfbench/tracing.py wraps these two names in this module.
+# Not called here. perfbench/tracing.py still wraps these two names in this
+# module and fails to install without them; its beta.query.* and
+# mi_from_counts counts read 0 until it wraps neg_ln_beta_batch instead.
 from .beta import query_neg_ln_beta  # noqa: F401
 from .dist2x2 import mi_from_counts  # noqa: F401
 
@@ -122,9 +124,8 @@ def _strata(data: BinaryDataset, pairs, d: int):
                 rows += 1 << k
     counts = np.concatenate(blocks).reshape(-1, 4) if blocks else np.zeros((0, 4), int)
     n_s = counts.sum(axis=1)
-    mi_n = _mi_n_of_types(*counts.T, n_s)
-    mi = np.divide(mi_n, n_s, out=np.zeros(n_s.shape), where=n_s > 0)
-    return n_s, np.maximum(mi, 0.0), np.array(set_starts, int), np.array(pair_starts, int)
+    mi = mi_from_counts_batch(*counts.T)
+    return n_s, mi, np.array(set_starts, int), np.array(pair_starts, int)
 
 
 def _reduce_boosts(table: BetaTable, n_s, mi, set_starts, pair_starts) -> np.ndarray:

@@ -3,13 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from bnboost.beta import _mi_n_of_types
 from bnboost.dist2x2 import (
     JointDist2x2,
     SupportError,
     find_t_plus,
     kl_divergence,
     mi_from_counts,
+    mi_from_counts_batch,
     mutual_information,
     reference_dist,
     uniform_marginal_dist,
@@ -158,7 +158,7 @@ def test_mi_from_counts_product_tables_exact_zero():
     # the vectorized kernel the score uses, all tables in one call
     assert len(tables) > 20
     counts = np.array(tables, dtype=np.int64)
-    assert (_mi_n_of_types(*counts.T, counts.sum(axis=1)) == 0.0).all()
+    assert (mi_from_counts_batch(*counts.T) == 0.0).all()
     assert mi_from_counts(1, 0, 0, 1) == pytest.approx(LN2, abs=1e-15)
     with pytest.raises(ValueError):
         mi_from_counts(0, 0, 0, 0)
@@ -166,15 +166,18 @@ def test_mi_from_counts_product_tables_exact_zero():
 
 def test_mi_from_counts_matches_normalized_mi():
     rng = np.random.default_rng(11)
-    for _ in range(300):
-        c = rng.integers(0, 30, size=4)
+    counts = rng.integers(0, 30, size=(300, 4))
+    batch = mi_from_counts_batch(*counts.T)
+    for c, mi in zip(counts, batch):
         if c.sum() == 0:
+            assert mi == 0.0
             continue
         n = float(c.sum())
         p = JointDist2x2(*(ci / n for ci in c))
-        assert mi_from_counts(*(int(x) for x in c)) == pytest.approx(
-            mutual_information(p), abs=1e-12
-        )
+        scalar = mi_from_counts(*(int(x) for x in c))
+        assert scalar == pytest.approx(mutual_information(p), abs=1e-12)
+        assert mi == pytest.approx(scalar, rel=1e-13, abs=0)
+    assert mi_from_counts_batch(*np.zeros((4, 1), dtype=np.int64))[0] == 0.0
 
 
 def test_joint_dist_validation():
