@@ -42,7 +42,6 @@ from .scoring import (
     ScoreConfig,
     build_parent_set_scores,
     dim,
-    edge_boost,
     edge_strength,
     load_scores,
     log_likelihood,
@@ -62,8 +61,8 @@ __all__ = [
     "BinaryDataset", "Dag", "Network", "load_dataset", "load_network",
     "random_network", "sample", "save_dataset", "save_network",
     "ParentSetScoreTable", "ScoreConfig", "build_parent_set_scores", "dim",
-    "edge_boost", "edge_strength", "load_scores", "log_likelihood",
-    "save_scores", "total_score",
+    "edge_strength", "load_scores", "log_likelihood", "save_scores",
+    "total_score",
     "SearchResult", "brute_force", "exact_dp", "greedy_hill_climb",
     "ExperimentConfig", "Pdag", "dag_to_cpdag", "run_experiment", "shd",
 ]

@@ -6,8 +6,10 @@ below the threshold gamma, i.e. that the test wrongly looks independent.
 
 Three routes are provided, in increasing applicability:
   beta_bruteforce  enumerates all 4^N raw sequences, N <= 8 (oracle)
-  beta_exact       sums over type classes with multinomial weights, cost
-                   grows ~N^3 with N
+  beta_exact       sums over type classes with multinomial weights, walked
+                   by their margins (r0, c0) and, by Pinsker's inequality,
+                   only over the band |t00 - r0*c0/N| <= N*sqrt(gamma/8);
+                   cost grows ~N^3 with N
   beta_mc          importance-sampled Monte Carlo estimate of the continuous
                    relaxation of the type sum, cost independent of N
 
@@ -77,7 +79,9 @@ def default_gamma_grid(eta: float, points: int = 12) -> list[float]:
     return [0.0] + [float(g) for g in np.geomspace(eta / 1000.0, 0.9 * eta, points)]
 
 
-def _validate_ref(ref: JointDist2x2) -> None:
+def _validate(n: int, ref: JointDist2x2) -> None:
+    if n < 1:
+        raise ValueError(f"n={n} must be >= 1")
     if min(ref.cells) <= 0.0:
         raise ValueError("reference distribution must be strictly positive")
 
@@ -86,56 +90,51 @@ def _validate_ref(ref: JointDist2x2) -> None:
 # exact computation by summing over type classes
 # ---------------------------------------------------------------------------
 
-def _type_enumeration_batches(n: int):
-    """Yield (t00, t01, t10, t11) int64 arrays covering every length-4
-    composition of n, in batches of bounded size.
+def _runs(counts: np.ndarray):
+    """(run, position in run) of each element of consecutive runs of the
+    given lengths."""
+    run = np.repeat(np.arange(counts.size), counts)
+    return run, np.arange(run.size) - (np.cumsum(counts) - counts)[run]
 
-    Compositions are grouped by t00; for fixed t00 the (t01, t10) pairs are
-    laid out diagonal-major so each group is a prefix of the largest one.
-    """
-    tri_sizes = ((np.arange(n, -1, -1) + 1) * (np.arange(n, -1, -1) + 2)) // 2
-    # diagonal-major triangle for the largest limit n
-    diag = np.arange(n + 1)
-    s_all = np.repeat(diag, diag + 1)
-    offs = np.repeat((diag * (diag + 1)) // 2, diag + 1)
-    u01_all = np.arange(s_all.size) - offs
 
-    a = 0
-    while a <= n:
-        b = a
-        total = 0
-        while b <= n and total + tri_sizes[b] <= _BATCH_ELEMENTS:
-            total += tri_sizes[b]
-            b += 1
-        if b == a:  # single oversized group, take it alone
-            b = a + 1
-            total = int(tri_sizes[a])
-        sizes = tri_sizes[a:b]
-        t00 = np.repeat(np.arange(a, b), sizes)
-        starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
-        local = np.arange(total) - np.repeat(starts, sizes)
-        s = s_all[local]
-        t01 = u01_all[local]
-        t10 = s - t01
-        t11 = n - t00 - s
-        yield t00, t01, t10, t11
-        a = b
+def _type_weights(n: int, ref: JointDist2x2, t00, r0, c0):
+    """Cells (t00, t01, t10, t11) of the types of length n with top-left
+    count t00, first-row sum r0 and first-column sum c0, and the
+    multinomial probability of each under ref."""
+    t01, t10 = r0 - t00, c0 - t00
+    t11 = n - r0 - c0 + t00
+    lnp = np.log(np.asarray(ref.cells))
+    lgf = gammaln(np.arange(n + 1, dtype=np.float64) + 1.0)
+    logw = (
+        lgf[n]
+        - lgf[t00] - lgf[t01] - lgf[t10] - lgf[t11]
+        + t00 * lnp[0] + t01 * lnp[1] + t10 * lnp[2] + t11 * lnp[3]
+    )
+    return (t00, t01, t10, t11), np.exp(logw)
 
 
 def _beta_exact_multi(n: int, gammas, ref: JointDist2x2) -> np.ndarray:
-    """beta(n, gamma, ref) for several gammas from one type enumeration."""
-    lnp = np.log(np.asarray(ref.cells))
-    lgf = gammaln(np.arange(n + 1, dtype=np.float64) + 1.0)
+    """beta(n, gamma, ref) for several gammas from one walk over the margins.
+
+    By Pinsker's inequality MI <= gamma forces |t00 - r0*c0/n| <= n*sqrt(gamma/8),
+    so for each margin pair (r0, c0) only the t00 in that band are visited;
+    the MI test then decides each of them.
+    """
     gam = np.asarray(gammas, dtype=np.float64)
+    half = n * math.sqrt(gam.max() / 8.0) * (1.0 + 1e-9)  # slack for rounding
+    rows = max(1, _BATCH_ELEMENTS // ((n + 1) * (min(n, int(2 * half)) + 1)))
     acc = np.zeros(gam.shape, dtype=np.float64)
-    for t00, t01, t10, t11 in _type_enumeration_batches(n):
-        logw = (
-            lgf[n]
-            - lgf[t00] - lgf[t01] - lgf[t10] - lgf[t11]
-            + t00 * lnp[0] + t01 * lnp[1] + t10 * lnp[2] + t11 * lnp[3]
+    for lo in range(0, n + 1, rows):
+        pairs = np.arange(lo * (n + 1), min(lo + rows, n + 1) * (n + 1))
+        r0, c0 = np.divmod(pairs, n + 1)
+        center = r0 * c0 / n
+        t_lo = np.maximum(np.ceil(center - half), np.maximum(r0 + c0 - n, 0))
+        t_hi = np.minimum(np.floor(center + half), np.minimum(r0, c0))
+        run, k = _runs(np.maximum(t_hi - t_lo + 1, 0).astype(np.int64))
+        cells, w = _type_weights(
+            n, ref, t_lo.astype(np.int64)[run] + k, r0[run], c0[run]
         )
-        w = np.exp(logw)
-        mi = mi_from_counts_batch(t00, t01, t10, t11)
+        mi = mi_from_counts_batch(*cells)
         for j, g in enumerate(gam):
             acc[j] += w[mi <= g].sum()
     return np.minimum(acc, 1.0)
@@ -146,13 +145,11 @@ def beta_exact(n: int, gamma: float, ref: JointDist2x2) -> float:
 
     Cost grows cubically in n; n above BETA_EXACT_MAX_N is rejected.
     """
-    if n < 1:
-        raise ValueError(f"n={n} must be >= 1")
     if n > BETA_EXACT_MAX_N:
         raise ValueError(f"n={n} above the exact-computation cap {BETA_EXACT_MAX_N}")
     if gamma < 0.0:
         raise ValueError(f"gamma={gamma!r} must be >= 0")
-    _validate_ref(ref)
+    _validate(n, ref)
     return float(_beta_exact_multi(n, [gamma], ref)[0])
 
 
@@ -162,7 +159,7 @@ def beta_bruteforce(n: int, gamma: float, ref: JointDist2x2) -> float:
         raise ValueError(f"n={n} outside 1..{BRUTE_MAX_N}")
     if gamma < 0.0:
         raise ValueError(f"gamma={gamma!r} must be >= 0")
-    _validate_ref(ref)
+    _validate(n, ref)
     cells = ref.cells
     total = 0.0
     for seq in itertools.product(range(4), repeat=n):
@@ -179,35 +176,17 @@ def beta_bruteforce(n: int, gamma: float, ref: JointDist2x2) -> float:
 def beta_product_mass(n: int, ref: JointDist2x2) -> float:
     """Exact beta at gamma = 0: total probability of product-form types.
 
-    A type is product iff t00 = r0*c0/n is integral with the rest of the
-    table determined by the margins, so the sum runs over O(n^2) margin
-    pairs instead of all O(n^3) types.
+    A type is product iff t00 = r0*c0/n, which is an integer exactly when
+    c0 is a multiple of n / gcd(r0, n); the sum visits only those
+    gcd(r0, n) + 1 lattice points per row margin r0.
     """
-    if n < 1:
-        raise ValueError(f"n={n} must be >= 1")
-    _validate_ref(ref)
-    lnp = np.log(np.asarray(ref.cells))
-    lgf = gammaln(np.arange(n + 1, dtype=np.float64) + 1.0)
-    total = 0.0
-    chunk = max(1, _BATCH_ELEMENTS // (n + 1))
-    c0 = np.arange(n + 1)
-    for lo in range(0, n + 1, chunk):
-        r0 = np.arange(lo, min(lo + chunk, n + 1))[:, None]
-        prod = r0 * c0[None, :]
-        ok = prod % n == 0
-        t00 = prod[ok] // n
-        rr = np.broadcast_to(r0, prod.shape)[ok]
-        cc = np.broadcast_to(c0[None, :], prod.shape)[ok]
-        t01 = rr - t00
-        t10 = cc - t00
-        t11 = n - rr - cc + t00
-        logw = (
-            lgf[n]
-            - lgf[t00] - lgf[t01] - lgf[t10] - lgf[t11]
-            + t00 * lnp[0] + t01 * lnp[1] + t10 * lnp[2] + t11 * lnp[3]
-        )
-        total += float(np.exp(logw).sum())
-    return min(total, 1.0)
+    _validate(n, ref)
+    r0 = np.arange(n + 1)
+    step = n // np.gcd(r0, n)
+    run, k = _runs(n // step + 1)
+    c0 = k * step[run]
+    _, w = _type_weights(n, ref, r0[run] * c0 // n, r0[run], c0)
+    return min(float(w.sum()), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -338,13 +317,14 @@ def _check_grids(eta: float, N_grid, gamma_grid) -> None:
 @dataclass
 class BetaTable:
     """-ln(beta) over an (N, gamma) grid for one eta, plus the KL coordinate
-    H(p_gamma || p_eta) per gamma used for interpolation."""
+    H(p_gamma || p_eta) per gamma used for interpolation, derived from
+    (eta, gamma_grid)."""
 
     eta: float
     N_grid: list[int]
     gamma_grid: list[float]
     neg_ln_beta: np.ndarray  # shape (len(N_grid), len(gamma_grid))
-    kl_of_gamma: list[float]
+    kl_of_gamma: list[float] = field(init=False)
     mc_samples: int
     seed: int
     _n_axis: np.ndarray = field(init=False, repr=False)
@@ -358,11 +338,10 @@ class BetaTable:
             raise ValueError("neg_ln_beta shape does not match the grids")
         if not (np.isfinite(self.neg_ln_beta) & (self.neg_ln_beta >= 0)).all():
             raise ValueError("neg_ln_beta entries must be finite and >= 0")
+        self.kl_of_gamma = _kl_of_gammas(self.gamma_grid, self.eta).tolist()
         # interpolation axis: ascending KL, i.e. gamma descending, with a
         # virtual boundary column (kl=0 -> 0 boost) for continuity at eta
-        kl = np.asarray(self.kl_of_gamma, dtype=np.float64)[::-1]
-        if (np.diff(kl) <= 0).any():
-            raise ValueError("kl_of_gamma must be strictly decreasing in gamma")
+        kl = np.asarray(self.kl_of_gamma)[::-1]
         cols = self.neg_ln_beta[:, ::-1]
         if kl[0] > 0.0:
             kl = np.concatenate(([0.0], kl))
@@ -376,13 +355,11 @@ def _kl_of_gammas(gammas, eta: float) -> np.ndarray:
     """H(p_gamma || p_eta) for each gamma in [0, eta), where p_g is the
     uniform-marginal distribution with MI g; one lockstep bisection finds
     the offsets of the positive gammas and of eta together."""
-    g = np.asarray(gammas, dtype=np.float64)
-    pos = g > 0.0
-    t_pos = find_t_plus_batch(np.append(g[pos], eta))
+    g = np.append(np.asarray(gammas, dtype=np.float64), eta)
     t = np.zeros(g.shape)
-    t[pos] = t_pos[:-1]
-    t_eta = t_pos[-1]
-    kl = np.zeros(g.shape)
+    t[g > 0.0] = find_t_plus_batch(g[g > 0.0])
+    t, t_eta = t[:-1], t[-1]
+    kl = np.zeros(t.shape)
     for sign in (1.0, -1.0, -1.0, 1.0):  # cells p00, p01, p10, p11
         p = 0.25 + sign * t
         kl += p * np.log(p / (0.25 + sign * t_eta))
@@ -431,10 +408,7 @@ def neg_ln_beta_batch(table: BetaTable, ns, gammas) -> np.ndarray:
 
 
 def query_neg_ln_beta(table: BetaTable, n: int, gamma: float) -> float:
-    """Interpolated -ln(beta) at (n, gamma); 0 for gamma >= eta.
-
-    A one-element call of neg_ln_beta_batch, which states the interpolation.
-    """
+    """Interpolated -ln(beta) at (n, gamma): neg_ln_beta_batch of one element."""
     return float(neg_ln_beta_batch(table, n, gamma))
 
 
@@ -467,40 +441,35 @@ def build_table(
     _check_grids(eta, N_grid, gamma_grid)
 
     ref = reference_dist(eta)
-    kl_of_gamma = _kl_of_gammas(gamma_grid, eta).tolist()
-    pos = [(j, g) for j, g in enumerate(gamma_grid) if g > 0.0]
+    pos = [j for j, g in enumerate(gamma_grid) if g > 0.0]
 
     neg = np.zeros((len(N_grid), len(gamma_grid)))
     for i, n in enumerate(N_grid):
+        betas = {}
+        if n <= EXACT_CAP and pos:  # one margin walk for the row's positive gammas
+            try:
+                bs = _beta_exact_multi(n, [gamma_grid[j] for j in pos], ref)
+            except Exception as exc:
+                raise TableBuildError(f"exact cells at N={n}: {exc}") from exc
+            betas = dict(zip(pos, bs))
         for j, g in enumerate(gamma_grid):
             try:
                 if g == 0.0:
-                    b = beta_product_mass(n, ref)
-                elif n <= EXACT_CAP:
-                    b = None  # filled below in one enumeration per n
-                else:
+                    betas[j] = beta_product_mass(n, ref)
+                elif j not in betas:
                     cell_seed = int(
                         np.random.SeedSequence((seed, i, j)).generate_state(1)[0]
                     )
-                    b = beta_mc(n, g, eta, samples, cell_seed)
+                    betas[j] = beta_mc(n, g, eta, samples, cell_seed)
             except Exception as exc:
                 raise TableBuildError(f"cell N={n}, gamma={g!r}: {exc}") from exc
-            if b is not None:
-                neg[i, j] = max(0.0, -math.log(max(b, 1e-300)))
-        if n <= EXACT_CAP and pos:
-            try:
-                bs = _beta_exact_multi(n, [g for _, g in pos], ref)
-            except Exception as exc:
-                raise TableBuildError(f"exact cells at N={n}: {exc}") from exc
-            for (j, _), b in zip(pos, bs):
-                neg[i, j] = max(0.0, -math.log(max(b, 1e-300)))
+            neg[i, j] = max(0.0, -math.log(max(betas[j], 1e-300)))
 
     return BetaTable(
         eta=eta,
         N_grid=N_grid,
         gamma_grid=gamma_grid,
         neg_ln_beta=neg,
-        kl_of_gamma=kl_of_gamma,
         mc_samples=samples,
         seed=seed,
     )
@@ -531,17 +500,19 @@ def table_to_json(table: BetaTable) -> str:
 
 
 def table_from_json(text: str) -> BetaTable:
+    """Parse table_to_json output; kl_of_gamma is not read but recomputed."""
     doc = json.loads(text)
-    n_rows = len(doc["N_grid"])
-    n_cols = len(doc["gamma_grid"])
+    for key in ("eta", "mc_samples", "seed", "N_grid", "gamma_grid", "neg_ln_beta"):
+        if key not in doc:
+            raise ValueError(f"beta table has no {key!r} key")
+    shape = (len(doc["N_grid"]), len(doc["gamma_grid"]))
+    if len(doc["neg_ln_beta"]) != shape[0] * shape[1]:
+        raise ValueError(f"neg_ln_beta has {len(doc['neg_ln_beta'])} cells, not {shape}")
     return BetaTable(
         eta=float(doc["eta"]),
         N_grid=[int(n) for n in doc["N_grid"]],
         gamma_grid=[float(g) for g in doc["gamma_grid"]],
-        neg_ln_beta=np.asarray(doc["neg_ln_beta"], dtype=np.float64).reshape(
-            n_rows, n_cols
-        ),
-        kl_of_gamma=[float(k) for k in doc["kl_of_gamma"]],
+        neg_ln_beta=np.asarray(doc["neg_ln_beta"], dtype=np.float64).reshape(shape),
         mc_samples=int(doc["mc_samples"]),
         seed=int(doc["seed"]),
     )
@@ -553,5 +524,9 @@ def save_table(table: BetaTable, path) -> None:
 
 
 def load_table(path) -> BetaTable:
-    with open(path, "r", encoding="utf-8") as fh:
-        return table_from_json(fh.read())
+    """Read a save_table file; a malformed one raises ValueError naming it."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return table_from_json(fh.read())
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

@@ -35,7 +35,6 @@ __all__ = [
     "ParentSetScoreTable",
     "log_likelihood",
     "dim",
-    "edge_boost",
     "pair_boosts",
     "total_score",
     "build_parent_set_scores",
@@ -139,25 +138,6 @@ def _reduce_boosts(table: BetaTable, n_s, mi, set_starts, pair_starts) -> np.nda
     return np.maximum.reduceat(np.minimum.reduceat(values, set_starts), pair_starts)
 
 
-def edge_boost(
-    data: BinaryDataset,
-    a: int,
-    b: int,
-    table: BetaTable,
-    cfg: ScoreConfig,
-    dag: Dag,
-) -> float:
-    """Independence reward for the nonadjacent pair (a, b) in dag.
-
-    max over separating sets S of the min over observed assignments s of
-    -ln(beta) at (N_s, empirical conditional MI); assignments never seen in
-    the data contribute 0 to the min.
-    """
-    if dag.adjacent(a, b):
-        raise ValueError(f"({a}, {b}) is an edge of the graph, no boost applies")
-    return float(_reduce_boosts(table, *_strata(data, [(a, b)], cfg.d))[0])
-
-
 def _log_strata(table: BetaTable, n_s, mi, set_starts, pair_starts) -> None:
     seen = n_s > 0
     interpolated = n_s[seen & (mi < table.eta)]  # the rest read 0, whatever N_s
@@ -171,7 +151,10 @@ def _log_strata(table: BetaTable, n_s, mi, set_starts, pair_starts) -> None:
 
 
 def pair_boosts(data: BinaryDataset, table: BetaTable, cfg: ScoreConfig) -> dict:
-    """Boost of every unordered pair; it does not depend on the graph."""
+    """Boost of every unordered pair (a, b): the max over separating sets S
+    of the min over assignments s of -ln(beta) at (N_s, MI of a and b given
+    S = s), an assignment never seen giving 0. It does not depend on the
+    graph."""
     pairs = list(combinations(range(data.n_vars), 2))
     strata = _strata(data, pairs, cfg.d)
     if log.isEnabledFor(logging.DEBUG):

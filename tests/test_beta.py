@@ -9,6 +9,7 @@ from bnboost.dist2x2 import (
     JointDist2x2,
     find_t_plus,
     find_t_plus_batch,
+    mi_from_counts,
     mutual_information,
     reference_dist,
     uniform_marginal_dist,
@@ -37,6 +38,23 @@ ETA = 0.01
 @pytest.fixture(scope="module")
 def ref():
     return reference_dist(ETA)
+
+
+def exact_reference(n, gamma, ref):
+    """Oracle: beta as a plain triple loop over every type of length n."""
+    lnp = [math.log(p) for p in ref.cells]
+    total = 0.0
+    for t00 in range(n + 1):
+        for t01 in range(n + 1 - t00):
+            for t10 in range(n + 1 - t00 - t01):
+                t = (t00, t01, t10, n - t00 - t01 - t10)
+                if mi_from_counts(*t) <= gamma:
+                    total += math.exp(
+                        math.lgamma(n + 1)
+                        - sum(math.lgamma(c + 1) for c in t)
+                        + sum(c * lp for c, lp in zip(t, lnp))
+                    )
+    return min(total, 1.0)
 
 
 # ----------------------------------------------------------------- brute force
@@ -92,6 +110,22 @@ def test_exact_monotone_in_gamma(ref):
         vals = [beta_exact(n, g, ref) for g in (0.0, 0.001, 0.005, 0.02, 0.1, 0.7)]
         assert all(b >= a for a, b in zip(vals, vals[1:]))
         assert all(0.0 <= v <= 1.0 for v in vals)
+
+
+def test_margin_walks_match_triple_loop(ref):
+    # the Pinsker band must keep every accepted type, from gamma = 0 (product
+    # types only) up to a gamma above ln 2 (every type)
+    for n in (7, 9, 12, 25, 40):
+        for gamma in (0.0, 1e-5, 0.001, 0.005, 0.009, 0.0099, 0.01, 0.05, 0.7):
+            assert beta_exact(n, gamma, ref) == pytest.approx(
+                exact_reference(n, gamma, ref), rel=1e-13
+            )
+    # the gcd lattice must find every product type: primes, prime powers,
+    # composites
+    for n in (1, 13, 16, 30, 36, 97):
+        assert beta_product_mass(n, ref) == pytest.approx(
+            exact_reference(n, 0.0, ref), rel=1e-13
+        )
 
 
 def test_product_mass_matches_exact_at_zero(ref):
@@ -354,12 +388,42 @@ def test_table_json_roundtrip(small_table, tmp_path):
     ("neg_ln_beta", lambda v: [math.nan] + v[1:], "finite"),
     ("N_grid", lambda v: v[::-1], "N_grid"),
     ("gamma_grid", lambda v: v[:-1] + [ETA], "gamma_grid"),
-], ids=["nan-cell", "reversed-N", "gamma-at-eta"])
-def test_table_from_json_rejects_bad_grids_and_cells(small_table, field, value, match):
+    ("eta", None, "'eta'"),
+    ("neg_ln_beta", lambda v: v[:-1], "neg_ln_beta has 8 cells"),
+    ("eta", lambda v: 0.8, "outside"),
+], ids=[
+    "nan-cell", "reversed-N", "gamma-at-eta", "missing-key", "short-cells", "eta-above-ln2",
+])
+def test_table_from_json_rejects_bad_grids_and_cells(
+    small_table, tmp_path, field, value, match
+):
     doc = json.loads(table_to_json(small_table))
-    doc[field] = value(doc[field])
-    with pytest.raises(ValueError, match=match):
-        table_from_json(json.dumps(doc))
+    if value is None:
+        del doc[field]
+    else:
+        doc[field] = value(doc[field])
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ValueError, match=match) as info:
+        load_table(path)
+    assert str(path) in str(info.value)
+
+
+def test_table_ignores_kl_of_gamma_in_file(small_table):
+    # the KL axis follows from (eta, gamma_grid); a short, scaled or missing
+    # copy in the file must not move any query
+    doc = json.loads(table_to_json(small_table))
+    ns = [1, 30, 40, 60, 123, 300, 1000]
+    gammas = [0.0, 1e-4, 0.002, 0.003, 0.005, 0.009]
+    expect = [query_neg_ln_beta(small_table, n, g) for n in ns for g in gammas]
+    for kl in (doc["kl_of_gamma"][:-1], [3 * k for k in doc["kl_of_gamma"]], None):
+        if kl is None:
+            del doc["kl_of_gamma"]
+        else:
+            doc["kl_of_gamma"] = kl
+        back = table_from_json(json.dumps(doc))
+        assert back.kl_of_gamma == small_table.kl_of_gamma
+        assert [query_neg_ln_beta(back, n, g) for n in ns for g in gammas] == expect
 
 
 def test_table_rejects_malformed():
@@ -369,17 +433,6 @@ def test_table_rejects_malformed():
             N_grid=[10, 20],
             gamma_grid=[0.001],
             neg_ln_beta=np.zeros((1, 1)),
-            kl_of_gamma=[0.5],
-            mc_samples=10,
-            seed=0,
-        )
-    with pytest.raises(ValueError):
-        BetaTable(
-            eta=ETA,
-            N_grid=[10],
-            gamma_grid=[0.001, 0.002],
-            neg_ln_beta=np.zeros((1, 2)),
-            kl_of_gamma=[0.1, 0.2],  # must decrease in gamma
             mc_samples=10,
             seed=0,
         )

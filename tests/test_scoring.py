@@ -15,7 +15,6 @@ from bnboost.scoring import (
     _contingency,
     build_parent_set_scores,
     dim,
-    edge_boost,
     edge_strength,
     load_scores,
     log_likelihood,
@@ -137,16 +136,10 @@ def test_dim():
     assert dim(Dag(3, frozenset({(0, 2), (1, 2)}))) == 1 + 1 + 4
 
 
-# ------------------------------------------------------------------ edge boost
+# ------------------------------------------------------------------ pair boosts
 
 def test_boost_zero_for_dependent_pair(table, four_rows):
-    cfg = ScoreConfig()
-    assert edge_boost(four_rows, 0, 1, table, cfg, Dag(2, frozenset())) == 0.0
-
-
-def test_boost_rejects_adjacent_pair(table, four_rows):
-    with pytest.raises(ValueError):
-        edge_boost(four_rows, 0, 1, table, ScoreConfig(), Dag(2, frozenset({(0, 1)})))
+    assert pair_boosts(four_rows, table, ScoreConfig())[(0, 1)] == 0.0
 
 
 def test_boost_at_least_unconditional_term(table):
@@ -154,40 +147,36 @@ def test_boost_at_least_unconditional_term(table):
     # max-min can only improve on the marginal test
     net = random_network(4, 1, seed=31)
     data = sample(net, 400, seed=32)
-    cfg = ScoreConfig()
-    empty = Dag(4, frozenset())
-    for a, b in combinations(range(4), 2):
-        full = edge_boost(data, a, b, table, cfg, empty)
-        only_empty = edge_boost(data, a, b, table, ScoreConfig(d=0), empty)
-        assert full >= only_empty - 1e-12
+    full = pair_boosts(data, table, ScoreConfig())
+    only_empty = pair_boosts(data, table, ScoreConfig(d=0))
+    for pair in combinations(range(4), 2):
+        assert full[pair] >= only_empty[pair] - 1e-12
 
 
 def test_boost_grows_with_sample_count(table):
     net = Network(dag=Dag(2, frozenset()), theta={0: {}, 1: {}}, bias={0: 0.0, 1: 0.0})
     cfg = ScoreConfig()
-    empty = Dag(2, frozenset())
     wins = 0
     for s in range(10):
         small = sample(net, 500, seed=100 + s)
         large = sample(net, 2000, seed=200 + s)
-        wins += edge_boost(large, 0, 1, table, cfg, empty) > edge_boost(
-            small, 0, 1, table, cfg, empty
+        wins += (
+            pair_boosts(large, table, cfg)[(0, 1)] > pair_boosts(small, table, cfg)[(0, 1)]
         )
     assert wins >= 9
 
 
-def test_boost_symmetric_and_graph_independent(table):
+def test_boost_graph_independent(table):
+    # total_score recounts the boosts of each graph's nonadjacent pairs in
+    # one batch; every pair must get the value pair_boosts gives it
     net = random_network(5, 2, seed=41)
     data = sample(net, 300, seed=42)
     cfg = ScoreConfig()
-    g1 = Dag(5, frozenset())
-    g2 = Dag(5, frozenset({(2, 3), (0, 4)}))
-    for a, b in combinations(range(5), 2):
-        if g2.adjacent(a, b):
-            continue
-        v = edge_boost(data, a, b, table, cfg, g1)
-        assert edge_boost(data, b, a, table, cfg, g1) == pytest.approx(v, abs=1e-12)
-        assert edge_boost(data, a, b, table, cfg, g2) == pytest.approx(v, abs=1e-12)
+    boosts = pair_boosts(data, table, cfg)
+    for g in (Dag(5, frozenset()), Dag(5, frozenset({(2, 3), (0, 4)}))):
+        bic = total_score(data, g, None, ScoreConfig(psi2=0.0))
+        expect = sum(v for pair, v in boosts.items() if not g.adjacent(*pair))
+        assert total_score(data, g, table, cfg) - bic == pytest.approx(expect, abs=1e-9)
 
 
 def test_boost_unobserved_assignment_contributes_zero(table):
@@ -195,10 +184,8 @@ def test_boost_unobserved_assignment_contributes_zero(table):
     # and with d=1 the only other set is the empty one
     rows = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0], [1, 1, 0]] * 10)
     data = BinaryDataset(("A", "B", "C"), rows)
-    cfg = ScoreConfig(d=1)
-    empty = Dag(3, frozenset())
-    boost = edge_boost(data, 0, 1, table, cfg, empty)
-    only_empty = edge_boost(data, 0, 1, table, ScoreConfig(d=0), empty)
+    boost = pair_boosts(data, table, ScoreConfig(d=1))[(0, 1)]
+    only_empty = pair_boosts(data, table, ScoreConfig(d=0))[(0, 1)]
     assert boost == pytest.approx(only_empty, abs=1e-12)
 
 
