@@ -510,12 +510,18 @@ def table_from_json(text: str) -> BetaTable:
         raise ValueError(f"neg_ln_beta has {len(doc['neg_ln_beta'])} cells, not {shape}")
     return BetaTable(
         eta=float(doc["eta"]),
-        N_grid=[int(n) for n in doc["N_grid"]],
+        N_grid=[_integer("N_grid", n) for n in doc["N_grid"]],
         gamma_grid=[float(g) for g in doc["gamma_grid"]],
         neg_ln_beta=np.asarray(doc["neg_ln_beta"], dtype=np.float64).reshape(shape),
-        mc_samples=int(doc["mc_samples"]),
-        seed=int(doc["seed"]),
+        mc_samples=_integer("mc_samples", doc["mc_samples"]),
+        seed=_integer("seed", doc["seed"]),
     )
+
+
+def _integer(key: str, value) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"beta table key {key!r} holds a non-integer {value!r}")
+    return value
 
 
 def save_table(table: BetaTable, path) -> None:

@@ -71,32 +71,76 @@ class ScoreConfig:
             raise ValueError(f"d={self.d} must be >= 0")
 
 
-def _contingency(rows: np.ndarray, cols, weights=None) -> np.ndarray:
-    """Joint counts of the binary columns cols of rows, flat over 2^len(cols)
-    cells; column cols[j] is bit j of the cell index. With weights, each
-    row adds its weight instead of 1."""
-    idx = rows[:, cols[0]].astype(np.intp)
-    for j, c in enumerate(cols[1:], start=1):
-        idx += rows[:, c].astype(np.intp) << j
-    return np.bincount(idx, weights=weights, minlength=1 << len(cols))
+# Row words pack this many columns each; one bincount pass of the counting
+# kernel holds at most about this many index cells.
+_WORD_BITS = 62
+_CHUNK_CELLS = 1 << 16
 
 
-def _family_ll(data: BinaryDataset, i: int, parents) -> float:
-    """Maximized log-likelihood contribution of node i given its parents."""
-    counts = _contingency(data.rows, (i, *sorted(parents))).reshape(-1, 2)
-    totals = counts.sum(axis=1, keepdims=True)
+def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of an (N, n) 0/1 matrix as an (n, U) bit matrix,
+    and how often each occurs (as float weights). Rows are packed into
+    int64 words one column at a time, so no (N, n) int64 copy is made."""
+    n_rows, n = rows.shape
+    words = np.zeros((-(-n // _WORD_BITS), n_rows), dtype=np.int64)
+    for j in range(n):
+        words[j // _WORD_BITS] |= rows[:, j].astype(np.int64) << (j % _WORD_BITS)
+    words = words[:, np.lexsort(words)]
+    new_run = (words[:, 1:] != words[:, :-1]).any(axis=0)
+    starts = np.flatnonzero(np.concatenate(([True], new_run)))
+    firsts = words[:, starts]
+    bits = np.empty((n, starts.size), dtype=np.uint8)
+    for j in range(n):
+        bits[j] = (firsts[j // _WORD_BITS] >> (j % _WORD_BITS)) & 1
+    return bits, np.diff(np.append(starts, n_rows)).astype(np.float64)
+
+
+def _count(bits: np.ndarray, weights: np.ndarray, colsets: np.ndarray) -> np.ndarray:
+    """Joint counts of every column set at once: colsets is (M, k), and row
+    m of the (M, 2^k) result counts the columns u of bits, each adding
+    weights[u], by the cell index sum_j bits[colsets[m, j], u] << j."""
+    m_all, k = colsets.shape
+    u = bits.shape[1]
+    out = np.empty((m_all, 1 << k))
+    step = max(1, _CHUNK_CELLS // u)
+    for lo in range(0, m_all, step):
+        cs = colsets[lo:lo + step]
+        idx = np.repeat(np.arange(len(cs), dtype=np.intp) << k, u).reshape(-1, u)
+        for j in range(k):
+            idx += np.left_shift(bits[cs[:, j]], j, dtype=np.intp)
+        out[lo:lo + len(cs)] = np.bincount(
+            idx.ravel(), np.tile(weights, len(cs)), minlength=len(cs) << k
+        ).reshape(-1, 1 << k)
+    return out
+
+
+def _family_lls(bits, weights, families: np.ndarray) -> np.ndarray:
+    """Maximized log-likelihood of each family, a row (child, *parents) of
+    families."""
+    counts = _count(bits, weights, families).reshape(len(families), -1, 2)
+    totals = counts.sum(axis=2, keepdims=True)
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.where(
             counts > 0, counts * np.log(counts / np.maximum(totals, 1)), 0.0
         )
-    return float(terms.sum())
+    return terms.reshape(len(families), -1).sum(axis=1)
+
+
+def _log_likelihood(bits, weights, dag: Dag) -> float:
+    """log_likelihood from the distinct rows: one kernel call per in-degree."""
+    if dag.n != bits.shape[0]:
+        raise ValueError("dag and dataset disagree on the variable count")
+    lls = np.zeros(dag.n)
+    for k in {dag.in_degree(i) for i in range(dag.n)}:
+        nodes = [i for i in range(dag.n) if dag.in_degree(i) == k]
+        families = np.array([(i, *dag.parents(i)) for i in nodes], dtype=np.intp)
+        lls[nodes] = _family_lls(bits, weights, families)
+    return sum(lls.tolist())
 
 
 def log_likelihood(data: BinaryDataset, dag: Dag) -> float:
     """Log-likelihood of the data under dag with MLE conditionals, in nats."""
-    if dag.n != data.n_vars:
-        raise ValueError("dag and dataset disagree on the variable count")
-    return sum(_family_ll(data, i, dag.parents(i)) for i in range(dag.n))
+    return _log_likelihood(*_distinct_rows(data.rows), dag)
 
 
 def dim(dag: Dag) -> int:
@@ -104,27 +148,30 @@ def dim(dag: Dag) -> int:
     return sum(2 ** dag.in_degree(i) for i in range(dag.n))
 
 
-def _strata(data: BinaryDataset, pairs, d: int):
+def _strata(bits, weights, pairs, d: int):
     """N_s and the empirical MI of a and b given S = s, for each pair (a, b)
     in pairs, each separating set S (|S| <= d) of the other variables and
     each assignment s, stacked in that order; with the first stratum of
     each separating set and the first separating set of each pair. MI reads
-    0 where N_s = 0."""
-    blocks, set_starts, pair_starts = [], [], []
-    rows = 0
+    0 where N_s = 0. The counts come from one kernel call per set size."""
+    by_size: dict[int, list] = {}  # k -> [(set index, (b, a, *S))]
+    sizes, pair_starts = [], []
     for a, b in pairs:
-        rest = [v for v in range(data.n_vars) if v != a and v != b]
-        pair_starts.append(len(set_starts))
+        rest = [v for v in range(bits.shape[0]) if v != a and v != b]
+        pair_starts.append(len(sizes))
         for k in range(min(d, len(rest)) + 1):
             for sep in combinations(rest, k):
                 # cells (s, a, b): b is bit 0, a bit 1, the separating set above
-                blocks.append(_contingency(data.rows, (b, a, *sep)))
-                set_starts.append(rows)
-                rows += 1 << k
-    counts = np.concatenate(blocks).reshape(-1, 4) if blocks else np.zeros((0, 4), int)
-    n_s = counts.sum(axis=1)
+                by_size.setdefault(k, []).append((len(sizes), (b, a, *sep)))
+                sizes.append(k)
+    starts = np.cumsum([0] + [1 << k for k in sizes])
+    counts = np.zeros((starts[-1], 4), dtype=np.int64)
+    for k, group in by_size.items():
+        sets, colsets = zip(*group)
+        rows = starts[list(sets)][:, None] + np.arange(1 << k)
+        counts[rows.ravel()] = _count(bits, weights, np.array(colsets)).reshape(-1, 4)
     mi = mi_from_counts_batch(*counts.T)
-    return n_s, mi, np.array(set_starts, int), np.array(pair_starts, int)
+    return counts.sum(axis=1), mi, starts[:-1], np.array(pair_starts, int)
 
 
 def _reduce_boosts(table: BetaTable, n_s, mi, set_starts, pair_starts) -> np.ndarray:
@@ -156,7 +203,7 @@ def pair_boosts(data: BinaryDataset, table: BetaTable, cfg: ScoreConfig) -> dict
     S = s), an assignment never seen giving 0. It does not depend on the
     graph."""
     pairs = list(combinations(range(data.n_vars), 2))
-    strata = _strata(data, pairs, cfg.d)
+    strata = _strata(*_distinct_rows(data.rows), pairs, cfg.d)
     if log.isEnabledFor(logging.DEBUG):
         _log_strata(table, *strata)
     return dict(zip(pairs, _reduce_boosts(table, *strata).tolist()))
@@ -173,13 +220,15 @@ def total_score(
     psi2 = 0 reduces exactly to BIC and needs no beta table.
     """
     dag.check_in_degree(cfg.d)
-    score = log_likelihood(data, dag) - cfg.kappa * math.log(data.n_rows) * dim(dag)
+    bits, weights = _distinct_rows(data.rows)
+    score = _log_likelihood(bits, weights, dag)
+    score -= cfg.kappa * math.log(data.n_rows) * dim(dag)
     if cfg.psi2 == 0.0:
         return score
     if table is None:
         raise ValueError("a beta table is required when psi2 > 0")
     pairs = [p for p in combinations(range(dag.n), 2) if not dag.adjacent(*p)]
-    boost = sum(_reduce_boosts(table, *_strata(data, pairs, cfg.d)).tolist())
+    boost = sum(_reduce_boosts(table, *_strata(bits, weights, pairs, cfg.d)).tolist())
     return score + cfg.psi2 * boost
 
 
@@ -245,19 +294,19 @@ def build_parent_set_scores(
     def boost_of(i, j):
         return boosts[(i, j) if i < j else (j, i)]
 
-    scores: dict[int, dict[frozenset, float]] = {}
-    for i in range(n):
-        others = [v for v in range(n) if v != i]
-        fam: dict[frozenset, float] = {}
-        for k in range(min(cfg.d, len(others)) + 1):
-            for pa in combinations(others, k):
-                value = (
-                    _family_ll(data, i, pa)
-                    - cfg.kappa * log_n * 2 ** k
-                    - cfg.psi2 * sum(boost_of(i, j) for j in pa)
-                )
-                fam[frozenset(pa)] = value
-        scores[i] = fam
+    bits, weights = _distinct_rows(data.rows)
+    scores: dict[int, dict[frozenset, float]] = {i: {} for i in range(n)}
+    for k in range(min(cfg.d, n - 1) + 1):
+        families = [
+            (i, *pa) for i in range(n)
+            for pa in combinations([v for v in range(n) if v != i], k)
+        ]
+        lls = _family_lls(bits, weights, np.array(families, dtype=np.intp))
+        for (i, *pa), ll in zip(families, lls.tolist()):
+            scores[i][frozenset(pa)] = (
+                ll - cfg.kappa * log_n * 2 ** k
+                - cfg.psi2 * sum(boost_of(i, j) for j in pa)
+            )
     constant = cfg.psi2 * sum(boosts.values())
     return ParentSetScoreTable(
         n=n, scores=scores, constant=constant,
@@ -270,20 +319,20 @@ def build_parent_set_scores(
 # ---------------------------------------------------------------------------
 
 def _joint_probabilities(net: Network) -> tuple[np.ndarray, np.ndarray]:
-    """All 2^n states as 0/1 rows (state k holds X_i in bit i of k) and
-    their exact probabilities."""
+    """All 2^n states as an (n, 2^n) bit matrix (state k holds X_i in bit i
+    of k, and row i holds X_i of every state) and their exact probabilities."""
     n = net.n
     codes = np.arange(2 ** n, dtype=np.int64)
-    states = np.empty((2 ** n, n), dtype=np.uint8)
+    states = np.empty((n, 2 ** n), dtype=np.uint8)
     for i in range(n):
-        states[:, i] = (codes >> i) & 1
+        states[i] = (codes >> i) & 1
     probs = np.ones(2 ** n)
     for i in range(n):
         act = np.full(2 ** n, net.bias[i])
         for p, w in net.theta[i].items():
-            act += w * states[:, p]
+            act += w * states[p]
         p1 = 1.0 / (1.0 + np.exp(-act))
-        probs *= np.where(states[:, i] == 1, p1, 1.0 - p1)
+        probs *= np.where(states[i] == 1, p1, 1.0 - p1)
     return states, probs
 
 
@@ -305,8 +354,9 @@ def edge_strength(net: Network, a: int, b: int, d: int) -> float:
 
     best = math.inf
     for k in range(min(d, len(others)) + 1):
-        for sep in combinations(others, k):
-            mass = _contingency(states, (b, a, *sep), weights=probs).reshape(-1, 4)
+        # one call per set size, so a pair separated by a small set stops early
+        colsets = np.array([(b, a, *sep) for sep in combinations(others, k)])
+        for mass in _count(states, probs, colsets).reshape(len(colsets), -1, 4):
             worst = 0.0
             for cell in mass:
                 total = cell.sum()
@@ -315,8 +365,8 @@ def edge_strength(net: Network, a: int, b: int, d: int) -> float:
                 q = cell / total
                 worst = max(worst, mutual_information(JointDist2x2(*q)))
             best = min(best, worst)
-            if best == 0.0:
-                return 0.0
+        if best == 0.0:
+            return 0.0
     return best
 
 

@@ -34,23 +34,39 @@ class SearchResult:
     runtime_ms: float
 
 
+def _dp_bytes(n: int) -> int:
+    """Memory exact_dp holds at n nodes: bps is n * 2^n float64, and phase 2
+    keeps best (float64), sink (int8), the masks (int64) and their
+    popcounts (uint8), 18 bytes per subset."""
+    return (8 * n + 18) << n
+
+
 def exact_dp(table: ParentSetScoreTable) -> SearchResult:
     """Global maximizer of the decomposed score over all DAGs the table covers.
 
     Memory: the best-parent-set table bps is n * 2^n float64 (38 MB at
-    n = 18, 3.2 GB at n = 24), and phase 2 adds about 18 bytes per subset.
+    n = 18, 3.2 GB at n = 24), and phase 2 adds about 18 bytes per subset;
+    above DP_MAX_N, or when the allocation fails, the error gives the total.
     Ties go to the lowest-index sink of each node subset, then to the
     parent set with the fewest parents, then the smallest sorted list.
     """
     n = table.n
+    need = f"about {_dp_bytes(n) / 1e9:.2g} GB"
     if n > DP_MAX_N:
-        raise ValueError(f"n={n} above the exact search cap {DP_MAX_N}")
+        raise ValueError(f"n={n} above the exact search cap {DP_MAX_N}: it needs {need}")
     t0 = time.perf_counter()
     size = 1 << n
+    try:
+        bps = np.full((n, size), NEG_INF)
+        best = np.full(size, NEG_INF)
+        sink = np.full(size, -1, dtype=np.int8)
+        masks = np.arange(size, dtype=np.int64)
+        pop = np.bitwise_count(masks)
+    except MemoryError as exc:
+        raise MemoryError(f"exact_dp at n={n} needs {need}") from exc
 
     # phase 1: bps[i, W] = best family score of i with parents inside W,
     # a subset max taken one bit at a time over in-place views
-    bps = np.full((n, size), NEG_INF)
     for i in range(n):
         for pa, s in table.scores.get(i, {}).items():
             bps[i, sum(1 << p for p in pa)] = s
@@ -61,11 +77,7 @@ def exact_dp(table: ParentSetScoreTable) -> SearchResult:
 
     # phase 2: best[U] over orderings of U; sink[U] records the last node.
     # processed layer by layer in subset size so every best[U \ i] is final
-    best = np.full(size, NEG_INF)
     best[0] = 0.0
-    sink = np.full(size, -1, dtype=np.int8)
-    masks = np.arange(size, dtype=np.int64)
-    pop = np.bitwise_count(masks)
     for k in range(1, n + 1):
         layer = masks[pop == k]
         for i in range(n):

@@ -391,8 +391,13 @@ def test_table_json_roundtrip(small_table, tmp_path):
     ("eta", None, "'eta'"),
     ("neg_ln_beta", lambda v: v[:-1], "neg_ln_beta has 8 cells"),
     ("eta", lambda v: 0.8, "outside"),
+    ("N_grid", lambda v: [n + 0.7 for n in v], "'N_grid' holds a non-integer 40.7"),
+    ("seed", lambda v: 1.9, "'seed' holds a non-integer 1.9"),
+    ("mc_samples", lambda v: 1000.0, "'mc_samples' holds a non-integer 1000.0"),
+    ("seed", lambda v: True, "'seed' holds a non-integer True"),
 ], ids=[
     "nan-cell", "reversed-N", "gamma-at-eta", "missing-key", "short-cells", "eta-above-ln2",
+    "fractional-N", "fractional-seed", "float-mc-samples", "bool-seed",
 ])
 def test_table_from_json_rejects_bad_grids_and_cells(
     small_table, tmp_path, field, value, match

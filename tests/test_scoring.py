@@ -8,11 +8,13 @@ import pytest
 
 from bnboost.beta import build_table, query_neg_ln_beta
 from bnboost.data import BinaryDataset, Dag, Network, random_network, sample
-from bnboost.dist2x2 import mi_from_counts
+from bnboost.dist2x2 import JointDist2x2, mi_from_counts, mutual_information
 from bnboost.scoring import (
     ParentSetScoreTable,
     ScoreConfig,
-    _contingency,
+    _count,
+    _distinct_rows,
+    _joint_probabilities,
     build_parent_set_scores,
     dim,
     edge_strength,
@@ -62,6 +64,39 @@ def bic_reference(data, dag):
     return ll - (math.log(n_rows) / 2) * params
 
 
+def mask_counts(rows, cols):
+    """Joint counts of the columns cols of rows by one boolean mask over the
+    rows per cell; column cols[j] is bit j of the cell index."""
+    counts = []
+    for cell in range(1 << len(cols)):
+        mask = np.ones(len(rows), dtype=bool)
+        for j, c in enumerate(cols):
+            mask &= rows[:, c] == ((cell >> j) & 1)
+        counts.append(int(mask.sum()))
+    return counts
+
+
+def bincount_reference(rows, cols, weights=None):
+    """Joint counts of the columns cols of rows by one plain bincount over
+    the rows; column cols[j] is bit j of the cell index."""
+    idx = np.zeros(len(rows), dtype=np.intp)
+    for j, c in enumerate(cols):
+        idx += rows[:, c].astype(np.intp) << j
+    return np.bincount(idx, weights=weights, minlength=1 << len(cols))
+
+
+def family_ll_reference(data, i, parents):
+    """Maximized log-likelihood of node i given parents, one family at a
+    time."""
+    counts = bincount_reference(data.rows, (i, *parents)).reshape(-1, 2)
+    totals = counts.sum(axis=1, keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(
+            counts > 0, counts * np.log(counts / np.maximum(totals, 1)), 0.0
+        )
+    return float(terms.sum())
+
+
 def boost_reference(data, a, b, table, d):
     """Independent boost oracle: one scalar query per stratum, the min over
     assignments (0 once one is unseen), the max over separating sets."""
@@ -70,7 +105,7 @@ def boost_reference(data, a, b, table, d):
     for k in range(min(d, len(rest)) + 1):
         for sep in combinations(rest, k):
             worst = math.inf
-            tables = _contingency(data.rows, (b, a, *sep)).reshape(-1, 4)
+            tables = np.reshape(mask_counts(data.rows, (b, a, *sep)), (-1, 4))
             for c00, c01, c10, c11 in tables.tolist():
                 n_s = c00 + c01 + c10 + c11
                 if n_s == 0:
@@ -219,12 +254,12 @@ def test_pair_boosts_match_scalar_reference(table, data):
 def test_reference_datasets_reach_unseen_strata_and_mi_above_eta():
     unseen = skewed_sample(30, seed=61)
     assert any(
-        (_contingency(unseen.rows, sep) == 0).any()
+        0 in mask_counts(unseen.rows, sep)
         for sep in combinations(range(unseen.n_vars), 2)
     )
     chain = strong_chain(2000, seed=63)
     for a, b in ((0, 1), (1, 2)):
-        assert mi_from_counts(*_contingency(chain.rows, (b, a)).tolist()) > 0.1
+        assert mi_from_counts(*mask_counts(chain.rows, (b, a))) > 0.1
 
 
 def test_pair_boosts_logs_batch_counts_at_debug(table, caplog):
@@ -241,6 +276,86 @@ def test_pair_boosts_logs_batch_counts_at_debug(table, caplog):
         "pair_boosts: 3 pairs, 6 separating sets, 9 tables, 8 queries "
         "(6 below eta: 0 above and 6 below the N grid), 1 unseen assignments"
     )
+
+
+# ----------------------------------------------------------- counting kernel
+
+def random_rows(n_rows, n_vars, seed):
+    return np.random.default_rng(seed).integers(0, 2, size=(n_rows, n_vars))
+
+
+@pytest.mark.parametrize("rows", [
+    random_rows(50, 1, seed=1),
+    random_rows(200, 3, seed=2),
+    random_rows(3000, 8, seed=3),
+    random_rows(400, 70, seed=4),
+    random_rows(1, 5, seed=5),
+    np.tile(random_rows(1, 10, seed=6), (100, 1)),
+], ids=["n1", "n3", "n8-chunked", "n70-two-words", "N1", "identical-rows"])
+def test_batched_counts_match_bincount(rows):
+    rows = rows.astype(np.uint8)
+    n = rows.shape[1]
+    bits, weights = _distinct_rows(rows)
+    distinct, counts = np.unique(rows, axis=0, return_counts=True)
+    assert sorted(zip(map(tuple, bits.T.tolist()), weights.tolist())) == sorted(
+        zip(map(tuple, distinct.tolist()), counts.tolist())
+    )
+    rng = np.random.default_rng(n)
+    for k in range(min(n, 4) + 1):
+        colsets = np.array(
+            [rng.choice(n, size=k, replace=False) for _ in range(300)]
+            + [list(range(n - k, n))]  # the last columns: the second word at n = 70
+        ).reshape(301, k)
+        want = np.array([bincount_reference(rows, cs) for cs in colsets])
+        assert (_count(bits, weights, colsets) == want).all()
+
+
+def test_weighted_counts_and_edge_strength_match_per_set_reference():
+    net = random_network(7, 2, seed=111)
+    states, probs = _joint_probabilities(net)
+    rng = np.random.default_rng(112)
+    colsets = np.array([rng.choice(7, size=4, replace=False) for _ in range(40)])
+    want = np.array([bincount_reference(states.T, cs, weights=probs) for cs in colsets])
+    assert (_count(states, probs, colsets) == want).all()
+
+    def strength_reference(a, b, d):
+        others = [v for v in range(7) if v not in (a, b)]
+        best = math.inf
+        for k in range(d + 1):
+            for sep in combinations(others, k):
+                mass = bincount_reference(states.T, (b, a, *sep), weights=probs)
+                best = min(best, max([0.0] + [
+                    mutual_information(JointDist2x2(*(cell / cell.sum())))
+                    for cell in mass.reshape(-1, 4) if cell.sum() > 0.0
+                ]))
+        return best
+
+    for a, b in combinations(range(7), 2):
+        for d in (0, 2):
+            assert edge_strength(net, a, b, d) == strength_reference(a, b, d), (a, b, d)
+
+
+@pytest.mark.parametrize("psi2", [0.0, 1.0])
+def test_parent_set_scores_match_per_family_reference(table, psi2):
+    data = sample(random_network(6, 2, seed=121), 500, seed=122)
+    cfg = ScoreConfig(psi2=psi2)
+    pst = build_parent_set_scores(data, table if psi2 else None, cfg)
+    boosts = {
+        (a, b): boost_reference(data, a, b, table, cfg.d) if psi2 else 0.0
+        for a, b in combinations(range(6), 2)
+    }
+    assert pst.constant == pytest.approx(psi2 * sum(boosts.values()), rel=1e-12)
+    for i in range(6):
+        others = [v for v in range(6) if v != i]
+        families = [pa for k in range(3) for pa in combinations(others, k)]
+        assert list(pst.scores[i]) == [frozenset(pa) for pa in families]
+        for pa in families:
+            bic = family_ll_reference(data, i, pa) - cfg.kappa * math.log(500) * 2 ** len(pa)
+            want = bic - psi2 * sum(boosts[tuple(sorted((i, j)))] for j in pa)
+            if psi2:
+                assert pst.scores[i][frozenset(pa)] == pytest.approx(want, rel=1e-12)
+            else:
+                assert pst.scores[i][frozenset(pa)] == want
 
 
 # ----------------------------------------------------------------- total score

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -121,8 +122,25 @@ def test_exact_dp_tie_breaks(tied, edges):
 
 
 def test_exact_dp_rejects_oversize():
+    # the check comes before any DP array: (8 * 25 + 18) * 2^25 bytes
     table = ParentSetScoreTable(n=25, scores={i: {frozenset(): 0.0} for i in range(25)})
-    with pytest.raises(ValueError):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"n=25 above .* about 7\.3 GB"):
+            exact_dp(table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_exact_dp_memory_error_states_need(monkeypatch):
+    def no_memory(*args, **kwargs):
+        raise MemoryError
+
+    table = ParentSetScoreTable(n=20, scores={i: {frozenset(): 0.0} for i in range(20)})
+    monkeypatch.setattr(np, "full", no_memory)
+    with pytest.raises(MemoryError, match=r"n=20 needs about 0\.19 GB"):
         exact_dp(table)
 
 
