@@ -9,9 +9,10 @@ Three routes are provided, in increasing applicability:
   beta_exact       sums over type classes with multinomial weights, walked
                    by their margins (r0, c0) and, by Pinsker's inequality,
                    only over the band |t00 - r0*c0/N| <= N*sqrt(gamma/8);
-                   cost grows ~N^3 with N
+                   cost grows ~N^3 with N; log-factorials from math.lgamma
   beta_mc          importance-sampled Monte Carlo estimate of the continuous
-                   relaxation of the type sum, cost independent of N
+                   relaxation of the type sum, cost independent of N; the
+                   draws are weighted in cache-sized blocks of samples
 
 BetaTable precomputes -ln(beta) on an (N, gamma) grid for one eta so that
 scoring can answer interpolated queries cheaply, a whole array of them per
@@ -23,10 +24,10 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln
 
 from .dist2x2 import (
     JointDist2x2,
@@ -64,6 +65,7 @@ ESS_FLOOR = 100.0  # beta_mc fails below this effective sample size
 BRUTE_MAX_N = 8
 ETA_CONJECTURE_LIMIT = 0.11  # proposal centering is only validated below this
 _BATCH_ELEMENTS = 1 << 19  # cache-friendly enumeration batches
+_MC_BLOCK = 8192  # beta_mc samples per block, sized to stay in cache
 
 
 class EffectiveSampleSizeError(RuntimeError):
@@ -97,14 +99,19 @@ def _runs(counts: np.ndarray):
     return run, np.arange(run.size) - (np.cumsum(counts) - counts)[run]
 
 
-def _type_weights(n: int, ref: JointDist2x2, t00, r0, c0):
+def _log_factorials(n: int) -> np.ndarray:
+    """ln(k!) for k = 0..n."""
+    return np.array([math.lgamma(k + 1.0) for k in range(n + 1)])
+
+
+def _type_weights(lgf: np.ndarray, ref: JointDist2x2, t00, r0, c0):
     """Cells (t00, t01, t10, t11) of the types of length n with top-left
     count t00, first-row sum r0 and first-column sum c0, and the
-    multinomial probability of each under ref."""
+    multinomial probability of each under ref; lgf = _log_factorials(n)."""
+    n = lgf.size - 1
     t01, t10 = r0 - t00, c0 - t00
     t11 = n - r0 - c0 + t00
     lnp = np.log(np.asarray(ref.cells))
-    lgf = gammaln(np.arange(n + 1, dtype=np.float64) + 1.0)
     logw = (
         lgf[n]
         - lgf[t00] - lgf[t01] - lgf[t10] - lgf[t11]
@@ -124,6 +131,7 @@ def _beta_exact_multi(n: int, gammas, ref: JointDist2x2) -> np.ndarray:
     half = n * math.sqrt(gam.max() / 8.0) * (1.0 + 1e-9)  # slack for rounding
     rows = max(1, _BATCH_ELEMENTS // ((n + 1) * (min(n, int(2 * half)) + 1)))
     acc = np.zeros(gam.shape, dtype=np.float64)
+    lgf = _log_factorials(n)
     for lo in range(0, n + 1, rows):
         pairs = np.arange(lo * (n + 1), min(lo + rows, n + 1) * (n + 1))
         r0, c0 = np.divmod(pairs, n + 1)
@@ -132,7 +140,7 @@ def _beta_exact_multi(n: int, gammas, ref: JointDist2x2) -> np.ndarray:
         t_hi = np.minimum(np.floor(center + half), np.minimum(r0, c0))
         run, k = _runs(np.maximum(t_hi - t_lo + 1, 0).astype(np.int64))
         cells, w = _type_weights(
-            n, ref, t_lo.astype(np.int64)[run] + k, r0[run], c0[run]
+            lgf, ref, t_lo.astype(np.int64)[run] + k, r0[run], c0[run]
         )
         mi = mi_from_counts_batch(*cells)
         for j, g in enumerate(gam):
@@ -185,7 +193,7 @@ def beta_product_mass(n: int, ref: JointDist2x2) -> float:
     step = n // np.gcd(r0, n)
     run, k = _runs(n // step + 1)
     c0 = k * step[run]
-    _, w = _type_weights(n, ref, r0[run] * c0 // n, r0[run], c0)
+    _, w = _type_weights(_log_factorials(n), ref, r0[run] * c0 // n, r0[run], c0)
     return min(float(w.sum()), 1.0)
 
 
@@ -258,35 +266,44 @@ def beta_mc(
     sm = _sigma_marginal(n)
     st = _sigma_t(n, t_gamma, ln_ref)
 
-    rng = np.random.default_rng(seed)
-    pa = rng.normal(0.5, sm, samples)
-    pb = rng.normal(0.5, sm, samples)
-    tt = rng.normal(t_gamma, st, samples)
-
-    q = np.stack([pa * pb + tt, pa * (1 - pb) - tt, (1 - pa) * pb - tt,
-                  (1 - pa) * (1 - pb) + tt])
-    valid = (q > 0.0).all(axis=0)
-    qv = q[:, valid]
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lnq = np.log(qv)
-        ra = qv[0] + qv[1]
-        rb = qv[0] + qv[2]
-        denom = np.stack([ra * rb, ra * (1 - rb), (1 - ra) * rb,
-                          (1 - ra) * (1 - rb)])
-        mi = (qv * (lnq - np.log(denom))).sum(axis=0)
-        kl = (qv * (lnq - ln_ref[:, None])).sum(axis=0)
-        log_integrand = 1.5 * math.log(n / (2 * math.pi)) - n * kl - 0.5 * lnq.sum(axis=0)
-
     def log_norm_pdf(x, mu, sigma):
         return -0.5 * ((x - mu) / sigma) ** 2 - math.log(sigma * math.sqrt(2 * math.pi))
 
-    log_g = (
-        log_norm_pdf(pa[valid], 0.5, sm)
-        + log_norm_pdf(pb[valid], 0.5, sm)
-        + log_norm_pdf(tt[valid], t_gamma, st)
-    )
-    w = np.where(mi <= gamma, np.exp(log_integrand - log_g), 0.0)
+    # the stream of three rng.normal(loc, scale, samples) calls, one block of
+    # samples at a time; w collects the weights of the valid draws in order
+    z = np.random.default_rng(seed).standard_normal((3, samples))
+    w = np.empty(samples)
+    m = 0
+    for lo in range(0, samples, _MC_BLOCK):
+        zb = z[:, lo:lo + _MC_BLOCK]
+        pa = 0.5 + sm * zb[0]
+        pb = 0.5 + sm * zb[1]
+        tt = t_gamma + st * zb[2]
+        q = np.stack([pa * pb + tt, pa * (1 - pb) - tt, (1 - pa) * pb - tt,
+                      (1 - pa) * (1 - pb) + tt])
+        valid = (q > 0.0).all(axis=0)
+        if not valid.all():
+            q, pa, pb, tt = q[:, valid], pa[valid], pb[valid], tt[valid]
+
+        with np.errstate(divide="ignore", invalid="ignore"):
+            lnq = np.log(q)
+            ra = q[0] + q[1]
+            rb = q[0] + q[2]
+            denom = np.stack([ra * rb, ra * (1 - rb), (1 - ra) * rb,
+                              (1 - ra) * (1 - rb)])
+            mi = (q * (lnq - np.log(denom))).sum(axis=0)
+            kl = (q * (lnq - ln_ref[:, None])).sum(axis=0)
+            log_integrand = (1.5 * math.log(n / (2 * math.pi)) - n * kl
+                             - 0.5 * lnq.sum(axis=0))
+
+        log_g = (
+            log_norm_pdf(pa, 0.5, sm)
+            + log_norm_pdf(pb, 0.5, sm)
+            + log_norm_pdf(tt, t_gamma, st)
+        )
+        w[m:m + mi.size] = np.where(mi <= gamma, np.exp(log_integrand - log_g), 0.0)
+        m += mi.size
+    w = w[:m]
 
     wsum = float(w.sum())
     wsq = float((w * w).sum())
@@ -429,6 +446,8 @@ def build_table(
     """
     if not (0.0 < eta < MI_UPPER):
         raise ValueError(f"eta={eta!r} outside (0, ln 2)")
+    if isinstance(samples, bool) or not isinstance(samples, numbers.Integral) or samples < 1:
+        raise ValueError(f"samples={samples!r} must be an integer >= 1")
     if eta > ETA_CONJECTURE_LIMIT:
         raise ValueError(
             f"eta={eta!r} above {ETA_CONJECTURE_LIMIT}; proposal centering is "
@@ -508,12 +527,15 @@ def table_from_json(text: str) -> BetaTable:
     shape = (len(doc["N_grid"]), len(doc["gamma_grid"]))
     if len(doc["neg_ln_beta"]) != shape[0] * shape[1]:
         raise ValueError(f"neg_ln_beta has {len(doc['neg_ln_beta'])} cells, not {shape}")
+    mc_samples = _integer("mc_samples", doc["mc_samples"])
+    if mc_samples < 1:
+        raise ValueError(f"beta table key 'mc_samples' holds {mc_samples}, below 1")
     return BetaTable(
         eta=float(doc["eta"]),
         N_grid=[_integer("N_grid", n) for n in doc["N_grid"]],
         gamma_grid=[float(g) for g in doc["gamma_grid"]],
         neg_ln_beta=np.asarray(doc["neg_ln_beta"], dtype=np.float64).reshape(shape),
-        mc_samples=_integer("mc_samples", doc["mc_samples"]),
+        mc_samples=mc_samples,
         seed=_integer("seed", doc["seed"]),
     )
 

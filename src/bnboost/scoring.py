@@ -365,8 +365,8 @@ def edge_strength(net: Network, a: int, b: int, d: int) -> float:
                 q = cell / total
                 worst = max(worst, mutual_information(JointDist2x2(*q)))
             best = min(best, worst)
-        if best == 0.0:
-            return 0.0
+            if best == 0.0:  # no later set can go lower
+                return 0.0
     return best
 
 

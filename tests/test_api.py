@@ -3,11 +3,14 @@
 perfbench/tracing.py swaps module attributes (PATCH_POINTS) for recording
 wrappers, and `from bnboost import *` reads every module's __all__; a
 deletion that leaves either pointing at a missing name fails here rather
-than in a benchmark run.
+than in a benchmark run. The package also must not pull scipy back in.
 """
 
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -66,3 +69,18 @@ def test_run_experiment_calls_through_evaluate_globals(monkeypatch):
     assert len(built) == 1 and len(searched) == 1
     assert row["dag"] is searched[0].dag
     assert row["total_score"] == searched[0].score
+
+
+def test_import_and_table_build_load_no_scipy():
+    code = (
+        "import sys, bnboost, bnboost.beta\n"
+        "bnboost.beta.build_table(0.01, N_grid=[20], gamma_grid=[0.0, 0.001])\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = str(Path(bnboost.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, check=True, timeout=120,
+    )
+    assert out.stdout.strip() == "[]"

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from bnboost.dist2x2 import (
+    MI_UPPER,
     T_PLUS_TOL,
     JointDist2x2,
     find_t_plus,
@@ -15,6 +16,8 @@ from bnboost.dist2x2 import (
     uniform_marginal_dist,
 )
 from bnboost.beta import (
+    ESS_FLOOR,
+    _MC_BLOCK,
     BetaTable,
     EffectiveSampleSizeError,
     TableBuildError,
@@ -31,6 +34,7 @@ from bnboost.beta import (
     table_from_json,
     table_to_json,
 )
+from bnboost.beta import _sigma_marginal, _sigma_t
 
 ETA = 0.01
 
@@ -178,6 +182,97 @@ def test_mc_low_effective_sample_size_raises():
         beta_mc(100, 0.005, ETA, 50, seed=0)
 
 
+def mc_reference(n, gamma, eta, samples, seed):
+    """Oracle: beta_mc computed over the full sample arrays at once, without
+    blocks; the body of the full-array estimator, unchanged."""
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
+    if not (0.0 < eta < MI_UPPER):
+        raise ValueError(f"eta={eta!r} outside (0, ln 2)")
+    if not (0.0 < gamma < eta):
+        raise ValueError(
+            f"gamma={gamma!r} must lie in (0, eta); the gamma=0 acceptance "
+            "region has measure zero, use beta_product_mass instead"
+        )
+    if n < 1:
+        raise ValueError(f"n={n} must be >= 1")
+
+    ref = reference_dist(eta)
+    ln_ref = np.log(np.asarray(ref.cells))
+    t_gamma = find_t_plus(gamma)
+    sm = _sigma_marginal(n)
+    st = _sigma_t(n, t_gamma, ln_ref)
+
+    rng = np.random.default_rng(seed)
+    pa = rng.normal(0.5, sm, samples)
+    pb = rng.normal(0.5, sm, samples)
+    tt = rng.normal(t_gamma, st, samples)
+
+    q = np.stack([pa * pb + tt, pa * (1 - pb) - tt, (1 - pa) * pb - tt,
+                  (1 - pa) * (1 - pb) + tt])
+    valid = (q > 0.0).all(axis=0)
+    qv = q[:, valid]
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lnq = np.log(qv)
+        ra = qv[0] + qv[1]
+        rb = qv[0] + qv[2]
+        denom = np.stack([ra * rb, ra * (1 - rb), (1 - ra) * rb,
+                          (1 - ra) * (1 - rb)])
+        mi = (qv * (lnq - np.log(denom))).sum(axis=0)
+        kl = (qv * (lnq - ln_ref[:, None])).sum(axis=0)
+        log_integrand = 1.5 * math.log(n / (2 * math.pi)) - n * kl - 0.5 * lnq.sum(axis=0)
+
+    def log_norm_pdf(x, mu, sigma):
+        return -0.5 * ((x - mu) / sigma) ** 2 - math.log(sigma * math.sqrt(2 * math.pi))
+
+    log_g = (
+        log_norm_pdf(pa[valid], 0.5, sm)
+        + log_norm_pdf(pb[valid], 0.5, sm)
+        + log_norm_pdf(tt[valid], t_gamma, st)
+    )
+    w = np.where(mi <= gamma, np.exp(log_integrand - log_g), 0.0)
+
+    wsum = float(w.sum())
+    wsq = float((w * w).sum())
+    ess = wsum * wsum / wsq if wsq > 0.0 else 0.0
+    if ess < ESS_FLOOR:
+        raise EffectiveSampleSizeError(
+            f"effective sample size {ess:.1f} below floor {ESS_FLOOR:g} "
+            f"at n={n}, gamma={gamma!r}, eta={eta!r}"
+        )
+    return min(wsum / samples, 1.0)
+
+
+def mc_outcome(fn, *args):
+    try:
+        return fn(*args)
+    except EffectiveSampleSizeError as exc:
+        return f"EffectiveSampleSizeError: {exc}"
+
+
+def test_blocked_mc_matches_full_array_reference():
+    cases = [
+        (n, gamma, samples)
+        for n in (20, 500, 10_000)
+        for gamma in (1e-5, 1e-3, 0.9 * ETA)
+        for samples in (1000, _MC_BLOCK, _MC_BLOCK + 1, 100_000)
+    ]
+    cases += [(3, 0.005, 20_000), (100, 0.005, 50)]
+    for n, gamma, samples in cases:
+        seed = n + samples
+        want = mc_outcome(mc_reference, n, gamma, ETA, samples, seed)
+        assert mc_outcome(beta_mc, n, gamma, ETA, samples, seed) == want, (n, gamma, samples)
+    # the n = 3 case draws points off the simplex and still gives an estimate
+    rng = np.random.default_rng(3 + 20_000)
+    pa, pb = rng.normal(0.5, _sigma_marginal(3), (2, 20_000))
+    assert ((pa <= 0.0) | (pa >= 1.0) | (pb <= 0.0) | (pb >= 1.0)).any()
+    assert isinstance(mc_outcome(beta_mc, 3, 0.005, ETA, 20_000, 3 + 20_000), float)
+    assert mc_outcome(beta_mc, 100, 0.005, ETA, 50, 150).startswith(
+        "EffectiveSampleSizeError: effective sample size"
+    )
+
+
 # ----------------------------------------------------------------- table build
 
 @pytest.fixture(scope="module")
@@ -250,6 +345,10 @@ def test_table_validation_errors():
         build_table(ETA, N_grid=[10], gamma_grid=[0.02])  # gamma >= eta
     with pytest.raises(ValueError):
         build_table(0.2, N_grid=[10], gamma_grid=[0.001])  # conjecture guard
+    # checked on entry, also when every cell is exact and no MC cell runs
+    for samples in (-5, 0, 2.5, True):
+        with pytest.raises(ValueError, match=f"samples={samples!r} must be an integer"):
+            build_table(ETA, N_grid=[20, 50], samples=samples)
 
 
 def test_table_build_error_carries_cell_coords():
@@ -395,9 +494,12 @@ def test_table_json_roundtrip(small_table, tmp_path):
     ("seed", lambda v: 1.9, "'seed' holds a non-integer 1.9"),
     ("mc_samples", lambda v: 1000.0, "'mc_samples' holds a non-integer 1000.0"),
     ("seed", lambda v: True, "'seed' holds a non-integer True"),
+    ("mc_samples", lambda v: -5, "'mc_samples' holds -5, below 1"),
+    ("mc_samples", lambda v: 0, "'mc_samples' holds 0, below 1"),
 ], ids=[
     "nan-cell", "reversed-N", "gamma-at-eta", "missing-key", "short-cells", "eta-above-ln2",
     "fractional-N", "fractional-seed", "float-mc-samples", "bool-seed",
+    "negative-mc-samples", "zero-mc-samples",
 ])
 def test_table_from_json_rejects_bad_grids_and_cells(
     small_table, tmp_path, field, value, match

@@ -6,6 +6,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from bnboost import scoring
 from bnboost.beta import build_table, query_neg_ln_beta
 from bnboost.data import BinaryDataset, Dag, Network, random_network, sample
 from bnboost.dist2x2 import JointDist2x2, mi_from_counts, mutual_information
@@ -310,7 +311,20 @@ def test_batched_counts_match_bincount(rows):
         assert (_count(bits, weights, colsets) == want).all()
 
 
-def test_weighted_counts_and_edge_strength_match_per_set_reference():
+def strength_reference(states, probs, a, b, d):
+    others = [v for v in range(states.shape[0]) if v not in (a, b)]
+    best = math.inf
+    for k in range(d + 1):
+        for sep in combinations(others, k):
+            mass = bincount_reference(states.T, (b, a, *sep), weights=probs)
+            best = min(best, max([0.0] + [
+                mutual_information(JointDist2x2(*(cell / cell.sum())))
+                for cell in mass.reshape(-1, 4) if cell.sum() > 0.0
+            ]))
+    return best
+
+
+def test_weighted_counts_and_edge_strength_match_per_set_reference(monkeypatch):
     net = random_network(7, 2, seed=111)
     states, probs = _joint_probabilities(net)
     rng = np.random.default_rng(112)
@@ -318,21 +332,27 @@ def test_weighted_counts_and_edge_strength_match_per_set_reference():
     want = np.array([bincount_reference(states.T, cs, weights=probs) for cs in colsets])
     assert (_count(states, probs, colsets) == want).all()
 
-    def strength_reference(a, b, d):
-        others = [v for v in range(7) if v not in (a, b)]
-        best = math.inf
-        for k in range(d + 1):
-            for sep in combinations(others, k):
-                mass = bincount_reference(states.T, (b, a, *sep), weights=probs)
-                best = min(best, max([0.0] + [
-                    mutual_information(JointDist2x2(*(cell / cell.sum())))
-                    for cell in mass.reshape(-1, 4) if cell.sum() > 0.0
-                ]))
-        return best
-
     for a, b in combinations(range(7), 2):
         for d in (0, 2):
-            assert edge_strength(net, a, b, d) == strength_reference(a, b, d), (a, b, d)
+            assert edge_strength(net, a, b, d) == strength_reference(states, probs, a, b, d), (
+                a, b, d)
+
+    # X1 <- X0 -> X2 and a free X3, with dyadic probabilities so that every
+    # sum and ratio is exact: X1 and X2 are dependent, and {X0}, the first
+    # separating set of size 1, makes them independent with MI exactly 0
+    net = Network(Dag(4, []), theta={i: {} for i in range(4)}, bias={i: 0.0 for i in range(4)})
+    states, _ = _joint_probabilities(net)
+    x0, x1, x2, _ = states.astype(np.float64)
+    probs = (0.5 * np.where(x1, 0.25 + 0.5 * x0, 0.75 - 0.5 * x0)
+             * np.where(x2, 0.25 + 0.25 * x0, 0.75 - 0.25 * x0) * 0.5)
+    monkeypatch.setattr(scoring, "_joint_probabilities", lambda net: (states, probs))
+    calls = []
+    monkeypatch.setattr(scoring, "mutual_information",
+                        lambda p: calls.append(p) or mutual_information(p))
+    assert strength_reference(states, probs, 1, 2, 0) > 0.0
+    assert edge_strength(net, 1, 2, 1) == strength_reference(states, probs, 1, 2, 1) == 0.0
+    # one cell for the empty set, two for X0 = 0, 1; the set {X3} is never scored
+    assert len(calls) == 3
 
 
 @pytest.mark.parametrize("psi2", [0.0, 1.0])
