@@ -1,13 +1,17 @@
 """Maximization of a decomposed structure score over DAGs.
 
-exact_dp runs the two-phase subset dynamic program (best parent set within
-every predecessor set, then best sink per node subset) and is exact for up
-to 24 nodes. greedy_hill_climb handles larger problems with restarts.
+exact_dp drops every family that a subset of its parents scores at least
+as high as, splits the nodes into the connected components the kept
+families leave, and runs the two-phase subset dynamic program (best parent
+set within every predecessor set, then best sink per node subset) on each
+component on its own; it is exact while the largest component has at most
+24 nodes. greedy_hill_climb handles larger problems with restarts.
 brute_force enumerates every labeled DAG and is the oracle for tiny n.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 import time
 from dataclasses import dataclass
@@ -25,6 +29,8 @@ DP_MAX_N = 24
 BRUTE_MAX_N = 5
 NEG_INF = float("-inf")
 
+log = logging.getLogger(__name__)
+
 
 @dataclass(frozen=True)
 class SearchResult:
@@ -35,26 +41,105 @@ class SearchResult:
 
 
 def _dp_bytes(n: int) -> int:
-    """Memory exact_dp holds at n nodes: bps is n * 2^n float64, and phase 2
+    """Memory the subset DP holds on n nodes: bps is n * 2^n float64, and phase 2
     keeps best (float64), sink (int8), the masks (int64) and their
     popcounts (uint8), 18 bytes per subset."""
     return (8 * n + 18) << n
 
 
+def _kept_families(fams: dict) -> dict:
+    """The families of one node that score strictly above each proper
+    subset the table has, so a tie keeps the smaller family. within(pa) is
+    the best score over the subsets of pa, pa included, memoised over
+    pa - {x}; a subset missing from the table is walked through."""
+    best_within: dict[frozenset, float] = {}
+
+    def within(pa: frozenset) -> float:
+        s = best_within.get(pa)
+        if s is None:
+            s = max([fams.get(pa, NEG_INF), *(within(pa - {x}) for x in pa)])
+            best_within[pa] = s
+        return s
+
+    return {pa: s for pa, s in fams.items() if all(within(pa - {x}) < s for x in pa)}
+
+
+def _components(n: int, kept: list[dict]) -> list[list[int]]:
+    """Connected components of the graph that links each node to the
+    parents of its kept families, each as an ascending node list."""
+    root = list(range(n))
+
+    def find(v: int) -> int:
+        while root[v] != v:
+            root[v] = root[root[v]]
+            v = root[v]
+        return v
+
+    for i, fams in enumerate(kept):
+        for pa in fams:
+            for p in pa:
+                root[find(p)] = find(i)
+    groups: dict[int, list[int]] = {}
+    for v in range(n):
+        groups.setdefault(find(v), []).append(v)
+    return list(groups.values())
+
+
 def exact_dp(table: ParentSetScoreTable) -> SearchResult:
     """Global maximizer of the decomposed score over all DAGs the table covers.
 
-    Memory: the best-parent-set table bps is n * 2^n float64 (38 MB at
-    n = 18, 3.2 GB at n = 24), and phase 2 adds about 18 bytes per subset;
-    above DP_MAX_N, or when the allocation fails, the error gives the total.
-    Ties go to the lowest-index sink of each node subset, then to the
+    A family is dropped when a proper subset of its parents scores at least
+    as high: no optimum needs it (de Campos & Ji, JMLR 2011). The kept
+    families link each node to its candidate parents, and the subset DP runs
+    on each connected component of that graph on its own; a node left alone
+    takes the empty family. The cap DP_MAX_N and the memory statement apply
+    to the largest component, not to n: its best-parent-set table is
+    k * 2^k float64 at k nodes (38 MB at k = 18, 3.2 GB at k = 24), and
+    phase 2 adds about 18 bytes per subset. Above the cap, or when the
+    allocation fails, the error gives the total. Ties resolve inside each
+    component: to the lowest-index sink of each node subset, then to the
     parent set with the fewest parents, then the smallest sorted list.
     """
+    t0 = time.perf_counter()
+    n = table.n
+    kept = [_kept_families(table.scores.get(i, {})) for i in range(n)]
+    comps = _components(n, kept)
+    largest = max(map(len, comps))
+    if log.isEnabledFor(logging.DEBUG):
+        log.debug(
+            "exact_dp: %d of %d families kept, %d components, the largest of %d nodes",
+            sum(map(len, kept)), sum(map(len, table.scores.values())),
+            len(comps), largest,
+        )
+    if largest > DP_MAX_N:
+        raise ValueError(
+            f"n={largest} above the exact search cap {DP_MAX_N} in the largest "
+            f"component: it needs about {_dp_bytes(largest) / 1e9:.2g} GB"
+        )
+    edges = set()
+    for comp in comps:
+        if len(comp) == 1:
+            if frozenset() not in kept[comp[0]]:
+                raise ValueError("the score table covers no complete DAG")
+            continue
+        local = {v: k for k, v in enumerate(comp)}
+        sub = ParentSetScoreTable(n=len(comp), scores={
+            local[i]: {frozenset(local[p] for p in pa): s for pa, s in kept[i].items()}
+            for i in comp
+        })
+        edges.update((comp[u], comp[v]) for u, v in _subset_dp(sub))
+    dag = Dag(n, frozenset(edges))
+    return SearchResult(
+        dag=dag, score=table.dag_score(dag), method="dp",
+        runtime_ms=(time.perf_counter() - t0) * 1e3,
+    )
+
+
+def _subset_dp(table: ParentSetScoreTable) -> frozenset[tuple[int, int]]:
+    """Edges of the two-phase subset DP's optimum over the whole table, with
+    exact_dp's tie-breaks; the caller checks the size cap."""
     n = table.n
     need = f"about {_dp_bytes(n) / 1e9:.2g} GB"
-    if n > DP_MAX_N:
-        raise ValueError(f"n={n} above the exact search cap {DP_MAX_N}: it needs {need}")
-    t0 = time.perf_counter()
     size = 1 << n
     try:
         bps = np.full((n, size), NEG_INF)
@@ -105,31 +190,25 @@ def exact_dp(table: ParentSetScoreTable) -> SearchResult:
             key=lambda pa: (len(pa), sorted(pa)),
         )
         edges.update((p, i) for p in pa)
-    dag = Dag(n, frozenset(edges))
-    return SearchResult(
-        dag=dag, score=table.dag_score(dag), method="dp",
-        runtime_ms=(time.perf_counter() - t0) * 1e3,
-    )
+    return frozenset(edges)
 
 
 # ---------------------------------------------------------------------------
 # greedy hill climbing
 # ---------------------------------------------------------------------------
 
-def _has_path(parents: list[set], src: int, dst: int, n: int) -> bool:
+def _has_path(children: list[set], src: int, dst: int) -> bool:
     """True if dst is reachable from src along child edges."""
     if src == dst:
         return True
-    seen = [False] * n
+    seen = {src}
     stack = [src]
-    seen[src] = True
     while stack:
-        v = stack.pop()
-        for w in range(n):
-            if v in parents[w] and not seen[w]:
-                if w == dst:
-                    return True
-                seen[w] = True
+        for w in children[stack.pop()]:
+            if w == dst:
+                return True
+            if w not in seen:
+                seen.add(w)
                 stack.append(w)
     return False
 
@@ -137,16 +216,19 @@ def _has_path(parents: list[set], src: int, dst: int, n: int) -> bool:
 def _climb(table: ParentSetScoreTable, parents: list[set]) -> tuple[list[set], float]:
     """Best-improving single-edge moves until a local maximum."""
     n = table.n
+    tables = [table.scores.get(i, {}) for i in range(n)]
 
     def fam(i, pa):
-        key = frozenset(pa)
-        fams = table.scores.get(i, {})
-        return fams.get(key, None)
+        return tables[i].get(frozenset(pa), None)
 
     cur = [fam(i, parents[i]) for i in range(n)]
     if any(c is None for c in cur):
         raise ValueError("start graph contains a family missing from the table")
     total = sum(cur)
+    children: list[set] = [set() for _ in range(n)]
+    for v in range(n):
+        for u in parents[v]:
+            children[u].add(v)
 
     improved = True
     while improved:
@@ -159,20 +241,19 @@ def _climb(table: ParentSetScoreTable, parents: list[set]) -> tuple[list[set], f
                     continue
                 if u in parents[v]:
                     # deletion
-                    s = fam(v, parents[v] - {u})
-                    if s is not None:
-                        delta = s - cur[v]
+                    s_v = fam(v, parents[v] - {u})
+                    if s_v is not None:
+                        delta = s_v - cur[v]
                         if delta > best_delta:
                             best_delta, best_move = delta, ("del", u, v)
                     # reversal: the new edge v -> u closes a cycle iff some
                     # other path u ~> v survives the deletion of u -> v
-                    if v not in parents[u]:
-                        s_v = fam(v, parents[v] - {u})
+                    if v not in parents[u] and s_v is not None:
                         s_u = fam(u, parents[u] | {v})
-                        if s_v is not None and s_u is not None:
-                            parents[v].discard(u)
-                            cyclic = _has_path(parents, u, v, n)
-                            parents[v].add(u)
+                        if s_u is not None:
+                            children[u].discard(v)
+                            cyclic = _has_path(children, u, v)
+                            children[u].add(v)
                             if not cyclic:
                                 delta = (s_v - cur[v]) + (s_u - cur[u])
                                 if delta > best_delta:
@@ -180,7 +261,7 @@ def _climb(table: ParentSetScoreTable, parents: list[set]) -> tuple[list[set], f
                 elif v not in parents[u]:
                     # addition u -> v
                     s = fam(v, parents[v] | {u})
-                    if s is not None and not _has_path(parents, v, u, n):
+                    if s is not None and not _has_path(children, v, u):
                         delta = s - cur[v]
                         if delta > best_delta:
                             best_delta, best_move = delta, ("add", u, v)
@@ -188,12 +269,15 @@ def _climb(table: ParentSetScoreTable, parents: list[set]) -> tuple[list[set], f
             kind, u, v = best_move
             if kind == "add":
                 parents[v].add(u)
-            elif kind == "del":
-                parents[v].discard(u)
+                children[u].add(v)
             else:
                 parents[v].discard(u)
-                parents[u].add(v)
-            cur = [fam(i, parents[i]) for i in range(n)]
+                children[u].discard(v)
+                if kind == "rev":
+                    parents[u].add(v)
+                    children[v].add(u)
+                    cur[u] = fam(u, parents[u])
+            cur[v] = fam(v, parents[v])
             total = sum(cur)
             improved = True
     return parents, total + table.constant

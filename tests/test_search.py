@@ -1,3 +1,4 @@
+import logging
 import math
 import tracemalloc
 from itertools import combinations
@@ -6,20 +7,55 @@ import numpy as np
 import pytest
 
 from bnboost.data import Dag, random_network
+from bnboost.evaluate import dag_to_cpdag
 from bnboost.scoring import ParentSetScoreTable
-from bnboost.search import all_dags, brute_force, exact_dp, greedy_hill_climb
+from bnboost.search import _subset_dp, all_dags, brute_force, exact_dp, greedy_hill_climb
 
 
-def random_table(n, d, rng, scale=3.0, constant=0.0):
+def random_table(n, d, rng, scale=3.0, constant=0.0, per_parent=0.0):
+    """iid normal family scores, less per_parent for each parent."""
     scores = {}
     for i in range(n):
         others = [v for v in range(n) if v != i]
         fams = {}
         for k in range(min(d, len(others)) + 1):
             for pa in combinations(others, k):
-                fams[frozenset(pa)] = float(rng.normal() * scale)
+                fams[frozenset(pa)] = float(rng.normal() * scale) - per_parent * k
         scores[i] = fams
     return ParentSetScoreTable(n=n, scores=scores, constant=constant)
+
+
+def block_table(sizes, d, rng):
+    """A table on consecutive blocks of nodes, and each block's own table.
+    A family with parents outside the child's block scores below the family
+    of its in-block parents, so no optimum crosses a block."""
+    n = sum(sizes)
+    starts = np.cumsum([0, *sizes])
+    blocks = [random_table(k, d, rng) for k in sizes]
+    scores = {}
+    for b, block in enumerate(blocks):
+        lo, hi = int(starts[b]), int(starts[b + 1])
+        for i in range(lo, hi):
+            others = [v for v in range(n) if v != i]
+            fams = {}
+            for k in range(min(d, n - 1) + 1):
+                for pa in combinations(others, k):
+                    inside = frozenset(p - lo for p in pa if lo <= p < hi)
+                    outside = k - len(inside)
+                    fams[frozenset(pa)] = (
+                        block.scores[i - lo][inside] - outside * (1.0 + abs(rng.normal()))
+                    )
+            scores[i] = fams
+    return ParentSetScoreTable(n=n, scores=scores), blocks
+
+
+def chain_table(n):
+    """Only the empty families and {i - 1}, which beats node i's empty one:
+    the kept families link all n nodes into one component."""
+    scores = {i: {frozenset(): 0.0} for i in range(n)}
+    for i in range(1, n):
+        scores[i][frozenset({i - 1})] = 1.0
+    return ParentSetScoreTable(n=n, scores=scores)
 
 
 def dag_count_recurrence(n):
@@ -123,7 +159,7 @@ def test_exact_dp_tie_breaks(tied, edges):
 
 def test_exact_dp_rejects_oversize():
     # the check comes before any DP array: (8 * 25 + 18) * 2^25 bytes
-    table = ParentSetScoreTable(n=25, scores={i: {frozenset(): 0.0} for i in range(25)})
+    table = chain_table(25)
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match=r"n=25 above .* about 7\.3 GB"):
@@ -138,10 +174,70 @@ def test_exact_dp_memory_error_states_need(monkeypatch):
     def no_memory(*args, **kwargs):
         raise MemoryError
 
-    table = ParentSetScoreTable(n=20, scores={i: {frozenset(): 0.0} for i in range(20)})
+    table = chain_table(20)
     monkeypatch.setattr(np, "full", no_memory)
     with pytest.raises(MemoryError, match=r"n=20 needs about 0\.19 GB"):
         exact_dp(table)
+
+
+def test_exact_dp_solves_small_components_above_the_cap():
+    rng = np.random.default_rng(30)
+    table, blocks = block_table([10, 10, 10], 2, rng)
+    res = exact_dp(table)
+    optima = [b.dag_score(Dag(b.n, _subset_dp(b))) for b in blocks]
+    assert res.score == pytest.approx(sum(optima), rel=1e-12)
+    assert all((u < 10) == (v < 10) and (u < 20) == (v < 20) for u, v in res.dag.edges)
+
+
+def test_exact_dp_rejects_a_node_without_families():
+    table = ParentSetScoreTable(n=3, scores={0: {frozenset(): 0.0}, 1: {frozenset(): 0.0}})
+    with pytest.raises(ValueError, match="covers no complete DAG"):
+        exact_dp(table)
+
+
+def drop_families(table, frac, rng):
+    """The table less a random share of its nonempty families."""
+    return ParentSetScoreTable(n=table.n, scores={
+        i: {pa: s for pa, s in fams.items() if not pa or rng.random() >= frac}
+        for i, fams in table.scores.items()
+    })
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_exact_dp_matches_the_unsplit_dp(d):
+    rng = np.random.default_rng(600 + d)
+    tables = []
+    for n in range(6, 15):
+        tables.append(random_table(n, d, rng, constant=float(rng.normal())))
+        tables.append(random_table(n, d, rng, per_parent=6.0))
+        tables.append(drop_families(random_table(n, d, rng, per_parent=3.0), 0.3, rng))
+        tables.append(block_table([n // 3, n - n // 3], d, rng)[0])
+    for table in tables:
+        res = exact_dp(table)
+        oracle = Dag(table.n, _subset_dp(table))
+        assert res.score == pytest.approx(table.dag_score(oracle), rel=1e-12, abs=0.0)
+        assert dag_to_cpdag(res.dag) == dag_to_cpdag(oracle)
+
+
+def test_exact_dp_logs_the_split_at_debug(caplog):
+    # node 2's {0, 1} ties with {0}, and node 1's {2} loses to its empty family
+    scores = {
+        0: {frozenset(): 0.0},
+        1: {frozenset(): 0.0, frozenset({2}): -1.0},
+        2: {frozenset(): 0.0, frozenset({0}): 2.0, frozenset({0, 1}): 2.0},
+        3: {frozenset(): 0.0},
+    }
+    table = ParentSetScoreTable(n=4, scores=scores)
+    with caplog.at_level(logging.INFO, logger="bnboost.search"):
+        exact_dp(table)
+    assert caplog.records == []
+    with caplog.at_level(logging.DEBUG, logger="bnboost.search"):
+        res = exact_dp(table)
+    (record,) = caplog.records
+    assert record.getMessage() == (
+        "exact_dp: 5 of 7 families kept, 3 components, the largest of 2 nodes"
+    )
+    assert res.dag.edges == frozenset({(0, 2)})
 
 
 def test_brute_force_two_nodes():
