@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import heapq
+import io
 import json
 from dataclasses import dataclass, field
 
@@ -202,45 +203,83 @@ def sample(net: Network, n_rows: int, seed: int) -> BinaryDataset:
 # file formats
 # ---------------------------------------------------------------------------
 
+_EOL = csv.excel.lineterminator.encode()  # the line end csv.writer writes
+_CELLS = {"0": 0, "1": 1}  # the cell texts load_dataset accepts, spaces stripped
+
+
 def save_dataset(data: BinaryDataset, path) -> None:
-    """CSV with a header row of variable names and 0/1 body cells."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(data.variable_names)
-        for row in data.rows:
-            writer.writerow(int(x) for x in row)
+    """CSV with a header row of variable names and 0/1 body cells, as
+    csv.writer writes them: the body is one (N, 2n+1) byte buffer of
+    cells, commas and csv.writer's line end."""
+    header = io.StringIO()
+    csv.writer(header).writerow(data.variable_names)
+    n_rows, n = data.rows.shape
+    body = np.empty((n_rows, 2 * n - 1 + len(_EOL)), dtype=np.uint8)
+    body[:, 0:2 * n - 1:2] = data.rows + ord("0")
+    body[:, 1:2 * n - 1:2] = ord(",")
+    body[:, 2 * n - 1:] = np.frombuffer(_EOL, dtype=np.uint8)
+    with open(path, "wb") as fh:
+        fh.write(header.getvalue().encode("utf-8"))
+        fh.write(body.tobytes())
+
+
+def _canonical_rows(body: memoryview, n: int, eol: bytes) -> np.ndarray | None:
+    """The (N, n) rows of a body that is exactly N lines of n cells `0` or
+    `1` joined by commas, each ending in eol; None for any other body."""
+    width = 2 * n - 1 + len(eol)
+    if n < 1 or not body or len(body) % width:
+        return None
+    lines = np.frombuffer(body, dtype=np.uint8).reshape(-1, width)
+    cells = lines[:, 0:2 * n - 1:2] - np.uint8(ord("0"))  # wraps below "0"
+    if (
+        (cells > 1).any()
+        or (lines[:, 1:2 * n - 1:2] != ord(",")).any()
+        or (lines[:, 2 * n - 1:] != np.frombuffer(eol, dtype=np.uint8)).any()
+    ):
+        return None
+    return cells
 
 
 def load_dataset(path) -> BinaryDataset:
     """Read a save_dataset CSV; a malformed file raises ValueError naming
-    the file and its 1-based line. Cells may carry surrounding spaces."""
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        repeated = [name for j, name in enumerate(header) if name in header[:j]]
-        if repeated:
-            raise ValueError(
-                f"{path} line {reader.line_num}: duplicate variable name {repeated[0]!r}"
-            )
-        lines, rows = [], []
+    the file and its 1-based line. Cells read 0 or 1, with optional
+    surrounding spaces; blank lines are skipped and a UTF-8 BOM ignored.
+
+    The header always goes through the csv module. A body in save_dataset's
+    own layout is read as one byte array; any other body falls through to
+    the csv loop, which alone reports errors."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    reader = csv.reader(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8-sig", newline=""))
+    header = next(reader, [])
+    repeated = [name for j, name in enumerate(header) if name in header[:j]]
+    if repeated:
+        raise ValueError(
+            f"{path} line {reader.line_num}: duplicate variable name {repeated[0]!r}"
+        )
+    end = raw.find(b"\n") + 1
+    first = raw[:end]
+    eol = b"\r\n" if first.endswith(b"\r\n") else b"\n"
+    cells = None
+    if end and b'"' not in first and b"\r" not in first[:-len(eol)]:
+        # the csv module's first record is exactly this line
+        cells = _canonical_rows(memoryview(raw)[end:], len(header), eol)
+    if cells is None:
+        rows = []
         try:
             for row in filter(None, reader):  # blank lines read as []
-                lines.append(reader.line_num)
                 if len(row) != len(header):
                     raise ValueError(f"{len(row)} cells, the header has {len(header)}")
-                rows.append(list(map(int, row)))
+                values = [_CELLS.get(cell.strip()) for cell in row]
+                if None in values:
+                    raise ValueError(f"cell {row[values.index(None)]!r} is not 0 or 1")
+                rows.append(values)
         except ValueError as exc:
             raise ValueError(f"{path} line {reader.line_num}: {exc}") from None
-    if not rows:
-        raise ValueError(f"{path} line {reader.line_num + 1}: no data rows")
-    try:
-        cells = np.asarray(rows, dtype=np.int8)
-    except OverflowError:  # a cell beyond int8, still reported by its line below
-        cells = np.asarray(rows, dtype=object)
-    bad = np.flatnonzero(((cells < 0) | (cells > 1)).any(axis=1))
-    if bad.size:
-        raise ValueError(f"{path} line {lines[bad[0]]}: cells must be 0 or 1")
-    return BinaryDataset(tuple(header), cells.astype(np.uint8))
+        if not rows:
+            raise ValueError(f"{path} line {reader.line_num + 1}: no data rows")
+        cells = np.asarray(rows, dtype=np.uint8)
+    return BinaryDataset(tuple(header), cells)
 
 
 def _structure_to_dict(names, dag: Dag) -> dict:

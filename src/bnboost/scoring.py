@@ -85,7 +85,10 @@ def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     words = np.zeros((-(-n // _WORD_BITS), n_rows), dtype=np.int64)
     for j in range(n):
         words[j // _WORD_BITS] |= rows[:, j].astype(np.int64) << (j % _WORD_BITS)
-    words = words[:, np.lexsort(words)]
+    if len(words) == 1:
+        words.sort(axis=1)  # one key: a plain sort is a lexsort
+    else:
+        words = words[:, np.lexsort(words)]
     new_run = (words[:, 1:] != words[:, :-1]).any(axis=0)
     starts = np.flatnonzero(np.concatenate(([True], new_run)))
     firsts = words[:, starts]

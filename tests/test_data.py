@@ -1,10 +1,12 @@
 import copy
+import csv
 import json
 import math
 
 import numpy as np
 import pytest
 
+import bnboost.data
 from bnboost.data import (
     BinaryDataset,
     CycleError,
@@ -159,6 +161,14 @@ def test_dataset_roundtrip(tmp_path, four_rows):
     assert (back.rows == four_rows.rows).all()
 
 
+def canonical(rows: int, bad_line: int, bad_row: str, eol: str = "\n") -> str:
+    """A save_dataset-style body of `rows` rows whose file line `bad_line`
+    (the header is line 1) reads bad_row instead."""
+    lines = ["A,B"] + [f"{k % 2},{k // 2 % 2}" for k in range(rows)]
+    lines[bad_line - 1] = bad_row
+    return eol.join(lines) + eol
+
+
 @pytest.mark.parametrize("body, line", [
     ("", 1),
     ("A,B\n", 2),
@@ -170,11 +180,21 @@ def test_dataset_roundtrip(tmp_path, four_rows):
     ("A,B\n0,2\n", 2),
     ("A,B\n0,1\n1,99999999999999999999999\n", 3),
     ("A,A\n0,1\n", 1),
+    ("A,B\n0,1\n0_1,0\n", 3),
+    ("A,B\n0,1\n+1,0\n", 3),
+    (canonical(150, 77, "0,2"), 77),
+    (canonical(150, 120, "x,0", eol="\r\n"), 120),
+    (canonical(150, 33, "0 1"), 33),
+    (canonical(150, 151, "0,1,1", eol="\r\n"), 151),
+    (canonical(150, 60, "0,1x1,0"), 60),
+    (canonical(150, 90, "0,1x\n1,0", eol="\r\n"), 90),
 ], ids=["empty", "header-only", "short-row", "long-row", "non-integer", "float",
-        "negative", "two", "huge", "duplicate-name"])
+        "negative", "two", "huge", "duplicate-name", "underscore", "plus",
+        "canonical-two", "canonical-x", "canonical-missing-comma",
+        "canonical-extra-column", "canonical-lf-replaced", "canonical-cr-replaced"])
 def test_load_dataset_names_the_bad_line(tmp_path, body, line):
     path = tmp_path / "d.csv"
-    path.write_text(body)
+    path.write_bytes(body.encode())
     with pytest.raises(ValueError, match=rf"d\.csv line {line}:"):
         load_dataset(path)
 
@@ -183,6 +203,90 @@ def test_load_dataset_tolerates_spaces(tmp_path):
     path = tmp_path / "d.csv"
     path.write_text("A,B\n0, 1\n 1 ,0\n")
     assert load_dataset(path).rows.tolist() == [[0, 1], [1, 0]]
+
+
+def write_reference(data: BinaryDataset, path) -> None:
+    """save_dataset's format as csv.writer writes it, one row at a time."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(data.variable_names)
+        for row in data.rows:
+            writer.writerow(int(x) for x in row)
+
+
+@pytest.mark.parametrize("n", [1, 2, 12, 70])
+@pytest.mark.parametrize("n_rows", [1, 3, 20_000])
+def test_dataset_roundtrip_is_csv_writer_bytes(tmp_path, n, n_rows):
+    rng = np.random.default_rng(n * 100_003 + n_rows)
+    data = BinaryDataset(
+        tuple(f"X{j}" for j in range(n)),
+        rng.integers(0, 2, size=(n_rows, n), dtype=np.uint8),
+    )
+    path, reference = tmp_path / "d.csv", tmp_path / "ref.csv"
+    save_dataset(data, path)
+    write_reference(data, reference)
+    assert path.read_bytes() == reference.read_bytes()
+    back = load_dataset(path)
+    assert back.variable_names == data.variable_names
+    assert np.array_equal(back.rows, data.rows)
+
+
+def test_save_dataset_quotes_names_like_csv_writer(tmp_path):
+    data = BinaryDataset(("a,b", 'say "hi"', "é", " x"), np.array([[0, 1, 1, 0]]))
+    path, reference = tmp_path / "d.csv", tmp_path / "ref.csv"
+    save_dataset(data, path)
+    write_reference(data, reference)
+    assert path.read_bytes() == reference.read_bytes()
+    assert load_dataset(path).variable_names == data.variable_names
+
+
+@pytest.mark.parametrize("text, fast", [
+    ("A,B\n0,1\n1,0\n1,1\n", True),
+    ("A,B\r\n0,1\r\n1,0\r\n", True),
+    ("\ufeffA,B\r\n0,1\r\n", True),
+    ('"A,x",B\n0,1\n1,0\n', False),
+    ("A,B\n0,1 \n1,0\n", False),
+    ("A,B\n0,1\n\n1,0\n", False),
+    ('A,B\n"0",1\n1,"1"\n', False),
+    ("A,B\n0,1\n1,0", False),
+    ("A,B\r\n0,1\n1,0\r\n", False),
+    ("A,B\n0,1\r\n", False),
+    ("A\rB\n0\n", False),
+    ("A,B\n0,1\n0;1\n", False),
+], ids=["lf", "crlf", "bom", "quoted-name", "trailing-space", "blank-line",
+        "quoted-cells", "no-final-line-end", "mixed-line-ends", "crlf-body-lf-header",
+        "cr-in-header", "semicolon"])
+def test_load_dataset_fast_path_equals_csv_loop(tmp_path, monkeypatch, text, fast):
+    path = tmp_path / "d.csv"
+    path.write_bytes(text.encode())
+
+    def load():
+        try:
+            data = load_dataset(path)
+        except ValueError as exc:
+            return str(exc)
+        return data.variable_names, data.rows.tolist()
+
+    canonical_rows, took = bnboost.data._canonical_rows, []
+
+    def spy(*args):
+        cells = canonical_rows(*args)
+        took.append(cells is not None)
+        return cells
+
+    monkeypatch.setattr(bnboost.data, "_canonical_rows", spy)
+    result = load()
+    assert any(took) == fast
+    monkeypatch.setattr(bnboost.data, "_canonical_rows", lambda *args: None)
+    assert result == load()
+
+
+def test_load_dataset_drops_a_bom(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_bytes("\ufeffA,B\n0,1\n 1,0\n".encode())
+    back = load_dataset(path)
+    assert back.variable_names == ("A", "B")
+    assert back.rows.tolist() == [[0, 1], [1, 0]]
 
 
 def test_network_roundtrip(tmp_path):
