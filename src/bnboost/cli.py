@@ -9,6 +9,7 @@ from a JSON config.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import sys
@@ -152,6 +153,7 @@ def _cmd_experiment(args) -> int:
     return 0
 
 
+@functools.cache  # built once per process; every main call reuses it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bnboost",

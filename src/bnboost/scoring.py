@@ -9,6 +9,15 @@ dependent pairs earn nothing once the empirical MI clears eta.
 With bounded-size separating sets the per-pair reward does not depend on
 the candidate graph, so the whole score decomposes into per-family terms
 (ParentSetScoreTable) that combinatorial search can consume directly.
+
+Every contingency table comes from one counting kernel (_count) over the
+dataset's distinct rows. Their multiplicities are int64, and large calls
+count them with Gram products (BLAS matrix products) grouped by shared
+columns, small ones with one bincount. Every count is an integer below
+2^53, which float64 holds exactly in any summation order, so tables, family
+log-likelihoods, boosts and scores are bit-equal on both routes.
+Probability weights (edge_strength's exact joint) are float64 and always
+take the bincount, whose column-order sums do not depend on the BLAS.
 """
 
 from __future__ import annotations
@@ -71,15 +80,17 @@ class ScoreConfig:
             raise ValueError(f"d={self.d} must be >= 0")
 
 
-# Row words pack this many columns each; one bincount pass of the counting
-# kernel holds at most about this many index cells.
+# Row words pack this many columns each; one pass of the counting kernel
+# holds about this many index cells, or cells and Gram values, and one of
+# its matrix products at most this many multiply-adds.
 _WORD_BITS = 62
 _CHUNK_CELLS = 1 << 16
+_SERIAL_MADDS = 1 << 18
 
 
 def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct rows of an (N, n) 0/1 matrix as an (n, U) bit matrix,
-    and how often each occurs (as float weights). Rows are packed into
+    and how often each occurs (int64 counts). Rows are packed into
     int64 words one column at a time, so no (N, n) int64 copy is made."""
     n_rows, n = rows.shape
     words = np.zeros((-(-n // _WORD_BITS), n_rows), dtype=np.int64)
@@ -95,15 +106,97 @@ def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     bits = np.empty((n, starts.size), dtype=np.uint8)
     for j in range(n):
         bits[j] = (firsts[j // _WORD_BITS] >> (j % _WORD_BITS)) & 1
-    return bits, np.diff(np.append(starts, n_rows)).astype(np.float64)
+    return bits, np.diff(np.append(starts, n_rows))
 
 
 def _count(bits: np.ndarray, weights: np.ndarray, colsets: np.ndarray) -> np.ndarray:
     """Joint counts of every column set at once: colsets is (M, k), and row
-    m of the (M, 2^k) result counts the columns u of bits, each adding
-    weights[u], by the cell index sum_j bits[colsets[m, j], u] << j."""
+    m of the (M, 2^k) float64 result counts the columns u of bits, each
+    adding weights[u], by the cell index sum_j bits[colsets[m, j], u] << j.
+
+    Float weights (probabilities) always take _bincount, which adds them in
+    column order, so their sums do not depend on the BLAS. Integer weights
+    (row multiplicities) take Gram products (_gram_count) once the call
+    outgrows one bincount pass and holds at least n * 2^(k-2) / 2 column
+    sets per distinct prefix; smaller calls cost less as bincounts. Every
+    count is then an integer below 2^53, which float64 holds exactly in any
+    summation order, so both routes give the same counts bit for bit."""
+    m_all, k = colsets.shape
+    n, u = bits.shape
+    if (weights.dtype.kind == "i" and k >= 2 and m_all * u > _CHUNK_CELLS
+            and n ** (k - 2) < 1 << 62):  # the prefix keys fit in int64
+        order, starts = _by_prefix(colsets, n)
+        if 2 * m_all >= len(starts) * n << (k - 2):
+            return _gram_count(bits, weights, colsets, order, starts)
+    return _bincount(bits, weights, colsets)
+
+
+def _by_prefix(colsets: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """An order of the column sets that groups equal prefixes (columns
+    2..k-1, read as one base-n integer), and the position in that order
+    where each group starts."""
+    key = np.zeros(len(colsets), dtype=np.int64)
+    for j in range(2, colsets.shape[1]):
+        key = key * n + colsets[:, j]
+    order = np.argsort(key, kind="stable")
+    return order, np.flatnonzero(np.diff(key[order], prepend=-1))
+
+
+def _gram_count(bits, weights, colsets, order, starts) -> np.ndarray:
+    """_count for integer weights, with the column sets grouped as
+    _by_prefix gives them. For each prefix and each assignment s of it,
+    v = weights * [prefix = s], and the matrix product of the rows v * bits
+    against bits^T gives n11 of every column pair at once. Its diagonal
+    gives the margins, sum(v) gives N_s, and the other three cells follow by
+    subtraction: n10 = m0 - n11, n01 = m1 - n11, n00 = N_s - m0 - m1 + n11.
+    The columns of bits are sorted by their prefix assignment, so each
+    product runs over the columns where v is nonzero, in blocks that keep it
+    within _SERIAL_MADDS multiply-adds: OpenBLAS runs a product that small
+    on the calling thread, and waking its other threads for one can cost
+    milliseconds. One chunk of prefixes holds about _CHUNK_CELLS
+    cells and Gram values, or one prefix if that holds more."""
+    m_all, k = colsets.shape
+    n, u = bits.shape
+    p = k - 2
+    bounds = np.append(starts, m_all)
+    group = np.repeat(np.arange(len(starts)), np.diff(bounds))
+    b, w = bits.astype(np.float64), weights.astype(np.float64)
+    out = np.empty((m_all, 1 << k))
+    block = max(1, _SERIAL_MADDS // (n * n))  # columns of bits per product
+    # a prefix holds the cells of its sets and its Gram matrices
+    held = np.cumsum((np.diff(bounds) << k) + (n * n << p))
+    cuts = np.flatnonzero(np.diff((held - 1) // _CHUNK_CELLS)) + 1
+    for g_lo, g_hi in zip([0, *cuts], [*cuts, len(starts)]):
+        gram = np.zeros((g_hi - g_lo, 1 << p, n, n))
+        n_s = np.empty((g_hi - g_lo, 1 << p))
+        for g, prefix in enumerate(colsets[order[starts[g_lo:g_hi]], 2:]):
+            code = np.zeros(u, dtype=np.intp)
+            for j, c in enumerate(prefix):
+                code += np.left_shift(bits[c], j, dtype=np.intp)
+            by_code = np.argsort(code, kind="stable")
+            n_s[g] = np.bincount(code, w, minlength=1 << p)
+            edges = np.cumsum(np.bincount(code, minlength=1 << p)).tolist()
+            for s, (first, end) in enumerate(zip([0] + edges, edges)):
+                for lo in range(first, end, block):
+                    rows = by_code[lo:min(lo + block, end)]
+                    x = b[:, rows]
+                    gram[g, s] += (x * w[rows]) @ x.T
+        margins = gram.diagonal(axis1=2, axis2=3)
+        sets = order[bounds[g_lo]:bounds[g_hi]]
+        g = group[bounds[g_lo]:bounds[g_hi]] - g_lo
+        i, j = colsets[sets, 0], colsets[sets, 1]
+        n11, m0, m1 = gram[g, :, i, j], margins[g, :, i], margins[g, :, j]
+        out[sets] = np.stack(
+            (n_s[g] - m0 - m1 + n11, m0 - n11, m1 - n11, n11), axis=-1
+        ).reshape(len(sets), -1)
+    return out
+
+
+def _bincount(bits: np.ndarray, weights: np.ndarray, colsets: np.ndarray) -> np.ndarray:
+    """_count by one bincount per chunk of column sets."""
     m_all, k = colsets.shape
     u = bits.shape[1]
+    weights = weights.astype(np.float64, copy=False)
     out = np.empty((m_all, 1 << k))
     step = max(1, _CHUNK_CELLS // u)
     for lo in range(0, m_all, step):
@@ -287,15 +380,16 @@ def build_parent_set_scores(
     """
     n = data.n_vars
     log_n = math.log(data.n_rows)
+    boost = np.zeros((n, n))  # boost[i, j]: the boost of the pair {i, j}
+    constant = 0.0
     if cfg.psi2 > 0.0:
         if table is None:
             raise ValueError("a beta table is required when psi2 > 0")
         boosts = pair_boosts(data, table, cfg)
-    else:
-        boosts = {pair: 0.0 for pair in combinations(range(n), 2)}
-
-    def boost_of(i, j):
-        return boosts[(i, j) if i < j else (j, i)]
+        if boosts:
+            a, b = np.array(list(boosts)).T
+            boost[a, b] = boost[b, a] = list(boosts.values())
+        constant = cfg.psi2 * sum(boosts.values())
 
     bits, weights = _distinct_rows(data.rows)
     scores: dict[int, dict[frozenset, float]] = {i: {} for i in range(n)}
@@ -304,13 +398,16 @@ def build_parent_set_scores(
             (i, *pa) for i in range(n)
             for pa in combinations([v for v in range(n) if v != i], k)
         ]
-        lls = _family_lls(bits, weights, np.array(families, dtype=np.intp))
-        for (i, *pa), ll in zip(families, lls.tolist()):
-            scores[i][frozenset(pa)] = (
-                ll - cfg.kappa * log_n * 2 ** k
-                - cfg.psi2 * sum(boost_of(i, j) for j in pa)
-            )
-    constant = cfg.psi2 * sum(boosts.values())
+        fam = np.array(families, dtype=np.intp)
+        boost_sum = np.zeros(len(fam))
+        for j in range(1, k + 1):  # parent by parent, as a running sum
+            boost_sum = boost_sum + boost[fam[:, 0], fam[:, j]]
+        penalized = (
+            _family_lls(bits, weights, fam) - cfg.kappa * log_n * 2 ** k
+            - cfg.psi2 * boost_sum
+        )
+        for (i, *pa), score in zip(families, penalized.tolist()):
+            scores[i][frozenset(pa)] = score
     return ParentSetScoreTable(
         n=n, scores=scores, constant=constant,
         variable_names=data.variable_names,

@@ -1,6 +1,7 @@
 import logging
 import math
 import re
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -13,8 +14,11 @@ from bnboost.dist2x2 import JointDist2x2, mi_from_counts, mutual_information
 from bnboost.scoring import (
     ParentSetScoreTable,
     ScoreConfig,
+    _bincount,
+    _by_prefix,
     _count,
     _distinct_rows,
+    _gram_count,
     _joint_probabilities,
     build_parent_set_scores,
     dim,
@@ -292,23 +296,79 @@ def random_rows(n_rows, n_vars, seed):
     random_rows(400, 70, seed=4),
     random_rows(1, 5, seed=5),
     np.tile(random_rows(1, 10, seed=6), (100, 1)),
-], ids=["n1", "n3", "n8-chunked", "n70-two-words", "N1", "identical-rows"])
+    random_rows(20_000, 18, seed=7),
+], ids=["n1", "n3", "n8-chunked", "n70-two-words", "N1", "identical-rows",
+        "n18-many-products"])
 def test_batched_counts_match_bincount(rows):
     rows = rows.astype(np.uint8)
     n = rows.shape[1]
     bits, weights = _distinct_rows(rows)
+    assert weights.dtype == np.int64
     distinct, counts = np.unique(rows, axis=0, return_counts=True)
     assert sorted(zip(map(tuple, bits.T.tolist()), weights.tolist())) == sorted(
         zip(map(tuple, distinct.tolist()), counts.tolist())
     )
     rng = np.random.default_rng(n)
-    for k in range(min(n, 4) + 1):
+    for k in range(min(n, 5) + 1):
         colsets = np.array(
             [rng.choice(n, size=k, replace=False) for _ in range(300)]
             + [list(range(n - k, n))]  # the last columns: the second word at n = 70
         ).reshape(301, k)
         want = np.array([bincount_reference(rows, cs) for cs in colsets])
         assert (_count(bits, weights, colsets) == want).all()
+        assert (_bincount(bits, weights, colsets) == want).all()
+        if k >= 2:  # both routes, whichever _count takes
+            gram = _gram_count(bits, weights, colsets, *_by_prefix(colsets, n))
+            assert (gram == want).all()
+
+
+def family_colsets(n, k):
+    return np.array([
+        (i, *pa) for i in range(n)
+        for pa in combinations([v for v in range(n) if v != i], k - 1)
+    ])
+
+
+def test_count_takes_gram_products_only_where_they_pay(monkeypatch):
+    calls = []
+    monkeypatch.setattr(scoring, "_gram_count",
+                        lambda *args: calls.append(args[2].shape) or _gram_count(*args))
+    big = random_rows(20_000, 12, seed=8).astype(np.uint8)
+    small = random_rows(200, 5, seed=9).astype(np.uint8)
+    for rows in (big, small):
+        bits, weights = _distinct_rows(rows)
+        for k in (1, 2, 3):
+            colsets = family_colsets(rows.shape[1], k)
+            want = np.array([bincount_reference(rows, cs) for cs in colsets])
+            assert (_count(bits, weights, colsets) == want).all()
+        # probabilities keep the bincount route whatever the size
+        _count(bits, weights / len(rows), family_colsets(rows.shape[1], 3))
+    # the two families of 12 children with 1 and 2 parents; no other call
+    assert calls == [(132, 2), (660, 3)]
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_gram_count_temporaries_stay_cache_sized(k):
+    data = sample(random_network(18, 2, seed=131), 2000, seed=132)
+    bits, weights = _distinct_rows(data.rows)
+    assert bits.shape[1] > 1900
+    if k == 3:  # the families of 18 children with two parents
+        colsets = family_colsets(18, 3)
+    else:  # the strata of every pair given a separating set of two
+        colsets = np.array([
+            (b, a, *sep) for a, b in combinations(range(18), 2)
+            for sep in combinations([v for v in range(18) if v not in (a, b)], 2)
+        ])
+    ordered = _by_prefix(colsets, 18)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = _gram_count(bits, weights, colsets, *ordered)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    # beyond the (M, 2^k) result: about 0.9 MiB at k = 3 and 1.6 MiB at k = 4
+    assert peak - out.nbytes < 2.5 * 2 ** 20, (peak - out.nbytes) / 2 ** 20
 
 
 def strength_reference(states, probs, a, b, d):
@@ -355,27 +415,29 @@ def test_weighted_counts_and_edge_strength_match_per_set_reference(monkeypatch):
     assert len(calls) == 3
 
 
-@pytest.mark.parametrize("psi2", [0.0, 1.0])
-def test_parent_set_scores_match_per_family_reference(table, psi2):
+@pytest.mark.parametrize("psi2, d", [(0.0, 2), (1.0, 2), (1.0, 3)],
+                         ids=["0.0", "1.0", "1.0-d3"])
+def test_parent_set_scores_match_per_family_reference(table, psi2, d):
     data = sample(random_network(6, 2, seed=121), 500, seed=122)
-    cfg = ScoreConfig(psi2=psi2)
+    cfg = ScoreConfig(psi2=psi2, d=d)
     pst = build_parent_set_scores(data, table if psi2 else None, cfg)
     boosts = {
         (a, b): boost_reference(data, a, b, table, cfg.d) if psi2 else 0.0
         for a, b in combinations(range(6), 2)
     }
     assert pst.constant == pytest.approx(psi2 * sum(boosts.values()), rel=1e-12)
+    # the batched boosts, charged in the order ll - kappa ln N 2^k - psi2 * sum
+    batched = pair_boosts(data, table, cfg) if psi2 else boosts
     for i in range(6):
         others = [v for v in range(6) if v != i]
-        families = [pa for k in range(3) for pa in combinations(others, k)]
+        families = [pa for k in range(d + 1) for pa in combinations(others, k)]
         assert list(pst.scores[i]) == [frozenset(pa) for pa in families]
         for pa in families:
             bic = family_ll_reference(data, i, pa) - cfg.kappa * math.log(500) * 2 ** len(pa)
             want = bic - psi2 * sum(boosts[tuple(sorted((i, j)))] for j in pa)
-            if psi2:
-                assert pst.scores[i][frozenset(pa)] == pytest.approx(want, rel=1e-12)
-            else:
-                assert pst.scores[i][frozenset(pa)] == want
+            assert pst.scores[i][frozenset(pa)] == pytest.approx(want, rel=1e-12)
+            exact = bic - psi2 * sum(batched[tuple(sorted((i, j)))] for j in pa)
+            assert pst.scores[i][frozenset(pa)] == exact
 
 
 # ----------------------------------------------------------------- total score
