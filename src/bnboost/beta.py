@@ -213,21 +213,21 @@ def _log_path_integrand(t: np.ndarray, n: int, ln_ref: np.ndarray) -> np.ndarray
     return -n * kl - 0.5 * np.log(cells).sum(axis=0)
 
 
-def _sigma_t(n: int, t_gamma: float, ln_ref: np.ndarray, floor: float = 1e-4) -> float:
+def _sigma_t(n: int, t_gamma: float, ln_ref: np.ndarray) -> float:
     """Width of the integrand peak next to the acceptance boundary.
 
     Scans 64 points on (0, t_gamma) and measures how far the integrand
     stays within e^{-1/2} of its maximum. The result is never taken below
-    1/(4*sqrt(n)), the t-direction curvature scale of exp(-n*KL): a
-    narrower Gaussian proposal has lighter tails than the integrand and
-    its importance weights lose finite variance.
+    1/(4*sqrt(n)), the t-direction curvature scale of exp(-n*KL), or below
+    1e-4: a narrower Gaussian proposal has lighter tails than the integrand
+    and its importance weights lose finite variance.
     """
     ts = t_gamma * np.arange(1, 65) / 65.0
     logf = _log_path_integrand(ts, n, ln_ref)
     top = int(np.argmax(logf))
     above = np.nonzero(logf >= logf[top] - 0.5)[0]
     width = float(ts[top] - ts[int(above[0])])
-    return max(width, 0.25 / math.sqrt(n), floor)
+    return max(width, 0.25 / math.sqrt(n), 1e-4)
 
 
 def beta_mc(

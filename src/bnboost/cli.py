@@ -89,10 +89,8 @@ def _cmd_score(args) -> int:
     data = load_dataset(args.data)
     table = load_table(args.beta_table) if args.beta_table else None
     eta = args.eta
-    if eta is None:
-        if table is None:
-            raise SystemExit("--eta is required when no --beta-table is given")
-        eta = table.eta
+    if eta is None:  # without a table only BIC runs, and it reads no eta
+        eta = table.eta if table is not None else ScoreConfig.eta
     if table is not None and abs(table.eta - eta) > 1e-12:
         raise SystemExit(
             f"--eta {eta} does not match the beta table's eta {table.eta}"

@@ -10,14 +10,18 @@ With bounded-size separating sets the per-pair reward does not depend on
 the candidate graph, so the whole score decomposes into per-family terms
 (ParentSetScoreTable) that combinatorial search can consume directly.
 
+The strata of each separating-set size k form regular (pairs, sets, 2^k)
+arrays, so a reward is a min and two maxes along their axes, and one
+batched -ln(beta) query covers every size. Families, strata and
+edge_strength take their column sets from one enumerator (_column_sets).
+
 Every contingency table comes from one counting kernel (_count) over the
-dataset's distinct rows. Their multiplicities are int64, and large calls
-count them with Gram products (BLAS matrix products) grouped by shared
-columns, small ones with one bincount. Every count is an integer below
-2^53, which float64 holds exactly in any summation order, so tables, family
-log-likelihoods, boosts and scores are bit-equal on both routes.
-Probability weights (edge_strength's exact joint) are float64 and always
-take the bincount, whose column-order sums do not depend on the BLAS.
+dataset's distinct rows: Gram products (BLAS matrix products) for large
+calls on their int64 multiplicities, one bincount for the rest. A count is
+an integer below 2^53, which float64 holds exactly in any summation order,
+so both routes give bit-equal tables, log-likelihoods, boosts and scores.
+Probability weights (edge_strength's exact joint) always take the
+bincount, whose column-order sums do not depend on the BLAS.
 """
 
 from __future__ import annotations
@@ -33,9 +37,7 @@ from .beta import BetaTable, neg_ln_beta_batch
 from .data import BinaryDataset, Dag, Network
 from .dist2x2 import JointDist2x2, mi_from_counts_batch, mutual_information
 
-# Not called here. perfbench/tracing.py still wraps these two names in this
-# module and fails to install without them; its beta.query.* and
-# mi_from_counts counts read 0 until it wraps neg_ln_beta_batch instead.
+# Not called here; perfbench/tracing.py wraps both names in this module.
 from .beta import query_neg_ln_beta  # noqa: F401
 from .dist2x2 import mi_from_counts  # noqa: F401
 
@@ -244,53 +246,64 @@ def dim(dag: Dag) -> int:
     return sum(2 ** dag.in_degree(i) for i in range(dag.n))
 
 
-def _strata(bits, weights, pairs, d: int):
-    """N_s and the empirical MI of a and b given S = s, for each pair (a, b)
-    in pairs, each separating set S (|S| <= d) of the other variables and
-    each assignment s, stacked in that order; with the first stratum of
-    each separating set and the first separating set of each pair. MI reads
-    0 where N_s = 0. The counts come from one kernel call per set size."""
-    by_size: dict[int, list] = {}  # k -> [(set index, (b, a, *S))]
-    sizes, pair_starts = [], []
-    for a, b in pairs:
-        rest = [v for v in range(bits.shape[0]) if v != a and v != b]
-        pair_starts.append(len(sizes))
-        for k in range(min(d, len(rest)) + 1):
-            for sep in combinations(rest, k):
-                # cells (s, a, b): b is bit 0, a bit 1, the separating set above
-                by_size.setdefault(k, []).append((len(sizes), (b, a, *sep)))
-                sizes.append(k)
-    starts = np.cumsum([0] + [1 << k for k in sizes])
-    counts = np.zeros((starts[-1], 4), dtype=np.int64)
-    for k, group in by_size.items():
-        sets, colsets = zip(*group)
-        rows = starts[list(sets)][:, None] + np.arange(1 << k)
-        counts[rows.ravel()] = _count(bits, weights, np.array(colsets)).reshape(-1, 4)
-    mi = mi_from_counts_batch(*counts.T)
-    return counts.sum(axis=1), mi, starts[:-1], np.array(pair_starts, int)
+def _column_sets(n: int, leads: np.ndarray, k: int) -> np.ndarray:
+    """Each row of leads (L, m) followed by every k-subset (k <= n - m) of
+    the other columns 0..n-1, in combinations order: an (L * C(n - m, k),
+    m + k) array holding all of one lead's sets together."""
+    others = [[v for v in range(n) if v not in lead] for lead in leads.tolist()]
+    subsets = list(combinations(range(n - leads.shape[1]), k))
+    sets = np.array(others, dtype=np.intp)[:, np.array(subsets, dtype=np.intp)]
+    heads = np.broadcast_to(leads[:, None], (*sets.shape[:2], leads.shape[1]))
+    return np.concatenate((heads, sets), axis=2).reshape(-1, leads.shape[1] + k)
 
 
-def _reduce_boosts(table: BetaTable, n_s, mi, set_starts, pair_starts) -> np.ndarray:
-    """max over separating sets of the min over their assignments of
-    -ln(beta) at (N_s, MI); an assignment never seen gives 0."""
-    if pair_starts.size == 0:
-        return np.zeros(0)
-    seen = n_s > 0
-    values = np.zeros(n_s.shape)
-    values[seen] = neg_ln_beta_batch(table, n_s[seen], mi[seen])
-    return np.maximum.reduceat(np.minimum.reduceat(values, set_starts), pair_starts)
-
-
-def _log_strata(table: BetaTable, n_s, mi, set_starts, pair_starts) -> None:
+def _log_strata(table: BetaTable, n_s, mi, shapes) -> None:
     seen = n_s > 0
     interpolated = n_s[seen & (mi < table.eta)]  # the rest read 0, whatever N_s
     log.debug(
         "pair_boosts: %d pairs, %d separating sets, %d tables, %d queries "
         "(%d below eta: %d above and %d below the N grid), %d unseen assignments",
-        pair_starts.size, set_starts.size, n_s.size, int(seen.sum()),
+        shapes[0][0], sum(p * c for p, c, _ in shapes), n_s.size, int(seen.sum()),
         interpolated.size, int((interpolated > table.N_grid[-1]).sum()),
         int((interpolated < table.N_grid[0]).sum()), int((~seen).sum()),
     )
+
+
+def _boosts(table: BetaTable, bits, weights, pairs, d: int) -> np.ndarray:
+    """Boost of each pair (a, b) in pairs: the max over separating sets S
+    (|S| <= d) of the other variables of the min over assignments s of
+    -ln(beta) at (N_s, MI of a and b given S = s), an assignment never seen
+    giving 0. Each set size k holds its strata as (pairs, sets, 2^k) arrays
+    from one kernel call; one query covers the strata of every size."""
+    if not pairs:
+        return np.zeros(0)
+    n = bits.shape[0]
+    leads = np.array(pairs, dtype=np.intp)[:, ::-1]
+    shapes, n_s, mi = [], [], []  # MI reads 0 where N_s = 0
+    for k in range(min(d, n - 2) + 1):
+        # cells (s, a, b): b is bit 0, a bit 1, the separating set above
+        counts = _count(bits, weights, _column_sets(n, leads, k)).astype(np.int64)
+        counts = np.moveaxis(counts.reshape(len(pairs), -1, 1 << k, 4), 3, 0)
+        shapes.append(counts.shape[1:])
+        n_s.append(counts.sum(axis=0).ravel())
+        mi.append(mi_from_counts_batch(*counts).ravel())
+    n_s, mi = np.concatenate(n_s), np.concatenate(mi)
+    if log.isEnabledFor(logging.DEBUG):
+        _log_strata(table, n_s, mi, shapes)
+    seen = n_s > 0
+    values = np.zeros(n_s.shape)
+    values[seen] = neg_ln_beta_batch(table, n_s[seen], mi[seen])
+    ends = np.cumsum([math.prod(shape) for shape in shapes])[:-1]
+    return np.max([v.reshape(shape).min(axis=2).max(axis=1)
+                   for v, shape in zip(np.split(values, ends), shapes)], axis=0)
+
+
+def _check_table(table: BetaTable | None, cfg: ScoreConfig) -> None:
+    """The boost needs a beta table built for the score's eta."""
+    if table is None:
+        raise ValueError("a beta table is required when psi2 > 0")
+    if abs(table.eta - cfg.eta) > 1e-12:
+        raise ValueError(f"beta table eta {table.eta!r} != score eta {cfg.eta!r}")
 
 
 def pair_boosts(data: BinaryDataset, table: BetaTable, cfg: ScoreConfig) -> dict:
@@ -298,11 +311,10 @@ def pair_boosts(data: BinaryDataset, table: BetaTable, cfg: ScoreConfig) -> dict
     of the min over assignments s of -ln(beta) at (N_s, MI of a and b given
     S = s), an assignment never seen giving 0. It does not depend on the
     graph."""
+    _check_table(table, cfg)
     pairs = list(combinations(range(data.n_vars), 2))
-    strata = _strata(*_distinct_rows(data.rows), pairs, cfg.d)
-    if log.isEnabledFor(logging.DEBUG):
-        _log_strata(table, *strata)
-    return dict(zip(pairs, _reduce_boosts(table, *strata).tolist()))
+    boosts = _boosts(table, *_distinct_rows(data.rows), pairs, cfg.d)
+    return dict(zip(pairs, boosts.tolist()))
 
 
 def total_score(
@@ -321,10 +333,9 @@ def total_score(
     score -= cfg.kappa * math.log(data.n_rows) * dim(dag)
     if cfg.psi2 == 0.0:
         return score
-    if table is None:
-        raise ValueError("a beta table is required when psi2 > 0")
+    _check_table(table, cfg)
     pairs = [p for p in combinations(range(dag.n), 2) if not dag.adjacent(*p)]
-    boost = sum(_reduce_boosts(table, *_strata(bits, weights, pairs, cfg.d)).tolist())
+    boost = sum(_boosts(table, bits, weights, pairs, cfg.d).tolist())
     return score + cfg.psi2 * boost
 
 
@@ -383,8 +394,6 @@ def build_parent_set_scores(
     boost = np.zeros((n, n))  # boost[i, j]: the boost of the pair {i, j}
     constant = 0.0
     if cfg.psi2 > 0.0:
-        if table is None:
-            raise ValueError("a beta table is required when psi2 > 0")
         boosts = pair_boosts(data, table, cfg)
         if boosts:
             a, b = np.array(list(boosts)).T
@@ -394,11 +403,7 @@ def build_parent_set_scores(
     bits, weights = _distinct_rows(data.rows)
     scores: dict[int, dict[frozenset, float]] = {i: {} for i in range(n)}
     for k in range(min(cfg.d, n - 1) + 1):
-        families = [
-            (i, *pa) for i in range(n)
-            for pa in combinations([v for v in range(n) if v != i], k)
-        ]
-        fam = np.array(families, dtype=np.intp)
+        fam = _column_sets(n, np.arange(n)[:, None], k)
         boost_sum = np.zeros(len(fam))
         for j in range(1, k + 1):  # parent by parent, as a running sum
             boost_sum = boost_sum + boost[fam[:, 0], fam[:, j]]
@@ -406,7 +411,7 @@ def build_parent_set_scores(
             _family_lls(bits, weights, fam) - cfg.kappa * log_n * 2 ** k
             - cfg.psi2 * boost_sum
         )
-        for (i, *pa), score in zip(families, penalized.tolist()):
+        for (i, *pa), score in zip(fam.tolist(), penalized.tolist()):
             scores[i][frozenset(pa)] = score
     return ParentSetScoreTable(
         n=n, scores=scores, constant=constant,
@@ -450,20 +455,14 @@ def edge_strength(net: Network, a: int, b: int, d: int) -> float:
     if a == b or not (0 <= a < n and 0 <= b < n):
         raise ValueError(f"bad pair ({a}, {b})")
     states, probs = _joint_probabilities(net)
-    others = [v for v in range(n) if v != a and v != b]
 
     best = math.inf
-    for k in range(min(d, len(others)) + 1):
+    for k in range(min(d, n - 2) + 1):
         # one call per set size, so a pair separated by a small set stops early
-        colsets = np.array([(b, a, *sep) for sep in combinations(others, k)])
+        colsets = _column_sets(n, np.array([[b, a]]), k)
         for mass in _count(states, probs, colsets).reshape(len(colsets), -1, 4):
-            worst = 0.0
-            for cell in mass:
-                total = cell.sum()
-                if total <= 0.0:
-                    continue
-                q = cell / total
-                worst = max(worst, mutual_information(JointDist2x2(*q)))
+            worst = max((mutual_information(JointDist2x2(*(cell / cell.sum())))
+                         for cell in mass if cell.sum() > 0.0), default=0.0)
             best = min(best, worst)
             if best == 0.0:  # no later set can go lower
                 return 0.0

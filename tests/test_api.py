@@ -11,12 +11,15 @@ import importlib.util
 import os
 import subprocess
 import sys
+from itertools import combinations
 from pathlib import Path
 
 import pytest
 
 import bnboost
-from bnboost import evaluate
+from bnboost import evaluate, scoring
+from bnboost.beta import build_table
+from bnboost.data import random_network, sample
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 MODULES = ("dist2x2", "beta", "data", "scoring", "search", "evaluate")
@@ -69,6 +72,27 @@ def test_run_experiment_calls_through_evaluate_globals(monkeypatch):
     assert len(built) == 1 and len(searched) == 1
     assert row["dag"] is searched[0].dag
     assert row["total_score"] == searched[0].score
+
+
+def test_build_calls_pair_boosts_through_scoring_globals(monkeypatch):
+    """perfbench times the scoring.pair_boosts span and counts
+    scoring.pairs by swapping this name in bnboost.scoring; a build that
+    stopped calling it there, or once per boosted build, would leave both
+    reading wrong."""
+    boosts, got = scoring.pair_boosts, []
+
+    def recording_boosts(data, table, cfg):
+        got.append(boosts(data, table, cfg))
+        return got[-1]
+
+    monkeypatch.setattr(scoring, "pair_boosts", recording_boosts)
+    data = sample(random_network(4, 2, seed=3), 200, seed=4)
+    table = build_table(0.01, N_grid=[50, 200], gamma_grid=[0.0, 0.005], samples=1000)
+    scoring.build_parent_set_scores(data, table, scoring.ScoreConfig())
+    assert len(got) == 1 and isinstance(got[0], dict)
+    assert list(got[0]) == list(combinations(range(4), 2))
+    scoring.build_parent_set_scores(data, None, scoring.ScoreConfig(psi2=0.0))
+    assert len(got) == 1
 
 
 def test_import_and_table_build_load_no_scipy():

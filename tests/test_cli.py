@@ -105,6 +105,19 @@ def test_score_requires_table_for_boost(tmp_path):
             "--out", tmp_path / "s.txt")
 
 
+def test_bic_score_needs_no_eta(tmp_path):
+    net = tmp_path / "net.json"
+    data = tmp_path / "data.csv"
+    run("--quiet", "gen-net", "--n", 4, "--d", 2, "--seed", 1, "--out", net)
+    run("--quiet", "gen-data", "--net", net, "--rows", 300, "--seed", 2, "--out", data)
+    with_eta, without = tmp_path / "with.txt", tmp_path / "without.txt"
+    assert run("--quiet", "score", "--data", data, "--psi2", 0, "--eta", 0.01,
+               "--out", with_eta) == 0
+    assert run("--quiet", "score", "--data", data, "--psi2", 0,
+               "--out", without) == 0
+    assert with_eta.read_bytes() == without.read_bytes()
+
+
 def test_score_rejects_eta_mismatch(tmp_path):
     net = tmp_path / "net.json"
     data = tmp_path / "data.csv"

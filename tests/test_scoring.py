@@ -2,6 +2,7 @@ import logging
 import math
 import re
 import tracemalloc
+from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
@@ -280,6 +281,49 @@ def test_pair_boosts_logs_batch_counts_at_debug(table, caplog):
     assert record.getMessage() == (
         "pair_boosts: 3 pairs, 6 separating sets, 9 tables, 8 queries "
         "(6 below eta: 0 above and 6 below the N grid), 1 unseen assignments"
+    )
+
+
+def test_boosted_table_of_one_variable(table):
+    data = BinaryDataset(("A",), np.array([[0], [1], [1]]))
+    empty = Dag(1, frozenset())
+    assert pair_boosts(data, table, ScoreConfig()) == {}
+    assert build_parent_set_scores(data, table, ScoreConfig()).constant == 0.0
+    assert total_score(data, empty, table, ScoreConfig()) == total_score(
+        data, empty, None, ScoreConfig(psi2=0.0)
+    )
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_separating_sets_above_n_minus_2_change_nothing(table, n):
+    data = sample(random_network(n, 1, seed=70 + n), 300, seed=72)
+    empty = Dag(n, frozenset())
+    wide, tight = ScoreConfig(d=5), ScoreConfig(d=n - 2)
+    assert pair_boosts(data, table, wide) == pair_boosts(data, table, tight)
+    assert (build_parent_set_scores(data, table, wide).constant
+            == build_parent_set_scores(data, table, tight).constant)
+    assert (total_score(data, empty, table, wide)
+            == total_score(data, empty, table, tight))
+
+
+def test_boosted_score_rejects_table_of_other_eta(table, four_rows):
+    other = ScoreConfig(eta=0.05)
+    empty = Dag(2, frozenset())
+    for score in (
+        lambda: build_parent_set_scores(four_rows, table, other),
+        lambda: total_score(four_rows, empty, table, other),
+        lambda: pair_boosts(four_rows, table, other),
+    ):
+        with pytest.raises(ValueError, match=r"0\.01.*0\.05"):
+            score()
+    # BIC reads no eta, and the tolerance matches cli score's
+    bic = replace(other, psi2=0.0)
+    assert total_score(four_rows, empty, table, bic) == total_score(
+        four_rows, empty, None, bic
+    )
+    close = ScoreConfig(eta=table.eta + 1e-13)
+    assert pair_boosts(four_rows, table, close) == pair_boosts(
+        four_rows, table, ScoreConfig()
     )
 
 
