@@ -9,14 +9,17 @@ Three routes are provided, in increasing applicability:
   beta_exact       sums over type classes with multinomial weights, walked
                    by their margins (r0, c0) and, by Pinsker's inequality,
                    only over the band |t00 - r0*c0/N| <= N*sqrt(gamma/8);
-                   cost grows ~N^3 with N; log-factorials from math.lgamma
+                   cost grows ~N^3 with N; log-factorials from math.lgamma;
+                   only the weights and MIs of a batch's types span the
+                   batch, the rest works in sub-ranges of about 2^14 types
   beta_mc          importance-sampled Monte Carlo estimate of the continuous
                    relaxation of the type sum, cost independent of N; the
                    draws are weighted in cache-sized blocks of samples
 
 BetaTable precomputes -ln(beta) on an (N, gamma) grid for one eta so that
 scoring can answer interpolated queries cheaply, a whole array of them per
-neg_ln_beta_batch call.
+neg_ln_beta_batch call. A build's Monte Carlo cells share one set of draw,
+weight and block arrays.
 """
 
 from __future__ import annotations
@@ -64,7 +67,8 @@ BETA_EXACT_MAX_N = 2000
 ESS_FLOOR = 100.0  # beta_mc fails below this effective sample size
 BRUTE_MAX_N = 8
 ETA_CONJECTURE_LIMIT = 0.11  # proposal centering is only validated below this
-_BATCH_ELEMENTS = 1 << 19  # cache-friendly enumeration batches
+_BATCH_ELEMENTS = 1 << 19  # band slots per batch of the exact margin walk
+_SUB_ELEMENTS = 1 << 14  # types per cache-sized sub-range of a batch
 _MC_BLOCK = 8192  # beta_mc samples per block, sized to stay in cache
 
 
@@ -125,7 +129,10 @@ def _beta_exact_multi(n: int, gammas, ref: JointDist2x2) -> np.ndarray:
 
     By Pinsker's inequality MI <= gamma forces |t00 - r0*c0/n| <= n*sqrt(gamma/8),
     so for each margin pair (r0, c0) only the t00 in that band are visited;
-    the MI test then decides each of them.
+    the MI test then decides each of them. The pairs go in batches of up to
+    _BATCH_ELEMENTS band slots; only the weights and MIs of a batch's types
+    span the batch, filled one sub-range of about _SUB_ELEMENTS types at a
+    time, so each gamma sums the same arrays in the same order at any size.
     """
     gam = np.asarray(gammas, dtype=np.float64)
     half = n * math.sqrt(gam.max() / 8.0) * (1.0 + 1e-9)  # slack for rounding
@@ -138,11 +145,20 @@ def _beta_exact_multi(n: int, gammas, ref: JointDist2x2) -> np.ndarray:
         center = r0 * c0 / n
         t_lo = np.maximum(np.ceil(center - half), np.maximum(r0 + c0 - n, 0))
         t_hi = np.minimum(np.floor(center + half), np.minimum(r0, c0))
-        run, k = _runs(np.maximum(t_hi - t_lo + 1, 0).astype(np.int64))
-        cells, w = _type_weights(
-            lgf, ref, t_lo.astype(np.int64)[run] + k, r0[run], c0[run]
-        )
-        mi = mi_from_counts_batch(*cells)
+        counts = np.maximum(t_hi - t_lo + 1, 0).astype(np.int64)
+        t_lo = t_lo.astype(np.int64)
+        off = np.concatenate(([0], np.cumsum(counts)))  # each pair's first type
+        w = np.empty(off[-1])
+        mi = np.empty(off[-1])
+        # a sub-range starts at the first pair at or past each multiple of
+        # _SUB_ELEMENTS types
+        cuts = np.searchsorted(off, np.arange(0, off[-1], _SUB_ELEMENTS)).tolist()
+        for a, b in zip(cuts, cuts[1:] + [counts.size]):
+            run, k = _runs(counts[a:b])
+            cells, w[off[a]:off[b]] = _type_weights(
+                lgf, ref, t_lo[a:b][run] + k, r0[a:b][run], c0[a:b][run]
+            )
+            mi[off[a]:off[b]] = mi_from_counts_batch(*cells)
         for j, g in enumerate(gam):
             acc[j] += w[mi <= g].sum()
     return np.minimum(acc, 1.0)
@@ -230,12 +246,57 @@ def _sigma_t(n: int, t_gamma: float, ln_ref: np.ndarray) -> float:
     return max(width, 0.25 / math.sqrt(n), 1e-4)
 
 
+def _check_samples_seed(samples, seed) -> None:
+    for name, value, low in (("samples", samples, 1), ("seed", seed, 0)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+            raise ValueError(f"{name}={value!r} must be an integer >= {low}")
+
+
+class _McWork:
+    """What the Monte Carlo cells of one table build share: the logs of the
+    reference cells, t_gamma per gamma, and the arrays every beta_mc call
+    overwrites. The draw and weight arrays follow the call's sample count;
+    the block arrays hold _MC_BLOCK samples each."""
+
+    def __init__(self, ref: JointDist2x2, t_of: dict):
+        self.ln_ref = np.log(np.asarray(ref.cells))[:, None]
+        self.t_of = t_of  # gamma -> t_gamma
+        self.z = np.empty((3, 0))
+        self.w = np.empty(0)
+        self.p = np.empty((3, _MC_BLOCK))  # pa, pb, tt
+        self.q = np.empty((4, _MC_BLOCK))  # cells of the drawn distributions
+        self.lnq = np.empty((4, _MC_BLOCK))
+        self.denom = np.empty((4, _MC_BLOCK))  # cells of the margins' product
+        self.tmp = np.empty((4, _MC_BLOCK))
+        self.marg = np.empty((2, 2, _MC_BLOCK))  # (a, 1 - a), (b, 1 - b)
+        self.vec = np.empty((3, _MC_BLOCK))  # log proposal density, mi, log integrand
+        self.ok = np.empty((4, _MC_BLOCK), dtype=bool)
+
+    def draws(self, samples: int, seed: int):
+        """The (3, samples) standard normal draws of seed, and a weight array."""
+        if self.w.size != samples:
+            self.z = np.empty((3, samples))
+            self.w = np.empty(samples)
+        np.random.default_rng(seed).standard_normal(out=self.z)
+        return self.z, self.w
+
+
+def _product_cells(marg: np.ndarray, out: np.ndarray) -> None:
+    """Cells (a*b, a*(1-b), (1-a)*b, (1-a)*(1-b)) into out, shape (4, k), for
+    the margins a = marg[0, 0] and b = marg[1, 0]; fills marg[:, 1] with
+    1 - a and 1 - b on the way."""
+    np.subtract(1, marg[:, 0], out=marg[:, 1])
+    np.multiply(marg[0, :, None], marg[1, None, :], out=out.reshape(2, 2, -1))
+
+
 def beta_mc(
     n: int,
     gamma: float,
     eta: float,
     samples: int = 100_000,
     seed: int = 0,
+    *,
+    _work: _McWork | None = None,
 ) -> float:
     """Importance-sampled estimate of beta(n, gamma) against the eta reference.
 
@@ -246,10 +307,10 @@ def beta_mc(
     Gaussian at t_gamma with width measured from the integrand peak. The
     (pA0, pB0, t) chart has unit Jacobian, so no volume correction appears.
     Deterministic given seed; raises EffectiveSampleSizeError when the
-    effective sample size falls below ESS_FLOOR.
+    effective sample size falls below ESS_FLOOR. build_table passes _work
+    so that its cells share one set of arrays; it does not change the result.
     """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
+    _check_samples_seed(samples, seed)
     if not (0.0 < eta < MI_UPPER):
         raise ValueError(f"eta={eta!r} outside (0, ln 2)")
     if not (0.0 < gamma < eta):
@@ -260,53 +321,85 @@ def beta_mc(
     if n < 1:
         raise ValueError(f"n={n} must be >= 1")
 
-    ref = reference_dist(eta)
-    ln_ref = np.log(np.asarray(ref.cells))
-    t_gamma = find_t_plus(gamma)
+    work = _work
+    if work is None:
+        work = _McWork(reference_dist(eta), {gamma: find_t_plus(gamma)})
+    t_gamma = work.t_of[gamma]
     sm = _sigma_marginal(n)
-    st = _sigma_t(n, t_gamma, ln_ref)
-
-    def log_norm_pdf(x, mu, sigma):
-        return -0.5 * ((x - mu) / sigma) ** 2 - math.log(sigma * math.sqrt(2 * math.pi))
+    st = _sigma_t(n, t_gamma, work.ln_ref[:, 0])
+    # the Gaussian proposal's mean, width and log normaliser for (pa, pb, tt)
+    mu = np.array([[0.5], [0.5], [t_gamma]])
+    sigma = np.array([[sm], [sm], [st]])
+    log_norm = np.array([[math.log(s * math.sqrt(2 * math.pi))] for s in (sm, sm, st)])
+    log_scale = 1.5 * math.log(n / (2 * math.pi))
 
     # the stream of three rng.normal(loc, scale, samples) calls, one block of
-    # samples at a time; w collects the weights of the valid draws in order
-    z = np.random.default_rng(seed).standard_normal((3, samples))
-    w = np.empty(samples)
+    # samples at a time; w collects the weights of the valid draws in order.
+    # Each step writes into the work arrays but keeps the operations, and
+    # their order, of the unblocked estimator (the tests' mc_reference), so
+    # every weight has the same bits.
+    z, w = work.draws(samples, seed)
     m = 0
     for lo in range(0, samples, _MC_BLOCK):
         zb = z[:, lo:lo + _MC_BLOCK]
-        pa = 0.5 + sm * zb[0]
-        pb = 0.5 + sm * zb[1]
-        tt = t_gamma + st * zb[2]
-        q = np.stack([pa * pb + tt, pa * (1 - pb) - tt, (1 - pa) * pb - tt,
-                      (1 - pa) * (1 - pb) + tt])
-        valid = (q > 0.0).all(axis=0)
+        k = zb.shape[1]
+        p, q, ok = work.p[:, :k], work.q[:, :k], work.ok[:, :k]
+        np.multiply(zb, sigma, out=p)
+        np.add(p, mu, out=p)  # pa = 0.5 + sm*z0, pb = 0.5 + sm*z1, tt = t_gamma + st*z2
+        marg = work.marg[:, :, :k]
+        np.copyto(marg[:, 0], p[:2])
+        _product_cells(marg, q)
+        np.add(q[0::3], p[2], out=q[0::3])
+        np.subtract(q[1:3], p[2], out=q[1:3])
+        np.greater(q, 0.0, out=ok)
+        valid = ok.all(axis=0)
         if not valid.all():
-            q, pa, pb, tt = q[:, valid], pa[valid], pb[valid], tt[valid]
+            k = int(np.count_nonzero(valid))
+            p[:, :k] = p[:, valid]
+            q[:, :k] = q[:, valid]
+            p, q, ok, marg = p[:, :k], q[:, :k], ok[:, :k], marg[:, :, :k]
+        log_g, mi, log_f = work.vec[:, :k]
+        lnq, denom, tmp = work.lnq[:, :k], work.denom[:, :k], work.tmp[:, :k]
+
+        # log_g = sum over (pa, pb, tt) of -0.5*((x - mu)/sigma)**2 - log_norm
+        d = tmp[:3]
+        np.subtract(p, mu, out=d)
+        np.divide(d, sigma, out=d)
+        np.square(d, out=d)
+        np.multiply(d, -0.5, out=d)
+        np.subtract(d, log_norm, out=d)
+        np.add(d[0], d[1], out=log_g)
+        np.add(log_g, d[2], out=log_g)
 
         with np.errstate(divide="ignore", invalid="ignore"):
-            lnq = np.log(q)
-            ra = q[0] + q[1]
-            rb = q[0] + q[2]
-            denom = np.stack([ra * rb, ra * (1 - rb), (1 - ra) * rb,
-                              (1 - ra) * (1 - rb)])
-            mi = (q * (lnq - np.log(denom))).sum(axis=0)
-            kl = (q * (lnq - ln_ref[:, None])).sum(axis=0)
-            log_integrand = (1.5 * math.log(n / (2 * math.pi)) - n * kl
-                             - 0.5 * lnq.sum(axis=0))
+            np.log(q, out=lnq)
+            np.add(q[0], q[1:3], out=marg[:, 0])  # row and column margins
+            _product_cells(marg, denom)
+            np.log(denom, out=denom)
+            np.subtract(lnq, denom, out=denom)
+            np.multiply(q, denom, out=denom)
+            denom.sum(axis=0, out=mi)  # sum of q*ln(q/denom)
+            np.subtract(lnq, work.ln_ref, out=tmp)
+            np.multiply(q, tmp, out=tmp)
+            tmp.sum(axis=0, out=log_f)  # KL(q||ref)
+            np.multiply(log_f, n, out=log_f)
+            np.subtract(log_scale, log_f, out=log_f)
+            lnq_sum = lnq.sum(axis=0, out=tmp[0])
+            np.multiply(lnq_sum, 0.5, out=lnq_sum)
+            np.subtract(log_f, lnq_sum, out=log_f)  # log integrand
 
-        log_g = (
-            log_norm_pdf(pa, 0.5, sm)
-            + log_norm_pdf(pb, 0.5, sm)
-            + log_norm_pdf(tt, t_gamma, st)
-        )
-        w[m:m + mi.size] = np.where(mi <= gamma, np.exp(log_integrand - log_g), 0.0)
-        m += mi.size
+        np.subtract(log_f, log_g, out=log_f)
+        wb = w[m:m + k]
+        np.exp(log_f, out=wb)
+        rejected = ok[0]
+        np.less_equal(mi, gamma, out=rejected)
+        np.logical_not(rejected, out=rejected)
+        np.copyto(wb, 0.0, where=rejected)
+        m += k
     w = w[:m]
 
     wsum = float(w.sum())
-    wsq = float((w * w).sum())
+    wsq = float(np.multiply(w, w, out=z[0, :m]).sum())  # the draws are spent
     ess = wsum * wsum / wsq if wsq > 0.0 else 0.0
     if ess < ESS_FLOOR:
         raise EffectiveSampleSizeError(
@@ -442,12 +535,13 @@ def build_table(
     Carlo estimate with a per-cell seed derived from (seed, row, column) so
     the result is independent of evaluation order. gamma = 0 cells always
     use the exact product-type sum: the continuous relaxation assigns the
-    gamma = 0 acceptance region zero volume, so MC cannot see it.
+    gamma = 0 acceptance region zero volume, so MC cannot see it. The MC
+    cells share one set of draw, weight and block arrays and take t_gamma
+    from one lockstep bisection of the positive gammas.
     """
     if not (0.0 < eta < MI_UPPER):
         raise ValueError(f"eta={eta!r} outside (0, ln 2)")
-    if isinstance(samples, bool) or not isinstance(samples, numbers.Integral) or samples < 1:
-        raise ValueError(f"samples={samples!r} must be an integer >= 1")
+    _check_samples_seed(samples, seed)
     if eta > ETA_CONJECTURE_LIMIT:
         raise ValueError(
             f"eta={eta!r} above {ETA_CONJECTURE_LIMIT}; proposal centering is "
@@ -461,13 +555,15 @@ def build_table(
 
     ref = reference_dist(eta)
     pos = [j for j, g in enumerate(gamma_grid) if g > 0.0]
+    pos_gammas = [gamma_grid[j] for j in pos]
+    work = _McWork(ref, dict(zip(pos_gammas, find_t_plus_batch(pos_gammas).tolist())))
 
     neg = np.zeros((len(N_grid), len(gamma_grid)))
     for i, n in enumerate(N_grid):
         betas = {}
         if n <= EXACT_CAP and pos:  # one margin walk for the row's positive gammas
             try:
-                bs = _beta_exact_multi(n, [gamma_grid[j] for j in pos], ref)
+                bs = _beta_exact_multi(n, pos_gammas, ref)
             except Exception as exc:
                 raise TableBuildError(f"exact cells at N={n}: {exc}") from exc
             betas = dict(zip(pos, bs))
@@ -479,7 +575,7 @@ def build_table(
                     cell_seed = int(
                         np.random.SeedSequence((seed, i, j)).generate_state(1)[0]
                     )
-                    betas[j] = beta_mc(n, g, eta, samples, cell_seed)
+                    betas[j] = beta_mc(n, g, eta, samples, cell_seed, _work=work)
             except Exception as exc:
                 raise TableBuildError(f"cell N={n}, gamma={g!r}: {exc}") from exc
             neg[i, j] = max(0.0, -math.log(max(betas[j], 1e-300)))
@@ -530,13 +626,16 @@ def table_from_json(text: str) -> BetaTable:
     mc_samples = _integer("mc_samples", doc["mc_samples"])
     if mc_samples < 1:
         raise ValueError(f"beta table key 'mc_samples' holds {mc_samples}, below 1")
+    seed = _integer("seed", doc["seed"])
+    if seed < 0:
+        raise ValueError(f"beta table key 'seed' holds {seed}, below 0")
     return BetaTable(
         eta=float(doc["eta"]),
         N_grid=[_integer("N_grid", n) for n in doc["N_grid"]],
         gamma_grid=[float(g) for g in doc["gamma_grid"]],
         neg_ln_beta=np.asarray(doc["neg_ln_beta"], dtype=np.float64).reshape(shape),
         mc_samples=mc_samples,
-        seed=_integer("seed", doc["seed"]),
+        seed=seed,
     )
 
 

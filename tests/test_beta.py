@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from bnboost.dist2x2 import (
     find_t_plus,
     find_t_plus_batch,
     mi_from_counts,
+    mi_from_counts_batch,
     mutual_information,
     reference_dist,
     uniform_marginal_dist,
@@ -34,7 +36,16 @@ from bnboost.beta import (
     table_from_json,
     table_to_json,
 )
-from bnboost.beta import _sigma_marginal, _sigma_t
+from bnboost import beta as beta_module
+from bnboost.beta import (
+    _BATCH_ELEMENTS,
+    _beta_exact_multi,
+    _log_factorials,
+    _runs,
+    _sigma_marginal,
+    _sigma_t,
+    _type_weights,
+)
 
 ETA = 0.01
 
@@ -132,6 +143,59 @@ def test_margin_walks_match_triple_loop(ref):
         )
 
 
+def exact_multi_reference(n, gammas, ref):
+    """Oracle: _beta_exact_multi with every array spanning its whole batch;
+    the body of the unbuffered margin walk, unchanged."""
+    gam = np.asarray(gammas, dtype=np.float64)
+    half = n * math.sqrt(gam.max() / 8.0) * (1.0 + 1e-9)  # slack for rounding
+    rows = max(1, _BATCH_ELEMENTS // ((n + 1) * (min(n, int(2 * half)) + 1)))
+    acc = np.zeros(gam.shape, dtype=np.float64)
+    lgf = _log_factorials(n)
+    for lo in range(0, n + 1, rows):
+        pairs = np.arange(lo * (n + 1), min(lo + rows, n + 1) * (n + 1))
+        r0, c0 = np.divmod(pairs, n + 1)
+        center = r0 * c0 / n
+        t_lo = np.maximum(np.ceil(center - half), np.maximum(r0 + c0 - n, 0))
+        t_hi = np.minimum(np.floor(center + half), np.minimum(r0, c0))
+        run, k = _runs(np.maximum(t_hi - t_lo + 1, 0).astype(np.int64))
+        cells, w = _type_weights(
+            lgf, ref, t_lo.astype(np.int64)[run] + k, r0[run], c0[run]
+        )
+        mi = mi_from_counts_batch(*cells)
+        for j, g in enumerate(gam):
+            acc[j] += w[mi <= g].sum()
+    return np.minimum(acc, 1.0)
+
+
+def test_sub_range_walk_matches_unbuffered_reference(ref):
+    # bit for bit: each gamma sums the same batch arrays in the same order;
+    # n = 400 spans several batches of many sub-ranges each
+    wide = [0.0, 1e-5, 0.001, 0.005, 0.009, 0.05, 0.3, 0.7]
+    for n in (7, 60, 200, 400):
+        for gammas in (default_gamma_grid(ETA)[1:], wide):
+            got = _beta_exact_multi(n, gammas, ref)
+            assert got.tolist() == exact_multi_reference(n, gammas, ref).tolist(), n
+
+
+def traced_peak(fn, *args, **kwargs):
+    """(fn's result, its traced peak allocation in bytes above the start)."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = fn(*args, **kwargs)
+        return out, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_exact_walk_memory_stays_bounded(ref):
+    # a batch's weights and MIs (at most 2 x 4 MiB) plus one gamma's mask and
+    # selection; about 12.5 MiB, where arrays of every temporary at batch
+    # length peak near 60 MiB
+    _, peak = traced_peak(_beta_exact_multi, 200, default_gamma_grid(ETA)[1:], ref)
+    assert peak < 16 * 2 ** 20, peak / 2 ** 20
+
+
 def test_product_mass_matches_exact_at_zero(ref):
     for n in (1, 2, 3, 10, 37, 100, 200):
         assert beta_product_mass(n, ref) == pytest.approx(
@@ -175,6 +239,13 @@ def test_mc_rejects_bad_args():
         beta_mc(100, 0.005, 0.8, 1000, seed=0)  # eta out of range
     with pytest.raises(ValueError):
         beta_mc(0, 0.005, ETA, 1000, seed=0)
+    # the same checks and messages as build_table
+    for samples in (-5, 0, 2.5, True):
+        with pytest.raises(ValueError, match=f"samples={samples!r} must be an integer >= 1"):
+            beta_mc(100, 0.005, ETA, samples, seed=0)
+    for seed in (-3, 2.5, True):
+        with pytest.raises(ValueError, match=f"seed={seed!r} must be an integer >= 0"):
+            beta_mc(100, 0.005, ETA, 1000, seed=seed)
 
 
 def test_mc_low_effective_sample_size_raises():
@@ -349,6 +420,46 @@ def test_table_validation_errors():
     for samples in (-5, 0, 2.5, True):
         with pytest.raises(ValueError, match=f"samples={samples!r} must be an integer"):
             build_table(ETA, N_grid=[20, 50], samples=samples)
+    for seed in (-1, 2.5, True):
+        with pytest.raises(ValueError, match=f"seed={seed!r} must be an integer >= 0"):
+            build_table(ETA, N_grid=[50], gamma_grid=[0.005], seed=seed)
+
+
+def cell_seed(seed, i, j):
+    return int(np.random.SeedSequence((seed, i, j)).generate_state(1)[0])
+
+
+def test_table_mc_cells_match_full_array_reference():
+    # the cells share one set of arrays and still equal the unblocked
+    # estimator at their derived seeds, bit for bit
+    tab = build_table(ETA, N_grid=[300, 600], gamma_grid=[0.002, 0.005],
+                      samples=20_000, seed=41)
+    for i, n in enumerate(tab.N_grid):
+        for j, g in enumerate(tab.gamma_grid):
+            want = -math.log(mc_reference(n, g, ETA, 20_000, cell_seed(41, i, j)))
+            assert tab.neg_ln_beta[i, j] == want, (n, g)
+    # a plain call afterwards with another sample count is unaffected
+    assert beta_mc(600, 0.005, ETA, 5_000, 77) == mc_reference(600, 0.005, ETA, 5_000, 77)
+
+
+def test_table_mc_cells_share_one_set_of_arrays(monkeypatch):
+    draws = []
+
+    def recording_mc(*args, _work, **kwargs):
+        out = beta_mc(*args, _work=_work, **kwargs)
+        draws.append((_work.z.ctypes.data, _work.w.ctypes.data))
+        return out
+
+    monkeypatch.setattr(beta_module, "beta_mc", recording_mc)
+    samples = 100_000
+    _, peak = traced_peak(build_table, ETA, N_grid=[500, 1000],
+                          gamma_grid=[0.002, 0.005], samples=samples, seed=3)
+    # four cells, one allocation of the draws and weights
+    assert len(draws) == 4 and len(set(draws)) == 1
+    # 3.2 MB of draws and weights, about 1.7 MiB of block arrays; allocating
+    # them per cell would not raise the peak, which is why the addresses are
+    # checked above
+    assert peak < 4 * 8 * samples + 3 * 2 ** 20, peak / 2 ** 20
 
 
 def test_table_build_error_carries_cell_coords():
@@ -496,10 +607,11 @@ def test_table_json_roundtrip(small_table, tmp_path):
     ("seed", lambda v: True, "'seed' holds a non-integer True"),
     ("mc_samples", lambda v: -5, "'mc_samples' holds -5, below 1"),
     ("mc_samples", lambda v: 0, "'mc_samples' holds 0, below 1"),
+    ("seed", lambda v: -1, "'seed' holds -1, below 0"),
 ], ids=[
     "nan-cell", "reversed-N", "gamma-at-eta", "missing-key", "short-cells", "eta-above-ln2",
     "fractional-N", "fractional-seed", "float-mc-samples", "bool-seed",
-    "negative-mc-samples", "zero-mc-samples",
+    "negative-mc-samples", "zero-mc-samples", "negative-seed",
 ])
 def test_table_from_json_rejects_bad_grids_and_cells(
     small_table, tmp_path, field, value, match
