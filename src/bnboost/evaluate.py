@@ -169,6 +169,10 @@ class ExperimentConfig:
             b <= a for a, b in zip(self.N_schedule, self.N_schedule[1:])
         ):
             raise ValueError("N_schedule must be nonempty and ascending")
+        if self.N_schedule[0] < 1:
+            raise ValueError(f"N_schedule {self.N_schedule} must hold sizes >= 1")
+        if self.restarts < 1:
+            raise ValueError(f"restarts={self.restarts} must be >= 1")
         if len(set(self.seeds)) != len(self.seeds) or not self.seeds:
             raise ValueError("seeds must be nonempty and distinct")
         for score_name, method in self.methods:
@@ -291,20 +295,16 @@ def rows_to_csv(rows: list[dict]) -> str:
 def experiment_config_from_dict(doc: dict) -> ExperimentConfig:
     """Build a config from the JSON document accepted by the CLI."""
     network = doc.get("network", {})
-    score = ScoreConfig(
-        eta=float(doc.get("eta", 0.01)),
-        kappa=float(doc.get("kappa", 0.5)),
-        psi2=float(doc.get("psi2", 1.0)),
-        d=int(doc.get("d", 2)),
-    )
+    casts = {"eta": float, "kappa": float, "psi2": float, "d": int}
+    score = ScoreConfig(**{k: cast(doc[k]) for k, cast in casts.items() if k in doc})
     return ExperimentConfig(
         N_schedule=[int(x) for x in doc["N_schedule"]],
         methods=[(str(a), str(b)) for a, b in doc["methods"]],
         seeds=[int(s) for s in doc["seeds"]],
-        n=int(network.get("n", 8)),
+        n=int(network.get("n", ExperimentConfig.n)),
         d=int(network.get("d", score.d)),
         network_path=network.get("path"),
         score=score,
         beta_table_path=doc.get("beta_table"),
-        restarts=int(doc.get("restarts", 10)),
+        restarts=int(doc.get("restarts", ExperimentConfig.restarts)),
     )

@@ -197,24 +197,25 @@ def _subset_dp(table: ParentSetScoreTable) -> frozenset[tuple[int, int]]:
 # greedy hill climbing
 # ---------------------------------------------------------------------------
 
-def _has_path(children: list[set], src: int, dst: int) -> bool:
-    """True if dst is reachable from src along child edges."""
-    if src == dst:
-        return True
-    seen = {src}
-    stack = [src]
-    while stack:
-        for w in children[stack.pop()]:
-            if w == dst:
-                return True
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return False
+def _ancestors(parents: list[set]) -> list[int]:
+    """Bit mask of each node's ancestors: a fixpoint over the parent sets."""
+    anc = [0] * len(parents)
+    changed = True
+    while changed:
+        changed = False
+        for v, pa in enumerate(parents):
+            mask = 0
+            for p in pa:
+                mask |= anc[p] | 1 << p
+            if mask != anc[v]:
+                anc[v], changed = mask, True
+    return anc
 
 
 def _climb(table: ParentSetScoreTable, parents: list[set]) -> tuple[list[set], float]:
-    """Best-improving single-edge moves until a local maximum."""
+    """Best-improving single-edge moves until a local maximum. Adding u -> v
+    closes a cycle iff v is an ancestor of u; reversing u -> v does iff u is
+    an ancestor of a parent of v (never of u itself)."""
     n = table.n
     tables = [table.scores.get(i, {}) for i in range(n)]
 
@@ -224,15 +225,8 @@ def _climb(table: ParentSetScoreTable, parents: list[set]) -> tuple[list[set], f
     cur = [fam(i, parents[i]) for i in range(n)]
     if any(c is None for c in cur):
         raise ValueError("start graph contains a family missing from the table")
-    total = sum(cur)
-    children: list[set] = [set() for _ in range(n)]
-    for v in range(n):
-        for u in parents[v]:
-            children[u].add(v)
-
-    improved = True
-    while improved:
-        improved = False
+    while True:
+        anc = _ancestors(parents)
         best_delta = 1e-12
         best_move = None
         for u in range(n):
@@ -240,53 +234,43 @@ def _climb(table: ParentSetScoreTable, parents: list[set]) -> tuple[list[set], f
                 if u == v:
                     continue
                 if u in parents[v]:
-                    # deletion
                     s_v = fam(v, parents[v] - {u})
-                    if s_v is not None:
-                        delta = s_v - cur[v]
+                    if s_v is None:
+                        continue
+                    # deletion
+                    delta = s_v - cur[v]
+                    if delta > best_delta:
+                        best_delta, best_move = delta, ("del", u, v)
+                    # reversal
+                    s_u = fam(u, parents[u] | {v})
+                    if s_u is not None and not any(anc[p] >> u & 1 for p in parents[v]):
+                        delta = (s_v - cur[v]) + (s_u - cur[u])
                         if delta > best_delta:
-                            best_delta, best_move = delta, ("del", u, v)
-                    # reversal: the new edge v -> u closes a cycle iff some
-                    # other path u ~> v survives the deletion of u -> v
-                    if v not in parents[u] and s_v is not None:
-                        s_u = fam(u, parents[u] | {v})
-                        if s_u is not None:
-                            children[u].discard(v)
-                            cyclic = _has_path(children, u, v)
-                            children[u].add(v)
-                            if not cyclic:
-                                delta = (s_v - cur[v]) + (s_u - cur[u])
-                                if delta > best_delta:
-                                    best_delta, best_move = delta, ("rev", u, v)
-                elif v not in parents[u]:
+                            best_delta, best_move = delta, ("rev", u, v)
+                elif not anc[u] >> v & 1:
                     # addition u -> v
                     s = fam(v, parents[v] | {u})
-                    if s is not None and not _has_path(children, v, u):
+                    if s is not None:
                         delta = s - cur[v]
                         if delta > best_delta:
                             best_delta, best_move = delta, ("add", u, v)
-        if best_move is not None:
-            kind, u, v = best_move
-            if kind == "add":
-                parents[v].add(u)
-                children[u].add(v)
-            else:
-                parents[v].discard(u)
-                children[u].discard(v)
-                if kind == "rev":
-                    parents[u].add(v)
-                    children[v].add(u)
-                    cur[u] = fam(u, parents[u])
-            cur[v] = fam(v, parents[v])
-            total = sum(cur)
-            improved = True
-    return parents, total + table.constant
+        if best_move is None:
+            return parents, sum(cur) + table.constant
+        kind, u, v = best_move
+        if kind == "add":
+            parents[v].add(u)
+        else:
+            parents[v].discard(u)
+            if kind == "rev":
+                parents[u].add(v)
+                cur[u] = fam(u, parents[u])
+        cur[v] = fam(v, parents[v])
 
 
-def _random_start(table: ParentSetScoreTable, rng) -> list[set]:
-    """Random DAG built along a random order, using only families the table has."""
+def _random_start(table: ParentSetScoreTable, d: int, rng) -> list[set]:
+    """Random DAG built along a random order, with at most d parents per
+    node, using only families the table has."""
     n = table.n
-    d = table.max_parent_size()
     order = rng.permutation(n)
     parents: list[set] = [set() for _ in range(n)]
     for pos in range(n):
@@ -309,11 +293,12 @@ def greedy_hill_climb(
         raise ValueError("restarts must be >= 1")
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
+    d = table.max_parent_size()
     best_parents = None
     best_score = NEG_INF
     for r in range(restarts):
         start = (
-            [set() for _ in range(table.n)] if r == 0 else _random_start(table, rng)
+            [set() for _ in range(table.n)] if r == 0 else _random_start(table, d, rng)
         )
         try:
             parents, score = _climb(table, start)

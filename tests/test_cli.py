@@ -81,7 +81,18 @@ def test_learn_greedy_and_brute(tmp_path):
     assert structure_score(outs["greedy"]) <= structure_score(outs["dp"]) + 1e-9
 
 
-def test_eval_names_the_bad_variable(tmp_path):
+def usage_error(capsys, *argv):
+    """stderr of a run that must end as a usage error, with exit status 2."""
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        run("--quiet", *argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: bnboost")
+    return err
+
+
+def test_eval_names_the_bad_variable(tmp_path, capsys):
     net = tmp_path / "net.json"
     run("--quiet", "gen-net", "--n", 3, "--d", 1, "--seed", 1, "--out", net)
     unknown = tmp_path / "unknown.json"
@@ -89,10 +100,8 @@ def test_eval_names_the_bad_variable(tmp_path):
                                    "edges": [["X0", "Q"]]}))
     twice = tmp_path / "twice.json"
     twice.write_text(json.dumps({"variables": ["X0", "X1", "X1"], "edges": []}))
-    with pytest.raises(ValueError, match="'Q'"):
-        run("--quiet", "eval", "--true", net, "--learned", unknown)
-    with pytest.raises(ValueError, match="'X1'"):
-        run("--quiet", "eval", "--true", twice, "--learned", net)
+    assert "'Q'" in usage_error(capsys, "eval", "--true", net, "--learned", unknown)
+    assert "'X1'" in usage_error(capsys, "eval", "--true", twice, "--learned", net)
 
 
 def test_score_requires_table_for_boost(tmp_path):
@@ -162,3 +171,22 @@ def test_experiment_command(tmp_path):
     lines = out.read_text().strip().split("\n")
     assert lines[0].startswith("seed,n,d,N,score_name")
     assert len(lines) == 1 + 4 + 2  # header, 4 runs, 2 mean rows
+
+
+def test_library_value_errors_are_usage_errors(tmp_path, capsys):
+    table = tmp_path / "beta.json"
+    beta_args = ("beta-table", "--eta", 0.01, "--n-grid", 500, "--gamma-grid", 0.005,
+                 "--out", table)
+    err = usage_error(capsys, *beta_args, "--samples", 1000, "--seed", -1)
+    assert "bnboost: error: seed=-1 must be an integer >= 0" in err
+    err = usage_error(capsys, *beta_args, "--samples", 0, "--seed", 1)
+    assert "bnboost: error: samples=0 must be an integer >= 1" in err
+    assert not table.exists()
+
+    net, data, scores = tmp_path / "net.json", tmp_path / "data.csv", tmp_path / "s.txt"
+    run("--quiet", "gen-net", "--n", 3, "--d", 1, "--seed", 1, "--out", net)
+    run("--quiet", "gen-data", "--net", net, "--rows", 50, "--seed", 2, "--out", data)
+    run("--quiet", "score", "--data", data, "--psi2", 0, "--out", scores)
+    err = usage_error(capsys, "learn", "--scores", scores, "--method", "greedy",
+                      "--restarts", 0, "--out", tmp_path / "g.json")
+    assert "bnboost: error: restarts must be >= 1" in err

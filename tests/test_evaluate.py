@@ -352,6 +352,11 @@ def test_experiment_config_validation():
         ExperimentConfig(N_schedule=[100], methods=[("nope", "dp")], seeds=[0])
     with pytest.raises(ValueError):
         ExperimentConfig(N_schedule=[100], methods=[("bic", "nope")], seeds=[0])
+    with pytest.raises(ValueError, match="restarts=0"):
+        ExperimentConfig(N_schedule=[50], methods=[("bic", "greedy")], seeds=[0], n=3,
+                         restarts=0)
+    with pytest.raises(ValueError, match=r"N_schedule \[0, 50\]"):
+        ExperimentConfig(N_schedule=[0, 50], methods=[("bic", "dp")], seeds=[0], n=3)
 
 
 def test_experiment_config_from_dict():
@@ -373,3 +378,11 @@ def test_experiment_config_from_dict():
     assert cfg.beta_table_path == "beta.json"
     assert cfg.restarts == 4
     assert cfg.score.eta == 0.01
+    # missing keys take the config classes' own defaults
+    doc = {"N_schedule": [100], "methods": [["bic", "dp"]], "seeds": [0]}
+    cfg = experiment_config_from_dict(doc)
+    assert cfg.score == ScoreConfig()
+    assert cfg.d == ScoreConfig().d
+    assert (cfg.n, cfg.restarts) == (ExperimentConfig.n, ExperimentConfig.restarts)
+    cfg = experiment_config_from_dict({**doc, "kappa": 1, "d": "3"})
+    assert cfg.score == ScoreConfig(kappa=1.0, d=3)

@@ -6,9 +6,10 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from bnboost.data import Dag, random_network
+from bnboost import search
+from bnboost.data import Dag, random_network, sample
 from bnboost.evaluate import dag_to_cpdag
-from bnboost.scoring import ParentSetScoreTable
+from bnboost.scoring import ParentSetScoreTable, ScoreConfig, build_parent_set_scores
 from bnboost.search import _subset_dp, all_dags, brute_force, exact_dp, greedy_hill_climb
 
 
@@ -294,9 +295,6 @@ def test_greedy_matches_dp_on_data_tables():
     # score tables built from sampled data (the consuming use case); pure
     # iid-noise tables have far more local maxima and are checked above
     # only for the upper bound
-    from bnboost.data import sample
-    from bnboost.scoring import ScoreConfig, build_parent_set_scores
-
     hits = 0
     for trial in range(10):
         net = random_network(6, 2, seed=1000 + trial)
@@ -344,3 +342,138 @@ def test_search_results_reconstruct():
         assert table.dag_score(res.dag) == pytest.approx(res.score, abs=1e-9)
         assert res.runtime_ms >= 0.0
         Dag(res.dag.n, res.dag.edges)  # acyclicity re-validated
+
+
+def _has_path(children: list[set], src: int, dst: int) -> bool:
+    """True if dst is reachable from src along child edges."""
+    if src == dst:
+        return True
+    seen = {src}
+    stack = [src]
+    while stack:
+        for w in children[stack.pop()]:
+            if w == dst:
+                return True
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return False
+
+
+def climb_reference(table: ParentSetScoreTable, parents: list[set]) -> tuple[list[set], float]:
+    """Oracle: the climb that kept child sets and walked them for every
+    candidate addition and reversal."""
+    n = table.n
+    tables = [table.scores.get(i, {}) for i in range(n)]
+
+    def fam(i, pa):
+        return tables[i].get(frozenset(pa), None)
+
+    cur = [fam(i, parents[i]) for i in range(n)]
+    if any(c is None for c in cur):
+        raise ValueError("start graph contains a family missing from the table")
+    total = sum(cur)
+    children: list[set] = [set() for _ in range(n)]
+    for v in range(n):
+        for u in parents[v]:
+            children[u].add(v)
+
+    improved = True
+    while improved:
+        improved = False
+        best_delta = 1e-12
+        best_move = None
+        for u in range(n):
+            for v in range(n):
+                if u == v:
+                    continue
+                if u in parents[v]:
+                    # deletion
+                    s_v = fam(v, parents[v] - {u})
+                    if s_v is not None:
+                        delta = s_v - cur[v]
+                        if delta > best_delta:
+                            best_delta, best_move = delta, ("del", u, v)
+                    # reversal: the new edge v -> u closes a cycle iff some
+                    # other path u ~> v survives the deletion of u -> v
+                    if v not in parents[u] and s_v is not None:
+                        s_u = fam(u, parents[u] | {v})
+                        if s_u is not None:
+                            children[u].discard(v)
+                            cyclic = _has_path(children, u, v)
+                            children[u].add(v)
+                            if not cyclic:
+                                delta = (s_v - cur[v]) + (s_u - cur[u])
+                                if delta > best_delta:
+                                    best_delta, best_move = delta, ("rev", u, v)
+                elif v not in parents[u]:
+                    # addition u -> v
+                    s = fam(v, parents[v] | {u})
+                    if s is not None and not _has_path(children, v, u):
+                        delta = s - cur[v]
+                        if delta > best_delta:
+                            best_delta, best_move = delta, ("add", u, v)
+        if best_move is not None:
+            kind, u, v = best_move
+            if kind == "add":
+                parents[v].add(u)
+                children[u].add(v)
+            else:
+                parents[v].discard(u)
+                children[u].discard(v)
+                if kind == "rev":
+                    parents[u].add(v)
+                    children[v].add(u)
+                    cur[u] = fam(u, parents[u])
+            cur[v] = fam(v, parents[v])
+            total = sum(cur)
+            improved = True
+    return parents, total + table.constant
+
+
+def test_greedy_matches_the_path_walking_climb(monkeypatch):
+    rng = np.random.default_rng(1600)
+    tables = []
+    for trial in range(150):
+        n = int(rng.integers(2, 11))
+        d = int(rng.integers(1, 4))
+        table = random_table(n, d, rng, constant=float(rng.normal()) or 1.0,
+                             per_parent=float(rng.uniform(0.0, 3.0)))
+        tables.append(drop_families(table, 0.3, rng) if trial % 2 else table)
+    for trial in range(12):
+        net = random_network(7, 2, seed=3000 + trial)
+        data = sample(net, 400, seed=4000 + trial)
+        tables.append(build_parent_set_scores(data, None, ScoreConfig(psi2=0.0)))
+    new = [greedy_hill_climb(t, restarts=10, seed=k) for k, t in enumerate(tables)]
+    monkeypatch.setattr(search, "_climb", climb_reference)
+    for k, (table, res) in enumerate(zip(tables, new)):
+        ref = greedy_hill_climb(table, restarts=10, seed=k)
+        assert res.dag.edges == ref.dag.edges
+        assert res.score == ref.score
+
+
+def test_greedy_skips_an_addition_that_closes_a_cycle():
+    # the empty start adds 0 -> 1, then 1 -> 2; the one improving move left,
+    # 2 -> 0 (+5), would close the cycle 0 -> 1 -> 2 -> 0
+    scores = {
+        0: {frozenset(): 0.0, frozenset({2}): 5.0},
+        1: {frozenset(): 0.0, frozenset({0}): 10.0},
+        2: {frozenset(): 0.0, frozenset({1}): 9.0},
+    }
+    res = greedy_hill_climb(ParentSetScoreTable(n=3, scores=scores), restarts=1)
+    assert res.dag.edges == frozenset({(0, 1), (1, 2)})
+    assert res.score == 19.0
+
+
+def test_greedy_skips_a_reversal_that_closes_a_cycle():
+    # the empty start adds 0 -> 2 (+40), 0 -> 1 (+10), then 1 -> 2 (+5).
+    # Reversing 0 -> 2 then gains 30 - 25 = +5 but closes 0 -> 1 -> 2 -> 0
+    scores = {
+        0: {frozenset(): 0.0, frozenset({2}): 30.0},
+        1: {frozenset(): 0.0, frozenset({0}): 10.0},
+        2: {frozenset(): 0.0, frozenset({0}): 40.0, frozenset({1}): 20.0,
+            frozenset({0, 1}): 45.0},
+    }
+    res = greedy_hill_climb(ParentSetScoreTable(n=3, scores=scores), restarts=1)
+    assert res.dag.edges == frozenset({(0, 1), (0, 2), (1, 2)})
+    assert res.score == 55.0
