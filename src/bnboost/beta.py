@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .data import json_field, load_json
 from .dist2x2 import (
     JointDist2x2,
     MI_UPPER,
@@ -615,25 +616,30 @@ def table_to_json(table: BetaTable) -> str:
 
 
 def table_from_json(text: str) -> BetaTable:
-    """Parse table_to_json output; kl_of_gamma is not read but recomputed."""
-    doc = json.loads(text)
-    for key in ("eta", "mc_samples", "seed", "N_grid", "gamma_grid", "neg_ln_beta"):
-        if key not in doc:
-            raise ValueError(f"beta table has no {key!r} key")
-    shape = (len(doc["N_grid"]), len(doc["gamma_grid"]))
-    if len(doc["neg_ln_beta"]) != shape[0] * shape[1]:
-        raise ValueError(f"neg_ln_beta has {len(doc['neg_ln_beta'])} cells, not {shape}")
-    mc_samples = _integer("mc_samples", doc["mc_samples"])
+    """Parse table_to_json output; kl_of_gamma is not read but recomputed.
+    A document of another shape raises ValueError naming the key."""
+    return _table_from_doc(json.loads(text))
+
+
+def _table_from_doc(doc) -> BetaTable:
+    eta = json_field(doc, "eta", float, "beta table")
+    N_grid = json_field(doc, "N_grid", list, "beta table")
+    gamma_grid = json_field(doc, "gamma_grid", list, "beta table", each=float)
+    cells = json_field(doc, "neg_ln_beta", list, "beta table", each=float)
+    shape = (len(N_grid), len(gamma_grid))
+    if len(cells) != shape[0] * shape[1]:
+        raise ValueError(f"neg_ln_beta has {len(cells)} cells, not {shape}")
+    mc_samples = _integer("mc_samples", json_field(doc, "mc_samples", object, "beta table"))
     if mc_samples < 1:
         raise ValueError(f"beta table key 'mc_samples' holds {mc_samples}, below 1")
-    seed = _integer("seed", doc["seed"])
+    seed = _integer("seed", json_field(doc, "seed", object, "beta table"))
     if seed < 0:
         raise ValueError(f"beta table key 'seed' holds {seed}, below 0")
     return BetaTable(
-        eta=float(doc["eta"]),
-        N_grid=[_integer("N_grid", n) for n in doc["N_grid"]],
-        gamma_grid=[float(g) for g in doc["gamma_grid"]],
-        neg_ln_beta=np.asarray(doc["neg_ln_beta"], dtype=np.float64).reshape(shape),
+        eta=eta,
+        N_grid=[_integer("N_grid", n) for n in N_grid],
+        gamma_grid=gamma_grid,
+        neg_ln_beta=np.asarray(cells, dtype=np.float64).reshape(shape),
         mc_samples=mc_samples,
         seed=seed,
     )
@@ -652,8 +658,4 @@ def save_table(table: BetaTable, path) -> None:
 
 def load_table(path) -> BetaTable:
     """Read a save_table file; a malformed one raises ValueError naming it."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return table_from_json(fh.read())
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    return load_json(path, _table_from_doc)

@@ -3,14 +3,15 @@
 Subcommands cover the full pipeline: generate a synthetic network, sample
 data, precompute a beta table, fold a score into parent-set form, search
 for the best structure, compare structures, and drive whole experiments
-from a JSON config.
+from a JSON config. Each subcommand that draws random numbers takes its
+own --seed, 0 by default. Every refused input, whether a flag value, file
+content or config, ends as a usage error with exit status 2.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import logging
 import sys
 
@@ -18,6 +19,7 @@ from .beta import build_table, load_table, save_table
 from .data import (
     Dag,
     load_dataset,
+    load_json,
     load_network,
     load_structure,
     random_network,
@@ -33,7 +35,13 @@ from .evaluate import (
     run_experiment,
     shd,
 )
-from .scoring import ScoreConfig, build_parent_set_scores, load_scores, save_scores
+from .scoring import (
+    ScoreConfig,
+    build_parent_set_scores,
+    check_table,
+    load_scores,
+    save_scores,
+)
 from .search import brute_force, exact_dp, greedy_hill_climb
 
 log = logging.getLogger("bnboost")
@@ -47,15 +55,8 @@ def _float_list(text: str) -> list[float]:
     return [float(tok) for tok in text.split(",") if tok.strip()]
 
 
-def _resolve_seed(args) -> int:
-    local = getattr(args, "seed", None)
-    if local is not None:
-        return local
-    return args.global_seed if args.global_seed is not None else 0
-
-
 def _cmd_gen_net(args) -> int:
-    net = random_network(args.n, args.d, _resolve_seed(args))
+    net = random_network(args.n, args.d, args.seed)
     save_network(net, args.out)
     log.info("wrote network with %d nodes, %d edges to %s",
              net.n, len(net.dag.edges), args.out)
@@ -64,7 +65,7 @@ def _cmd_gen_net(args) -> int:
 
 def _cmd_gen_data(args) -> int:
     net = load_network(args.net)
-    data = sample(net, args.rows, _resolve_seed(args))
+    data = sample(net, args.rows, args.seed)
     save_dataset(data, args.out)
     log.info("wrote %d rows of %d variables to %s",
              data.n_rows, data.n_vars, args.out)
@@ -77,7 +78,7 @@ def _cmd_beta_table(args) -> int:
         N_grid=args.n_grid,
         gamma_grid=args.gamma_grid,
         samples=args.samples,
-        seed=_resolve_seed(args),
+        seed=args.seed,
     )
     save_table(table, args.out)
     log.info("wrote beta table (%d x %d cells) to %s",
@@ -91,13 +92,8 @@ def _cmd_score(args) -> int:
     eta = args.eta
     if eta is None:  # without a table only BIC runs, and it reads no eta
         eta = table.eta if table is not None else ScoreConfig.eta
-    if table is not None and abs(table.eta - eta) > 1e-12:
-        raise SystemExit(
-            f"--eta {eta} does not match the beta table's eta {table.eta}"
-        )
     cfg = ScoreConfig(eta=eta, kappa=args.kappa, psi2=args.psi2, d=args.d)
-    if cfg.psi2 > 0.0 and table is None:
-        raise SystemExit("--beta-table is required when psi2 > 0")
+    check_table(table, cfg)  # also at psi2 = 0, where a table given goes unused
     scores = build_parent_set_scores(data, table, cfg)
     save_scores(scores, args.out)
     log.info("wrote parent-set scores for %d nodes to %s", scores.n, args.out)
@@ -109,12 +105,12 @@ def _cmd_learn(args) -> int:
     if args.names:
         names = list(load_dataset(args.names).variable_names)
         if len(names) != table.n:
-            raise SystemExit("--names dataset has the wrong variable count")
+            raise ValueError("--names dataset has the wrong variable count")
         table.variable_names = tuple(names)
     if args.method == "dp":
         result = exact_dp(table)
     elif args.method == "greedy":
-        result = greedy_hill_climb(table, restarts=args.restarts, seed=_resolve_seed(args))
+        result = greedy_hill_climb(table, restarts=args.restarts, seed=args.seed)
     else:
         result = brute_force(table)
     save_structure(table.variable_names, result.dag, args.out)
@@ -127,7 +123,7 @@ def _cmd_eval(args) -> int:
     names_t, dag_t = load_structure(args.true)
     names_l, dag_l = load_structure(args.learned)
     if set(names_t) != set(names_l):
-        raise SystemExit("the two structures name different variables")
+        raise ValueError("the two structures name different variables")
     if names_t != names_l:  # align the learned graph to the truth's order
         pos = {name: k for k, name in enumerate(names_t)}
         remap = [pos[name] for name in names_l]
@@ -138,8 +134,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    with open(args.config, "r", encoding="utf-8") as fh:
-        cfg = experiment_config_from_dict(json.load(fh))
+    cfg = load_json(args.config, experiment_config_from_dict)
     rows = run_experiment(cfg)
     text = rows_to_csv(rows)
     if args.out:
@@ -158,22 +153,20 @@ def build_parser() -> argparse.ArgumentParser:
         description="Bayesian network structure learning with "
                     "independence-test sparsity boosts",
     )
-    parser.add_argument("--seed", dest="global_seed", type=int, default=None,
-                        help="default seed for subcommands that accept one")
     parser.add_argument("--quiet", action="store_true", help="suppress progress logs")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-net", help="generate a random logistic network")
     p.add_argument("--n", type=int, required=True, help="number of variables")
     p.add_argument("--d", type=int, required=True, help="max in-degree")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_gen_net)
 
     p = sub.add_parser("gen-data", help="sample observations from a network")
     p.add_argument("--net", required=True, help="network JSON path")
     p.add_argument("--rows", type=int, required=True)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_gen_data)
 
@@ -184,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma-grid", type=_float_list, default=None,
                    help="comma-separated MI thresholds")
     p.add_argument("--samples", type=int, default=100_000)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_beta_table)
 
@@ -202,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scores", required=True, help="parent-set scores path")
     p.add_argument("--method", choices=("dp", "greedy", "brute"), default="dp")
     p.add_argument("--restarts", type=int, default=10)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--names", default=None,
                    help="optional dataset CSV supplying variable names")
     p.add_argument("--out", required=True)
@@ -222,9 +215,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one subcommand. A ValueError from the library, such as a bad
-    argument value or a malformed input file, is reported the way argparse
-    reports a bad flag: a usage error on stderr and exit status 2."""
+    """Run one subcommand. Every refusal is a ValueError, raised here or in
+    the library, such as a bad argument value, a malformed input file or
+    structures that do not match. It is reported the way argparse reports a
+    bad flag: a usage error on stderr and exit status 2."""
     parser = build_parser()
     args = parser.parse_args(argv)
     logging.basicConfig(

@@ -30,6 +30,8 @@ __all__ = [
     "load_structure",
     "network_to_dict",
     "network_from_dict",
+    "json_field",
+    "load_json",
 ]
 
 
@@ -119,9 +121,6 @@ class BinaryDataset:
     @property
     def n_vars(self) -> int:
         return self.rows.shape[1]
-
-    def index(self, name: str) -> int:
-        return self.variable_names.index(name)
 
 
 @dataclass(frozen=True)
@@ -309,38 +308,85 @@ def network_to_dict(net: Network) -> dict:
     }
 
 
-def _index(pos: dict[str, int], name: str, where: str) -> int:
-    try:
+_REQUIRED = object()
+_JSON_TYPES = {dict: "an object", list: "a list", str: "a string",
+               float: "a number", int: "an integer"}
+
+
+def _json_value(value, kind: type, what: str):
+    if kind in (float, int):  # as the builtins convert, numeric strings too
+        try:
+            return kind(value)
+        except (TypeError, ValueError):
+            pass
+    elif isinstance(value, kind):
+        return value
+    raise ValueError(f"{what} is {value!r}, not {_JSON_TYPES[kind]}")
+
+
+def json_field(doc, key: str, kind: type, where: str, default=_REQUIRED, each=None):
+    """doc[key] of the JSON object doc as kind: dict, list and str must be
+    the value's JSON type, float and int convert it as the builtins do, and
+    object takes any value. A missing key gives default where one is given,
+    and each, if given, is the kind of every entry of a list. A document of
+    another shape raises ValueError naming where and the key."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{where} is not a JSON object")
+    if key not in doc:
+        if default is _REQUIRED:
+            raise ValueError(f"{where} has no {key!r} key")
+        return default
+    value = _json_value(doc[key], kind, f"{where} key {key!r}")
+    if each is not None:
+        value = [_json_value(x, each, f"an entry of {where} key {key!r}") for x in value]
+    return value
+
+
+def _index(pos: dict[str, int], name, where: str) -> int:
+    if isinstance(name, str) and name in pos:
         return pos[name]
-    except KeyError:
-        raise ValueError(f"{where} names unknown variable {name!r}") from None
+    raise ValueError(f"{where} names unknown variable {name!r}")
 
 
-def _structure_from_dict(doc: dict) -> tuple[tuple[str, ...], dict[str, int], Dag]:
+def _structure_from_dict(doc) -> tuple[tuple[str, ...], dict[str, int], Dag]:
     """Names, name -> index map and DAG of a {variables, edges} document."""
-    names = tuple(doc["variables"])
+    names = tuple(json_field(doc, "variables", list, "document", each=str))
     pos: dict[str, int] = {}
     for k, name in enumerate(names):
         if name in pos:
             raise ValueError(f"variable {name!r} is listed twice")
         pos[name] = k
-    edges = frozenset(
-        (_index(pos, u, "edge"), _index(pos, v, "edge")) for u, v in doc["edges"]
-    )
+    edges = json_field(doc, "edges", list, "document", each=list)
+    for edge in edges:
+        if len(edge) != 2:
+            raise ValueError(f"edge {edge!r} is not a pair of names")
+    edges = frozenset((_index(pos, u, "edge"), _index(pos, v, "edge")) for u, v in edges)
     return names, pos, Dag(len(names), edges)
 
 
-def network_from_dict(doc: dict) -> Network:
+def network_from_dict(doc) -> Network:
     names, pos, dag = _structure_from_dict(doc)
     theta: dict[int, dict[int, float]] = {i: {} for i in range(len(names))}
     bias: dict[int, float] = {}
-    for name, cpd in doc["cpds"].items():
+    for name, cpd in json_field(doc, "cpds", dict, "document").items():
         i = _index(pos, name, "cpd")
+        where = f"cpd of {name!r}"
         theta[i] = {
-            _index(pos, p, f"cpd of {name!r}"): float(w) for p, w in cpd["theta"].items()
+            _index(pos, p, where): _json_value(w, float, f"{where} weight of {p!r}")
+            for p, w in json_field(cpd, "theta", dict, where).items()
         }
-        bias[i] = float(cpd["u"])
+        bias[i] = json_field(cpd, "u", float, where)
     return Network(dag=dag, theta=theta, bias=bias, variable_names=names)
+
+
+def load_json(path, parse):
+    """parse(document) of a JSON file, where a ValueError from parsing the
+    JSON or from parse is raised again naming the file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return parse(json.load(fh))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 def save_network(net: Network, path) -> None:
@@ -348,8 +394,8 @@ def save_network(net: Network, path) -> None:
 
 
 def load_network(path) -> Network:
-    with open(path, "r", encoding="utf-8") as fh:
-        return network_from_dict(json.load(fh))
+    """Read a save_network file; a malformed one raises ValueError naming it."""
+    return load_json(path, network_from_dict)
 
 
 def save_structure(names, dag: Dag, path) -> None:
@@ -358,7 +404,7 @@ def save_structure(names, dag: Dag, path) -> None:
 
 
 def load_structure(path) -> tuple[tuple[str, ...], Dag]:
-    """Variable names and DAG of a network or learned-structure JSON file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        names, _, dag = _structure_from_dict(json.load(fh))
+    """Variable names and DAG of a network or learned-structure JSON file; a
+    malformed one raises ValueError naming it."""
+    names, _, dag = load_json(path, _structure_from_dict)
     return names, dag

@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from .beta import BetaTable, load_table
-from .data import Dag, load_network, random_network, sample
-from .scoring import ScoreConfig, build_parent_set_scores
+from .data import Dag, json_field, load_network, random_network, sample
+from .scoring import ScoreConfig, build_parent_set_scores, check_table
 from .search import brute_force, exact_dp, greedy_hill_climb
 
 __all__ = [
@@ -165,16 +165,15 @@ class ExperimentConfig:
     restarts: int = 10
 
     def __post_init__(self):
-        if not self.N_schedule or any(
-            b <= a for a, b in zip(self.N_schedule, self.N_schedule[1:])
-        ):
-            raise ValueError("N_schedule must be nonempty and ascending")
-        if self.N_schedule[0] < 1:
-            raise ValueError(f"N_schedule {self.N_schedule} must hold sizes >= 1")
+        sizes = self.N_schedule
+        if not sizes or sizes[0] < 1 or any(b <= a for a, b in zip(sizes, sizes[1:])):
+            raise ValueError(f"N_schedule {sizes} must ascend from >= 1")
         if self.restarts < 1:
             raise ValueError(f"restarts={self.restarts} must be >= 1")
         if len(set(self.seeds)) != len(self.seeds) or not self.seeds:
             raise ValueError("seeds must be nonempty and distinct")
+        if not self.methods:
+            raise ValueError("methods must be nonempty")
         for score_name, method in self.methods:
             if score_name not in ("bic", "boost"):
                 raise ValueError(f"unknown score {score_name!r}")
@@ -204,15 +203,12 @@ def run_experiment(cfg: ExperimentConfig, beta_table: BetaTable | None = None) -
     Each seed row also holds the learned Dag under "dag" (None on failure),
     which is not a CSV column.
     """
-    needs_table = any(s == "boost" for s, _ in cfg.methods)
-    if needs_table and beta_table is None:
+    if beta_table is None and any(s == "boost" for s, _ in cfg.methods):
         if cfg.beta_table_path is None:
             raise ValueError("boost methods need a beta table")
         beta_table = load_table(cfg.beta_table_path)
-    if beta_table is not None and abs(beta_table.eta - cfg.score.eta) > 1e-12:
-        raise ValueError(
-            f"beta table eta {beta_table.eta!r} != score eta {cfg.score.eta!r}"
-        )
+    if beta_table is not None:
+        check_table(beta_table, cfg.score)
 
     bic = replace(cfg.score, psi2=0.0)
     shared_net = load_network(cfg.network_path) if cfg.network_path else None
@@ -267,10 +263,8 @@ def run_experiment(cfg: ExperimentConfig, beta_table: BetaTable | None = None) -
                 "seed": "mean", "n": group[0]["n"], "d": cfg.d, "N": n_rows,
                 "score_name": score_name, "eta": cfg.score.eta,
                 "search_method": method,
-                "shd": sum(r["shd"] for r in group) / len(group),
-                "total_score": sum(r["total_score"] for r in group) / len(group),
-                "score_build_ms": sum(r["score_build_ms"] for r in group) / len(group),
-                "search_ms": sum(r["search_ms"] for r in group) / len(group),
+                **{k: sum(r[k] for r in group) / len(group)
+                   for k in ("shd", "total_score", "score_build_ms", "search_ms")},
             })
     return rows + means
 
@@ -293,18 +287,23 @@ def rows_to_csv(rows: list[dict]) -> str:
 
 
 def experiment_config_from_dict(doc: dict) -> ExperimentConfig:
-    """Build a config from the JSON document accepted by the CLI."""
-    network = doc.get("network", {})
-    casts = {"eta": float, "kappa": float, "psi2": float, "d": int}
-    score = ScoreConfig(**{k: cast(doc[k]) for k, cast in casts.items() if k in doc})
+    """Build a config from the JSON document accepted by the CLI; a document
+    of another shape raises ValueError naming the key."""
+    where = "experiment config"
+    network = json_field(doc, "network", dict, where, {})
+    score = ScoreConfig(**{k: json_field(doc, k, type(v), where, v)  # kinds as the defaults'
+                           for k, v in asdict(ScoreConfig()).items()})
+    methods = json_field(doc, "methods", list, where, each=list)
+    if any(len(pair) != 2 for pair in methods):
+        raise ValueError(f"{where} key 'methods' is {methods!r}, not a list of pairs")
     return ExperimentConfig(
-        N_schedule=[int(x) for x in doc["N_schedule"]],
-        methods=[(str(a), str(b)) for a, b in doc["methods"]],
-        seeds=[int(s) for s in doc["seeds"]],
-        n=int(network.get("n", ExperimentConfig.n)),
-        d=int(network.get("d", score.d)),
-        network_path=network.get("path"),
+        N_schedule=json_field(doc, "N_schedule", list, where, each=int),
+        methods=[(str(a), str(b)) for a, b in methods],
+        seeds=json_field(doc, "seeds", list, where, each=int),
+        n=json_field(network, "n", int, f"{where} network", ExperimentConfig.n),
+        d=json_field(network, "d", int, f"{where} network", score.d),
+        network_path=json_field(network, "path", str, f"{where} network", None),
         score=score,
-        beta_table_path=doc.get("beta_table"),
-        restarts=int(doc.get("restarts", ExperimentConfig.restarts)),
+        beta_table_path=json_field(doc, "beta_table", str, where, None),
+        restarts=json_field(doc, "restarts", int, where, ExperimentConfig.restarts),
     )

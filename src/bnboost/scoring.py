@@ -46,6 +46,7 @@ __all__ = [
     "ParentSetScoreTable",
     "log_likelihood",
     "dim",
+    "check_table",
     "pair_boosts",
     "total_score",
     "build_parent_set_scores",
@@ -298,11 +299,15 @@ def _boosts(table: BetaTable, bits, weights, pairs, d: int) -> np.ndarray:
                    for v, shape in zip(np.split(values, ends), shapes)], axis=0)
 
 
-def _check_table(table: BetaTable | None, cfg: ScoreConfig) -> None:
-    """The boost needs a beta table built for the score's eta."""
+def check_table(table: BetaTable | None, cfg: ScoreConfig) -> None:
+    """The score's rule for its beta table: a boosted score (psi2 > 0) needs
+    one, and a table given must be built for the score's eta, to 1e-12, as
+    its -ln(beta) values test MI against the reference distribution at eta.
+    Raises ValueError otherwise."""
     if table is None:
-        raise ValueError("a beta table is required when psi2 > 0")
-    if abs(table.eta - cfg.eta) > 1e-12:
+        if cfg.psi2 > 0.0:
+            raise ValueError("a beta table is required when psi2 > 0")
+    elif abs(table.eta - cfg.eta) > 1e-12:
         raise ValueError(f"beta table eta {table.eta!r} != score eta {cfg.eta!r}")
 
 
@@ -311,7 +316,9 @@ def pair_boosts(data: BinaryDataset, table: BetaTable, cfg: ScoreConfig) -> dict
     of the min over assignments s of -ln(beta) at (N_s, MI of a and b given
     S = s), an assignment never seen giving 0. It does not depend on the
     graph."""
-    _check_table(table, cfg)
+    if table is None:  # whatever cfg.psi2, as the boosts are -ln(beta) values
+        raise ValueError("pair_boosts needs a beta table")
+    check_table(table, cfg)
     pairs = list(combinations(range(data.n_vars), 2))
     boosts = _boosts(table, *_distinct_rows(data.rows), pairs, cfg.d)
     return dict(zip(pairs, boosts.tolist()))
@@ -333,7 +340,7 @@ def total_score(
     score -= cfg.kappa * math.log(data.n_rows) * dim(dag)
     if cfg.psi2 == 0.0:
         return score
-    _check_table(table, cfg)
+    check_table(table, cfg)
     pairs = [p for p in combinations(range(dag.n), 2) if not dag.adjacent(*p)]
     boost = sum(_boosts(table, bits, weights, pairs, cfg.d).tolist())
     return score + cfg.psi2 * boost

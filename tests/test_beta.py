@@ -608,10 +608,16 @@ def test_table_json_roundtrip(small_table, tmp_path):
     ("mc_samples", lambda v: -5, "'mc_samples' holds -5, below 1"),
     ("mc_samples", lambda v: 0, "'mc_samples' holds 0, below 1"),
     ("seed", lambda v: -1, "'seed' holds -1, below 0"),
+    ("N_grid", lambda v: 5, "'N_grid' is 5, not a list"),
+    ("neg_ln_beta", lambda v: {"cells": v}, "'neg_ln_beta' is .*, not a list"),
+    ("gamma_grid", lambda v: v[:-1] + [None], "entry of beta table key 'gamma_grid' is None"),
+    ("neg_ln_beta", lambda v: [[x] for x in v], r"'neg_ln_beta' is \[.*\], not a number"),
+    ("eta", lambda v: [v], r"'eta' is \[0\.01\], not a number"),
 ], ids=[
     "nan-cell", "reversed-N", "gamma-at-eta", "missing-key", "short-cells", "eta-above-ln2",
     "fractional-N", "fractional-seed", "float-mc-samples", "bool-seed",
     "negative-mc-samples", "zero-mc-samples", "negative-seed",
+    "int-N-grid", "object-cells", "null-gamma", "nested-cells", "list-eta",
 ])
 def test_table_from_json_rejects_bad_grids_and_cells(
     small_table, tmp_path, field, value, match
@@ -626,6 +632,12 @@ def test_table_from_json_rejects_bad_grids_and_cells(
     with pytest.raises(ValueError, match=match) as info:
         load_table(path)
     assert str(path) in str(info.value)
+
+
+@pytest.mark.parametrize("text", ["5", "[]", "null", '"beta table"'])
+def test_table_from_json_rejects_a_document_that_is_no_object(text):
+    with pytest.raises(ValueError, match="beta table is not a JSON object"):
+        table_from_json(text)
 
 
 def test_table_ignores_kl_of_gamma_in_file(small_table):

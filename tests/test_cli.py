@@ -104,14 +104,15 @@ def test_eval_names_the_bad_variable(tmp_path, capsys):
     assert "'X1'" in usage_error(capsys, "eval", "--true", twice, "--learned", net)
 
 
-def test_score_requires_table_for_boost(tmp_path):
+def test_score_requires_table_for_boost(tmp_path, capsys):
     net = tmp_path / "net.json"
     data = tmp_path / "data.csv"
     run("--quiet", "gen-net", "--n", 3, "--d", 1, "--seed", 1, "--out", net)
     run("--quiet", "gen-data", "--net", net, "--rows", 50, "--seed", 2, "--out", data)
-    with pytest.raises(SystemExit):
-        run("--quiet", "score", "--data", data, "--eta", 0.01,
-            "--out", tmp_path / "s.txt")
+    err = usage_error(capsys, "score", "--data", data, "--eta", 0.01,
+                      "--out", tmp_path / "s.txt")
+    assert "bnboost: error: a beta table is required when psi2 > 0" in err
+    assert not (tmp_path / "s.txt").exists()
 
 
 def test_bic_score_needs_no_eta(tmp_path):
@@ -127,28 +128,53 @@ def test_bic_score_needs_no_eta(tmp_path):
     assert with_eta.read_bytes() == without.read_bytes()
 
 
-def test_score_rejects_eta_mismatch(tmp_path):
+def test_score_rejects_eta_mismatch(tmp_path, capsys):
     net = tmp_path / "net.json"
     data = tmp_path / "data.csv"
     table = tmp_path / "beta.json"
+    scores = tmp_path / "s.txt"
     run("--quiet", "gen-net", "--n", 3, "--d", 1, "--seed", 1, "--out", net)
     run("--quiet", "gen-data", "--net", net, "--rows", 50, "--seed", 2, "--out", data)
     run("--quiet", "beta-table", "--eta", 0.01, "--n-grid", "50",
         "--gamma-grid", "0.005", "--samples", 1000, "--seed", 3, "--out", table)
-    with pytest.raises(SystemExit):
-        run("--quiet", "score", "--data", data, "--beta-table", table,
-            "--eta", 0.02, "--out", tmp_path / "s.txt")
+    # refused also at psi2 = 0, where the table would go unused
+    for psi2 in (1.0, 0):
+        err = usage_error(capsys, "score", "--data", data, "--beta-table", table,
+                          "--eta", 0.02, "--psi2", psi2, "--out", scores)
+        assert "bnboost: error: beta table eta 0.01 != score eta 0.02" in err
+    assert not scores.exists()
     # omitted --eta falls back to the table's value
     assert run("--quiet", "score", "--data", data, "--beta-table", table,
-               "--out", tmp_path / "s.txt") == 0
+               "--out", scores) == 0
 
 
-def test_global_seed_flag(tmp_path):
+def test_subcommand_seed_defaults_to_zero(tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
-    run("--quiet", "--seed", 9, "gen-net", "--n", 4, "--d", 2, "--out", a)
-    run("--quiet", "gen-net", "--n", 4, "--d", 2, "--seed", 9, "--out", b)
+    run("--quiet", "gen-net", "--n", 4, "--d", 2, "--out", a)
+    run("--quiet", "gen-net", "--n", 4, "--d", 2, "--seed", 0, "--out", b)
     assert a.read_text() == b.read_text()
+
+
+def test_learn_refuses_names_of_another_variable_count(tmp_path, capsys):
+    net, data, scores = tmp_path / "net.json", tmp_path / "data.csv", tmp_path / "s.txt"
+    wide, learned = tmp_path / "wide.csv", tmp_path / "learned.json"
+    run("--quiet", "gen-net", "--n", 3, "--d", 1, "--seed", 1, "--out", net)
+    run("--quiet", "gen-data", "--net", net, "--rows", 50, "--seed", 2, "--out", data)
+    run("--quiet", "score", "--data", data, "--psi2", 0, "--out", scores)
+    wide.write_text("A,B,C,D\n0,1,0,1\n")
+    err = usage_error(capsys, "learn", "--scores", scores, "--names", wide,
+                      "--out", learned)
+    assert "bnboost: error: --names dataset has the wrong variable count" in err
+    assert not learned.exists()
+
+
+def test_eval_refuses_structures_of_other_variables(tmp_path, capsys):
+    truth, learned = tmp_path / "truth.json", tmp_path / "learned.json"
+    truth.write_text(json.dumps({"variables": ["A", "B"], "edges": [["A", "B"]]}))
+    learned.write_text(json.dumps({"variables": ["A", "C"], "edges": []}))
+    err = usage_error(capsys, "eval", "--true", truth, "--learned", learned)
+    assert "bnboost: error: the two structures name different variables" in err
 
 
 def test_experiment_command(tmp_path):
@@ -190,3 +216,46 @@ def test_library_value_errors_are_usage_errors(tmp_path, capsys):
     err = usage_error(capsys, "learn", "--scores", scores, "--method", "greedy",
                       "--restarts", 0, "--out", tmp_path / "g.json")
     assert "bnboost: error: restarts must be >= 1" in err
+
+
+def test_malformed_beta_table_is_a_usage_error(tmp_path, capsys):
+    net, data, table = tmp_path / "net.json", tmp_path / "data.csv", tmp_path / "t.json"
+    run("--quiet", "gen-net", "--n", 3, "--d", 1, "--seed", 1, "--out", net)
+    run("--quiet", "gen-data", "--net", net, "--rows", 50, "--seed", 2, "--out", data)
+    run("--quiet", "beta-table", "--eta", 0.01, "--n-grid", "50",
+        "--gamma-grid", "0.005", "--samples", 1000, "--seed", 3, "--out", table)
+    doc = json.loads(table.read_text())
+    for bad, message in ((5, "beta table is not a JSON object"),
+                         ({**doc, "N_grid": 5}, "beta table key 'N_grid' is 5, not a list")):
+        table.write_text(json.dumps(bad))
+        err = usage_error(capsys, "score", "--data", data, "--beta-table", table,
+                          "--out", tmp_path / "s.txt")
+        assert f"bnboost: error: {table}: {message}" in err
+
+
+def test_malformed_network_is_a_usage_error(tmp_path, capsys):
+    net, other = tmp_path / "net.json", tmp_path / "other.json"
+    run("--quiet", "gen-net", "--n", 3, "--d", 1, "--seed", 1, "--out", other)
+    no_cpds = {k: v for k, v in json.loads(other.read_text()).items() if k != "cpds"}
+    data = ("gen-data", "--net", net, "--rows", 10, "--out", tmp_path / "d.csv")
+    for argv, doc, message in (
+        (data, {}, "document has no 'variables' key"),
+        (data, no_cpds, "document has no 'cpds' key"),
+        (("eval", "--true", net, "--learned", other), {}, "document has no 'variables' key"),
+    ):
+        net.write_text(json.dumps(doc))
+        assert f"bnboost: error: {net}: {message}" in usage_error(capsys, *argv)
+
+
+def test_malformed_experiment_config_is_a_usage_error(tmp_path, capsys):
+    config = tmp_path / "exp.json"
+    good = {"N_schedule": [100], "methods": [["bic", "dp"]], "seeds": [0], "network": {"n": 3}}
+    for doc, message in (
+        ({**good, "methods": []}, "methods must be nonempty"),
+        ({k: v for k, v in good.items() if k != "methods"},
+         "experiment config has no 'methods' key"),
+        ([good], "experiment config is not a JSON object"),
+    ):
+        config.write_text(json.dumps(doc))
+        err = usage_error(capsys, "experiment", "--config", config)
+        assert f"bnboost: error: {config}: {message}" in err

@@ -328,6 +328,41 @@ def test_network_from_dict_names_the_bad_variable():
             network_from_dict(bad)
 
 
+@pytest.mark.parametrize("change, match", [
+    (lambda doc: 5, "document is not a JSON object"),
+    (lambda doc: {}, "document has no 'variables' key"),
+    (lambda doc: doc.__delitem__("cpds"), "document has no 'cpds' key"),
+    (lambda doc: doc.update(variables="X0X1X2X3"), "'variables' is 'X0X1X2X3', not a list"),
+    (lambda doc: doc["variables"].__setitem__(0, 7), "'variables' is 7, not a string"),
+    (lambda doc: doc.update(edges={}), "'edges' is {}, not a list"),
+    (lambda doc: doc["edges"].append(5), "'edges' is 5, not a list"),
+    (lambda doc: doc["edges"].append(["X0"]), r"edge \['X0'\] is not a pair of names"),
+    (lambda doc: doc["edges"].append(["X0", ["X3"]]), r"unknown variable \['X3'\]"),
+    (lambda doc: doc.update(cpds=[]), r"'cpds' is \[\], not an object"),
+    (lambda doc: doc["cpds"].update(X1=0.5), "cpd of 'X1' is not a JSON object"),
+    (lambda doc: doc["cpds"]["X1"].__delitem__("u"), "cpd of 'X1' has no 'u' key"),
+    (lambda doc: doc["cpds"]["X1"].update(u=None), "cpd of 'X1' key 'u' is None, not a number"),
+    (lambda doc: doc["cpds"]["X1"].update(theta=[]), r"'theta' is \[\], not an object"),
+    (lambda doc: doc["cpds"]["X3"]["theta"].update(X0=None),
+     "cpd of 'X3' weight of 'X0' is None, not a number"),
+], ids=[
+    "number", "empty", "no-cpds", "string-variables", "number-name", "object-edges",
+    "number-edge", "short-edge", "list-name", "list-cpds", "number-cpd", "no-bias",
+    "null-bias", "list-theta", "null-weight",
+])
+def test_network_from_dict_rejects_other_shapes(tmp_path, change, match):
+    doc = network_to_dict(random_network(4, 2, seed=13))
+    changed = change(doc)  # None where change edits doc in place
+    doc = doc if changed is None else changed
+    with pytest.raises(ValueError, match=match):
+        network_from_dict(doc)
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=match) as info:
+        load_network(path)
+    assert str(path) in str(info.value)
+
+
 def test_dataset_validation():
     with pytest.raises(ValueError):
         BinaryDataset(("A",), np.array([[2]]))

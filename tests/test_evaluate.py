@@ -357,6 +357,8 @@ def test_experiment_config_validation():
                          restarts=0)
     with pytest.raises(ValueError, match=r"N_schedule \[0, 50\]"):
         ExperimentConfig(N_schedule=[0, 50], methods=[("bic", "dp")], seeds=[0], n=3)
+    with pytest.raises(ValueError, match="methods must be nonempty"):
+        ExperimentConfig(N_schedule=[100], methods=[], seeds=[0], n=3)
 
 
 def test_experiment_config_from_dict():
@@ -386,3 +388,30 @@ def test_experiment_config_from_dict():
     assert (cfg.n, cfg.restarts) == (ExperimentConfig.n, ExperimentConfig.restarts)
     cfg = experiment_config_from_dict({**doc, "kappa": 1, "d": "3"})
     assert cfg.score == ScoreConfig(kappa=1.0, d=3)
+
+
+@pytest.mark.parametrize("change, match", [
+    (lambda doc: [doc], "experiment config is not a JSON object"),
+    (lambda doc: doc.__delitem__("methods"), "experiment config has no 'methods' key"),
+    (lambda doc: doc.update(N_schedule=100), "'N_schedule' is 100, not a list"),
+    (lambda doc: doc.update(seeds={"a": 0}), "'seeds' is {'a': 0}, not a list"),
+    (lambda doc: doc.update(seeds=[None]), "entry of experiment config key 'seeds' is None"),
+    (lambda doc: doc.update(methods=["bic"]), "'methods' is 'bic', not a list"),
+    (lambda doc: doc.update(methods=[["bic"]]), r"'methods' is \[\['bic'\]\], not a list of pairs"),
+    (lambda doc: doc.update(network=[]), r"'network' is \[\], not an object"),
+    (lambda doc: doc.update(network={"n": None}), "config network key 'n' is None"),
+    (lambda doc: doc.update(network={"path": 5}), "config network key 'path' is 5"),
+    (lambda doc: doc.update(beta_table=[]), r"'beta_table' is \[\], not a string"),
+    (lambda doc: doc.update(eta=None), "'eta' is None, not a number"),
+    (lambda doc: doc.update(restarts="ten"), "'restarts' is 'ten', not an integer"),
+], ids=[
+    "list", "no-methods", "number-schedule", "object-seeds", "null-seed", "string-method",
+    "short-method", "list-network", "null-n", "number-path", "list-table", "null-eta",
+    "word-restarts",
+])
+def test_experiment_config_from_dict_rejects_other_shapes(change, match):
+    doc = {"N_schedule": [100], "methods": [["bic", "dp"]], "seeds": [0]}
+    changed = change(doc)  # None where change edits doc in place
+    doc = doc if changed is None else changed
+    with pytest.raises(ValueError, match=match):
+        experiment_config_from_dict(doc)

@@ -321,6 +321,8 @@ def test_boosted_score_rejects_table_of_other_eta(table, four_rows):
     assert total_score(four_rows, empty, table, bic) == total_score(
         four_rows, empty, None, bic
     )
+    with pytest.raises(ValueError):  # the boosts themselves need a table
+        pair_boosts(four_rows, None, bic)
     close = ScoreConfig(eta=table.eta + 1e-13)
     assert pair_boosts(four_rows, table, close) == pair_boosts(
         four_rows, table, ScoreConfig()
