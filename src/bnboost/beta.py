@@ -623,32 +623,26 @@ def table_from_json(text: str) -> BetaTable:
 
 def _table_from_doc(doc) -> BetaTable:
     eta = json_field(doc, "eta", float, "beta table")
-    N_grid = json_field(doc, "N_grid", list, "beta table")
+    N_grid = json_field(doc, "N_grid", list, "beta table", each=int)
     gamma_grid = json_field(doc, "gamma_grid", list, "beta table", each=float)
     cells = json_field(doc, "neg_ln_beta", list, "beta table", each=float)
     shape = (len(N_grid), len(gamma_grid))
     if len(cells) != shape[0] * shape[1]:
         raise ValueError(f"neg_ln_beta has {len(cells)} cells, not {shape}")
-    mc_samples = _integer("mc_samples", json_field(doc, "mc_samples", object, "beta table"))
+    mc_samples = json_field(doc, "mc_samples", int, "beta table")
     if mc_samples < 1:
         raise ValueError(f"beta table key 'mc_samples' holds {mc_samples}, below 1")
-    seed = _integer("seed", json_field(doc, "seed", object, "beta table"))
+    seed = json_field(doc, "seed", int, "beta table")
     if seed < 0:
         raise ValueError(f"beta table key 'seed' holds {seed}, below 0")
     return BetaTable(
         eta=eta,
-        N_grid=[_integer("N_grid", n) for n in N_grid],
+        N_grid=N_grid,
         gamma_grid=gamma_grid,
         neg_ln_beta=np.asarray(cells, dtype=np.float64).reshape(shape),
         mc_samples=mc_samples,
         seed=seed,
     )
-
-
-def _integer(key: str, value) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"beta table key {key!r} holds a non-integer {value!r}")
-    return value
 
 
 def save_table(table: BetaTable, path) -> None:

@@ -4,8 +4,9 @@ Subcommands cover the full pipeline: generate a synthetic network, sample
 data, precompute a beta table, fold a score into parent-set form, search
 for the best structure, compare structures, and drive whole experiments
 from a JSON config. Each subcommand that draws random numbers takes its
-own --seed, 0 by default. Every refused input, whether a flag value, file
-content or config, ends as a usage error with exit status 2.
+own --seed, 0 by default. Every refused input, whether a flag value, an
+unreadable file, file content or config, ends as a usage error with exit
+status 2.
 """
 
 from __future__ import annotations
@@ -217,8 +218,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """Run one subcommand. Every refusal is a ValueError, raised here or in
     the library, such as a bad argument value, a malformed input file or
-    structures that do not match. It is reported the way argparse reports a
-    bad flag: a usage error on stderr and exit status 2."""
+    structures that do not match, or an OSError naming a file that cannot
+    be opened. It is reported the way argparse reports a bad flag: a usage
+    error on stderr and exit status 2."""
     parser = build_parser()
     args = parser.parse_args(argv)
     logging.basicConfig(
@@ -227,7 +229,7 @@ def main(argv=None) -> int:
     )
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         parser.error(str(exc))
 
 

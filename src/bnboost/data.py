@@ -314,22 +314,25 @@ _JSON_TYPES = {dict: "an object", list: "a list", str: "a string",
 
 
 def _json_value(value, kind: type, what: str):
-    if kind in (float, int):  # as the builtins convert, numeric strings too
-        try:
-            return kind(value)
-        except (TypeError, ValueError):
-            pass
-    elif isinstance(value, kind):
-        return value
+    if not isinstance(value, bool):  # JSON true and false are not numbers
+        if kind is float and isinstance(value, int):
+            try:
+                return float(value)
+            except OverflowError:  # an integer beyond the float range
+                pass
+        if isinstance(value, kind):
+            return value
     raise ValueError(f"{what} is {value!r}, not {_JSON_TYPES[kind]}")
 
 
 def json_field(doc, key: str, kind: type, where: str, default=_REQUIRED, each=None):
-    """doc[key] of the JSON object doc as kind: dict, list and str must be
-    the value's JSON type, float and int convert it as the builtins do, and
-    object takes any value. A missing key gives default where one is given,
-    and each, if given, is the kind of every entry of a list. A document of
-    another shape raises ValueError naming where and the key."""
+    """doc[key] of the JSON object doc as kind, which must be the value's
+    JSON type: dict an object, list a list, str a string, int an integer
+    (not written with a point or an exponent) and float any number,
+    returned as a float. A boolean or a string is never a number. A missing
+    key gives default where one is given, and each, if given, is the kind
+    of every entry of a list. A document of another shape raises
+    ValueError naming where and the key."""
     if not isinstance(doc, dict):
         raise ValueError(f"{where} is not a JSON object")
     if key not in doc:

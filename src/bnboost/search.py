@@ -5,7 +5,9 @@ as high as, splits the nodes into the connected components the kept
 families leave, and runs the two-phase subset dynamic program (best parent
 set within every predecessor set, then best sink per node subset) on each
 component on its own; it is exact while the largest component has at most
-24 nodes. greedy_hill_climb handles larger problems with restarts.
+24 nodes. greedy_hill_climb handles larger problems with restarts. Both
+read each node's families keyed by parent bit mask (bit p set for parent
+p); the table's frozensets are the interface, not the working form.
 brute_force enumerates every labeled DAG and is the oracle for tiny n.
 """
 
@@ -62,6 +64,21 @@ def _kept_families(fams: dict) -> dict:
         return s
 
     return {pa: s for pa, s in fams.items() if all(within(pa - {x}) < s for x in pa)}
+
+
+def _by_mask(fams: dict, pos) -> dict[int, float]:
+    """One node's families keyed by parent bit mask, parent p at bit pos[p]."""
+    return {sum(1 << pos[p] for p in pa): s for pa, s in fams.items()}
+
+
+def _bits(mask: int) -> list[int]:
+    """The set bits of mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def _components(n: int, kept: list[dict]) -> list[list[int]]:
@@ -123,11 +140,8 @@ def exact_dp(table: ParentSetScoreTable) -> SearchResult:
                 raise ValueError("the score table covers no complete DAG")
             continue
         local = {v: k for k, v in enumerate(comp)}
-        sub = ParentSetScoreTable(n=len(comp), scores={
-            local[i]: {frozenset(local[p] for p in pa): s for pa, s in kept[i].items()}
-            for i in comp
-        })
-        edges.update((comp[u], comp[v]) for u, v in _subset_dp(sub))
+        masks = _subset_dp([_by_mask(kept[i], local) for i in comp])
+        edges.update((comp[p], i) for i, pa in zip(comp, masks) for p in _bits(pa))
     dag = Dag(n, frozenset(edges))
     return SearchResult(
         dag=dag, score=table.dag_score(dag), method="dp",
@@ -135,10 +149,11 @@ def exact_dp(table: ParentSetScoreTable) -> SearchResult:
     )
 
 
-def _subset_dp(table: ParentSetScoreTable) -> frozenset[tuple[int, int]]:
-    """Edges of the two-phase subset DP's optimum over the whole table, with
-    exact_dp's tie-breaks; the caller checks the size cap."""
-    n = table.n
+def _subset_dp(fams: list[dict]) -> list[int]:
+    """Parent masks of the two-phase subset DP's optimum over every node's
+    families keyed by parent mask, with exact_dp's tie-breaks; the caller
+    checks the size cap."""
+    n = len(fams)
     need = f"about {_dp_bytes(n) / 1e9:.2g} GB"
     size = 1 << n
     try:
@@ -153,8 +168,7 @@ def _subset_dp(table: ParentSetScoreTable) -> frozenset[tuple[int, int]]:
     # phase 1: bps[i, W] = best family score of i with parents inside W,
     # a subset max taken one bit at a time over in-place views
     for i in range(n):
-        for pa, s in table.scores.get(i, {}).items():
-            bps[i, sum(1 << p for p in pa)] = s
+        bps[i, list(fams[i])] = list(fams[i].values())
         for b in range(n):
             if b != i:
                 half = bps[i].reshape(-1, 2, 1 << b)  # [:, 1] holds the sets with b
@@ -179,51 +193,46 @@ def _subset_dp(table: ParentSetScoreTable) -> frozenset[tuple[int, int]]:
         raise ValueError("the score table covers no complete DAG")
 
     # reconstruct: peel sinks; each sink takes its best family inside the rest
-    edges = set()
+    parents = [0] * n
     u = size - 1
     while u:
         i = int(sink[u])
         u ^= 1 << i
-        pa = min(
-            (pa for pa, s in table.scores[i].items()
-             if s == bps[i, u] and all(u >> p & 1 for p in pa)),
-            key=lambda pa: (len(pa), sorted(pa)),
+        parents[i] = min(
+            (m for m, s in fams[i].items() if s == bps[i, u] and not m & ~u),
+            key=lambda m: (m.bit_count(), _bits(m)),
         )
-        edges.update((p, i) for p in pa)
-    return frozenset(edges)
+    return parents
 
 
 # ---------------------------------------------------------------------------
 # greedy hill climbing
 # ---------------------------------------------------------------------------
 
-def _ancestors(parents: list[set]) -> list[int]:
-    """Bit mask of each node's ancestors: a fixpoint over the parent sets."""
+def _ancestors(parents: list[int]) -> list[int]:
+    """Bit mask of each node's ancestors: a fixpoint over the parent masks."""
     anc = [0] * len(parents)
     changed = True
     while changed:
         changed = False
         for v, pa in enumerate(parents):
-            mask = 0
-            for p in pa:
-                mask |= anc[p] | 1 << p
+            mask = pa
+            for p in _bits(pa):
+                mask |= anc[p]
             if mask != anc[v]:
                 anc[v], changed = mask, True
     return anc
 
 
-def _climb(table: ParentSetScoreTable, parents: list[set]) -> tuple[list[set], float]:
-    """Best-improving single-edge moves until a local maximum. Adding u -> v
-    closes a cycle iff v is an ancestor of u; reversing u -> v does iff u is
-    an ancestor of a parent of v (never of u itself)."""
-    n = table.n
-    tables = [table.scores.get(i, {}) for i in range(n)]
-
-    def fam(i, pa):
-        return tables[i].get(frozenset(pa), None)
-
-    cur = [fam(i, parents[i]) for i in range(n)]
-    if any(c is None for c in cur):
+def _climb(fams: list[dict], parents: list[int]) -> tuple[list[int], float]:
+    """Best-improving single-edge moves until a local maximum; returns the
+    parent masks and the sum of their family scores. Adding u -> v closes a
+    cycle iff v is an ancestor of u; reversing u -> v does iff u is an
+    ancestor of a parent of v (never of u itself). A move is the new parent
+    masks of the one or two nodes it changes."""
+    n = len(fams)
+    cur = [f.get(pa) for f, pa in zip(fams, parents)]
+    if None in cur:
         raise ValueError("start graph contains a family missing from the table")
     while True:
         anc = _ancestors(parents)
@@ -233,53 +242,46 @@ def _climb(table: ParentSetScoreTable, parents: list[set]) -> tuple[list[set], f
             for v in range(n):
                 if u == v:
                     continue
-                if u in parents[v]:
-                    s_v = fam(v, parents[v] - {u})
+                if parents[v] >> u & 1:
+                    s_v = fams[v].get(parents[v] ^ 1 << u)
                     if s_v is None:
                         continue
                     # deletion
                     delta = s_v - cur[v]
                     if delta > best_delta:
-                        best_delta, best_move = delta, ("del", u, v)
+                        best_delta, best_move = delta, ((v, parents[v] ^ 1 << u),)
                     # reversal
-                    s_u = fam(u, parents[u] | {v})
-                    if s_u is not None and not any(anc[p] >> u & 1 for p in parents[v]):
+                    s_u = fams[u].get(parents[u] | 1 << v)
+                    if s_u is not None and not any(anc[p] >> u & 1 for p in _bits(parents[v])):
                         delta = (s_v - cur[v]) + (s_u - cur[u])
                         if delta > best_delta:
-                            best_delta, best_move = delta, ("rev", u, v)
+                            best_delta = delta
+                            best_move = ((v, parents[v] ^ 1 << u), (u, parents[u] | 1 << v))
                 elif not anc[u] >> v & 1:
                     # addition u -> v
-                    s = fam(v, parents[v] | {u})
+                    s = fams[v].get(parents[v] | 1 << u)
                     if s is not None:
                         delta = s - cur[v]
                         if delta > best_delta:
-                            best_delta, best_move = delta, ("add", u, v)
+                            best_delta, best_move = delta, ((v, parents[v] | 1 << u),)
         if best_move is None:
-            return parents, sum(cur) + table.constant
-        kind, u, v = best_move
-        if kind == "add":
-            parents[v].add(u)
-        else:
-            parents[v].discard(u)
-            if kind == "rev":
-                parents[u].add(v)
-                cur[u] = fam(u, parents[u])
-        cur[v] = fam(v, parents[v])
+            return parents, sum(cur)
+        for w, pa in best_move:
+            parents[w], cur[w] = pa, fams[w][pa]
 
 
-def _random_start(table: ParentSetScoreTable, d: int, rng) -> list[set]:
-    """Random DAG built along a random order, with at most d parents per
-    node, using only families the table has."""
-    n = table.n
+def _random_start(fams: list[dict], d: int, rng) -> list[int]:
+    """Parent masks of a random DAG built along a random order, with at most
+    d parents per node, using only families the table has."""
+    n = len(fams)
     order = rng.permutation(n)
-    parents: list[set] = [set() for _ in range(n)]
+    parents = [0] * n
     for pos in range(n):
         child = int(order[pos])
-        cap = min(d, pos)
-        k = int(rng.integers(0, cap + 1))
+        k = int(rng.integers(0, min(d, pos) + 1))
         if k:
-            pa = set(int(x) for x in rng.choice(order[:pos], size=k, replace=False))
-            if table.has_family(child, pa):
+            pa = sum(1 << int(x) for x in rng.choice(order[:pos], size=k, replace=False))
+            if pa in fams[child]:
                 parents[child] = pa
     return parents
 
@@ -293,26 +295,22 @@ def greedy_hill_climb(
         raise ValueError("restarts must be >= 1")
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
+    n = table.n
+    fams = [_by_mask(table.scores.get(i, {}), range(n)) for i in range(n)]
     d = table.max_parent_size()
     best_parents = None
     best_score = NEG_INF
     for r in range(restarts):
-        start = (
-            [set() for _ in range(table.n)] if r == 0 else _random_start(table, d, rng)
-        )
+        start = [0] * n if r == 0 else _random_start(fams, d, rng)
         try:
-            parents, score = _climb(table, start)
+            parents, score = _climb(fams, start)
         except ValueError:
             continue
-        if score > best_score:
-            best_score = score
-            best_parents = parents
+        if score + table.constant > best_score:
+            best_score, best_parents = score + table.constant, parents
     if best_parents is None:
         raise ValueError("no valid start: the table lacks the empty families")
-    edges = frozenset(
-        (u, v) for v in range(table.n) for u in best_parents[v]
-    )
-    dag = Dag(table.n, edges)
+    dag = Dag(n, frozenset((u, v) for v in range(n) for u in _bits(best_parents[v])))
     return SearchResult(
         dag=dag, score=table.dag_score(dag), method="greedy",
         runtime_ms=(time.perf_counter() - t0) * 1e3,

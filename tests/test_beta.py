@@ -601,10 +601,10 @@ def test_table_json_roundtrip(small_table, tmp_path):
     ("eta", None, "'eta'"),
     ("neg_ln_beta", lambda v: v[:-1], "neg_ln_beta has 8 cells"),
     ("eta", lambda v: 0.8, "outside"),
-    ("N_grid", lambda v: [n + 0.7 for n in v], "'N_grid' holds a non-integer 40.7"),
-    ("seed", lambda v: 1.9, "'seed' holds a non-integer 1.9"),
-    ("mc_samples", lambda v: 1000.0, "'mc_samples' holds a non-integer 1000.0"),
-    ("seed", lambda v: True, "'seed' holds a non-integer True"),
+    ("N_grid", lambda v: [n + 0.7 for n in v], "entry of beta table key 'N_grid' is 40.7, not an integer"),
+    ("seed", lambda v: 1.9, "'seed' is 1.9, not an integer"),
+    ("mc_samples", lambda v: 1000.0, "'mc_samples' is 1000.0, not an integer"),
+    ("seed", lambda v: True, "'seed' is True, not an integer"),
     ("mc_samples", lambda v: -5, "'mc_samples' holds -5, below 1"),
     ("mc_samples", lambda v: 0, "'mc_samples' holds 0, below 1"),
     ("seed", lambda v: -1, "'seed' holds -1, below 0"),

@@ -259,3 +259,37 @@ def test_malformed_experiment_config_is_a_usage_error(tmp_path, capsys):
         config.write_text(json.dumps(doc))
         err = usage_error(capsys, "experiment", "--config", config)
         assert f"bnboost: error: {config}: {message}" in err
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    """A network, its data and their BIC scores, each in a readable file."""
+    root = tmp_path_factory.mktemp("inputs")
+    net, data, scores = root / "net.json", root / "data.csv", root / "s.txt"
+    run("--quiet", "gen-net", "--n", 3, "--d", 1, "--seed", 1, "--out", net)
+    run("--quiet", "gen-data", "--net", net, "--rows", 50, "--seed", 2, "--out", data)
+    run("--quiet", "score", "--data", data, "--psi2", 0, "--out", scores)
+    return net, data, scores
+
+
+@pytest.mark.parametrize("flag", [
+    "--data", "--net", "--beta-table", "--scores", "--names", "--true", "--learned",
+    "--config",
+])
+def test_an_unreadable_input_file_is_a_usage_error(inputs, tmp_path, capsys, flag):
+    net, data, scores = inputs
+    missing = tmp_path / "missing.file"
+    out = tmp_path / "out"
+    argv = {
+        "--data": ("score", "--data", missing, "--psi2", 0, "--out", out),
+        "--net": ("gen-data", "--net", missing, "--rows", 10, "--out", out),
+        "--beta-table": ("score", "--data", data, "--beta-table", missing, "--out", out),
+        "--scores": ("learn", "--scores", missing, "--out", out),
+        "--names": ("learn", "--scores", scores, "--names", missing, "--out", out),
+        "--true": ("eval", "--true", missing, "--learned", net),
+        "--learned": ("eval", "--true", net, "--learned", missing),
+        "--config": ("experiment", "--config", missing),
+    }[flag]
+    err = usage_error(capsys, *argv)
+    assert "bnboost: error: " in err and str(missing) in err
+    assert not out.exists()

@@ -386,7 +386,7 @@ def test_experiment_config_from_dict():
     assert cfg.score == ScoreConfig()
     assert cfg.d == ScoreConfig().d
     assert (cfg.n, cfg.restarts) == (ExperimentConfig.n, ExperimentConfig.restarts)
-    cfg = experiment_config_from_dict({**doc, "kappa": 1, "d": "3"})
+    cfg = experiment_config_from_dict({**doc, "kappa": 1, "d": 3})
     assert cfg.score == ScoreConfig(kappa=1.0, d=3)
 
 
@@ -404,10 +404,23 @@ def test_experiment_config_from_dict():
     (lambda doc: doc.update(beta_table=[]), r"'beta_table' is \[\], not a string"),
     (lambda doc: doc.update(eta=None), "'eta' is None, not a number"),
     (lambda doc: doc.update(restarts="ten"), "'restarts' is 'ten', not an integer"),
+    # an integer field takes a JSON integer, and a number field no string or boolean
+    (lambda doc: doc.update(d="3"), "'d' is '3', not an integer"),
+    (lambda doc: doc.update(d=2.0), "'d' is 2.0, not an integer"),
+    (lambda doc: doc.update(N_schedule=[100.7], seeds=[0.9, True], network={"n": 3.5, "d": 2.5},
+                            restarts=2.2),
+     "entry of experiment config key 'N_schedule' is 100.7, not an integer"),
+    (lambda doc: doc.update(seeds=[0, True]), "entry of experiment config key 'seeds' is True"),
+    (lambda doc: doc.update(network={"n": 3.5}), "config network key 'n' is 3.5, not an integer"),
+    (lambda doc: doc.update(network={"d": 2.5}), "config network key 'd' is 2.5, not an integer"),
+    (lambda doc: doc.update(restarts=2.2), "'restarts' is 2.2, not an integer"),
+    (lambda doc: doc.update(eta="0.01"), "'eta' is '0.01', not a number"),
+    (lambda doc: doc.update(kappa=True), "'kappa' is True, not a number"),
 ], ids=[
     "list", "no-methods", "number-schedule", "object-seeds", "null-seed", "string-method",
     "short-method", "list-network", "null-n", "number-path", "list-table", "null-eta",
-    "word-restarts",
+    "word-restarts", "string-d", "float-d", "fractional-integers", "bool-seed",
+    "fractional-n", "fractional-network-d", "fractional-restarts", "string-eta", "bool-kappa",
 ])
 def test_experiment_config_from_dict_rejects_other_shapes(change, match):
     doc = {"N_schedule": [100], "methods": [["bic", "dp"]], "seeds": [0]}

@@ -59,6 +59,13 @@ def chain_table(n):
     return ParentSetScoreTable(n=n, scores=scores)
 
 
+def subset_dp_dag(table):
+    """The subset DP's optimum over the whole table, unsplit and unpruned."""
+    n = table.n
+    masks = _subset_dp([search._by_mask(table.scores.get(i, {}), range(n)) for i in range(n)])
+    return Dag(n, frozenset((p, i) for i, m in enumerate(masks) for p in range(n) if m >> p & 1))
+
+
 def dag_count_recurrence(n):
     """Independent oracle: labeled-DAG counts via the alternating recurrence."""
     a = [1]
@@ -158,6 +165,17 @@ def test_exact_dp_tie_breaks(tied, edges):
     assert res.score == 1.0
 
 
+def test_exact_dp_tie_takes_the_smallest_sorted_list_not_the_smallest_mask():
+    # node 0's {1, 4} (mask 18) and {2, 3} (mask 12) tie; [1, 4] < [2, 3] wins
+    scores = {i: {frozenset(): 0.0} for i in range(5)}
+    scores[0].update({frozenset({1, 4}): 1.0, frozenset({2, 3}): 1.0})
+    table = ParentSetScoreTable(n=5, scores=scores)
+    res = exact_dp(table)
+    assert res.dag.edges == frozenset({(1, 0), (4, 0)})
+    assert res.score == 1.0
+    assert brute_force(table).dag.edges == res.dag.edges
+
+
 def test_exact_dp_rejects_oversize():
     # the check comes before any DP array: (8 * 25 + 18) * 2^25 bytes
     table = chain_table(25)
@@ -185,7 +203,7 @@ def test_exact_dp_solves_small_components_above_the_cap():
     rng = np.random.default_rng(30)
     table, blocks = block_table([10, 10, 10], 2, rng)
     res = exact_dp(table)
-    optima = [b.dag_score(Dag(b.n, _subset_dp(b))) for b in blocks]
+    optima = [b.dag_score(subset_dp_dag(b)) for b in blocks]
     assert res.score == pytest.approx(sum(optima), rel=1e-12)
     assert all((u < 10) == (v < 10) and (u < 20) == (v < 20) for u, v in res.dag.edges)
 
@@ -215,7 +233,7 @@ def test_exact_dp_matches_the_unsplit_dp(d):
         tables.append(block_table([n // 3, n - n // 3], d, rng)[0])
     for table in tables:
         res = exact_dp(table)
-        oracle = Dag(table.n, _subset_dp(table))
+        oracle = subset_dp_dag(table)
         assert res.score == pytest.approx(table.dag_score(oracle), rel=1e-12, abs=0.0)
         assert dag_to_cpdag(res.dag) == dag_to_cpdag(oracle)
 
@@ -431,6 +449,21 @@ def climb_reference(table: ParentSetScoreTable, parents: list[set]) -> tuple[lis
     return parents, total + table.constant
 
 
+def climb_reference_on_masks(fams, parents):
+    """climb_reference behind _climb's interface: parent masks in and out,
+    and the sum of the family scores without a table constant."""
+    n = len(fams)
+
+    def parent_set(mask):
+        return {p for p in range(n) if mask >> p & 1}
+
+    table = ParentSetScoreTable(n=n, scores={
+        i: {frozenset(parent_set(m)): s for m, s in f.items()} for i, f in enumerate(fams)
+    })
+    out, score = climb_reference(table, [parent_set(m) for m in parents])
+    return [sum(1 << p for p in pa) for pa in out], score
+
+
 def test_greedy_matches_the_path_walking_climb(monkeypatch):
     rng = np.random.default_rng(1600)
     tables = []
@@ -445,7 +478,7 @@ def test_greedy_matches_the_path_walking_climb(monkeypatch):
         data = sample(net, 400, seed=4000 + trial)
         tables.append(build_parent_set_scores(data, None, ScoreConfig(psi2=0.0)))
     new = [greedy_hill_climb(t, restarts=10, seed=k) for k, t in enumerate(tables)]
-    monkeypatch.setattr(search, "_climb", climb_reference)
+    monkeypatch.setattr(search, "_climb", climb_reference_on_masks)
     for k, (table, res) in enumerate(zip(tables, new)):
         ref = greedy_hill_climb(table, restarts=10, seed=k)
         assert res.dag.edges == ref.dag.edges
