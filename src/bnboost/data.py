@@ -151,9 +151,13 @@ class Network:
     def n(self) -> int:
         return self.dag.n
 
-
-def _sigmoid(x):
-    return 1.0 / (1.0 + np.exp(-x))
+    def p_one(self, i: int, values: np.ndarray) -> np.ndarray:
+        """P(X_i = 1 | parents) = sigmoid(u_i + theta_i . x_pa) for every
+        column of values, where values[p] holds X_p."""
+        act = np.full(values.shape[1], self.bias[i])
+        for p, w in self.theta[i].items():
+            act += w * values[p]
+        return 1.0 / (1.0 + np.exp(-act))
 
 
 def random_network(n: int, d: int, seed: int) -> Network:
@@ -191,10 +195,7 @@ def sample(net: Network, n_rows: int, seed: int) -> BinaryDataset:
     rng = np.random.default_rng(seed)
     rows = np.zeros((n_rows, net.n), dtype=np.uint8)
     for i in net.dag.topological_order():
-        act = np.full(n_rows, net.bias[i])
-        for p, w in net.theta[i].items():
-            act += w * rows[:, p]
-        rows[:, i] = rng.random(n_rows) < _sigmoid(act)
+        rows[:, i] = rng.random(n_rows) < net.p_one(i, rows.T)
     return BinaryDataset(net.variable_names, rows)
 
 

@@ -62,12 +62,6 @@ class JointDist2x2:
     def cells(self) -> tuple[float, float, float, float]:
         return (self.p00, self.p01, self.p10, self.p11)
 
-    def marginal_a(self) -> tuple[float, float]:
-        return (self.p00 + self.p01, self.p10 + self.p11)
-
-    def marginal_b(self) -> tuple[float, float]:
-        return (self.p00 + self.p10, self.p01 + self.p11)
-
 
 def uniform_marginal_dist(t: float) -> JointDist2x2:
     """The uniform-marginal path (1/4+t, 1/4-t, 1/4-t, 1/4+t); |t| < 1/4.
@@ -80,8 +74,8 @@ def uniform_marginal_dist(t: float) -> JointDist2x2:
 
 def mutual_information(p: JointDist2x2) -> float:
     """MI of the pair in nats, with 0*log(0) = 0. Clamped at 0 from below."""
-    pa = p.marginal_a()
-    pb = p.marginal_b()
+    pa = (p.p00 + p.p01, p.p10 + p.p11)
+    pb = (p.p00 + p.p10, p.p01 + p.p11)
     s = 0.0
     for (a, b), pij in zip(((0, 0), (0, 1), (1, 0), (1, 1)), p.cells):
         if pij > 0.0:

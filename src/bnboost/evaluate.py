@@ -80,44 +80,37 @@ def _order_edges(dag: Dag) -> list[tuple[int, int]]:
 def dag_to_cpdag(dag: Dag) -> Pdag:
     """Completed PDAG of the Markov equivalence class of dag.
 
-    Order-based compelled-edge labeling: walk the edges in the canonical
-    order, propagating compelled status from each node's already-labeled
-    incoming edges and from v-structure witnesses.
+    Order-based compelled-edge labeling (Chickering 1995) in one walk of
+    the edges in the canonical order. An edge x -> y that is still
+    unlabeled takes compelled status from x's compelled incoming edges and
+    from v-structure witnesses, and labeling it labels every edge into y.
+    An edge already labeled is skipped: labels only ever leave unknown, and
+    the walk has passed every edge into x, so the next unlabeled edge in
+    the walk is always the lowest-ordered one.
     """
     edges = _order_edges(dag)
-    rank = {e: k for k, e in enumerate(edges)}
     UNKNOWN, COMPELLED, REVERSIBLE = 0, 1, 2
-    label = {e: UNKNOWN for e in edges}
-
-    while True:
-        unknown = [e for e in edges if label[e] == UNKNOWN]
-        if not unknown:
-            break
-        x, y = min(unknown, key=rank.get)
-        forced = False
+    label = dict.fromkeys(edges, UNKNOWN)
+    for x, y in edges:
+        if label[(x, y)] != UNKNOWN:
+            continue
         for w in dag.parents(x):
             if label[(w, x)] != COMPELLED:
                 continue
             if w not in dag.parents(y):
                 for z in dag.parents(y):
                     label[(z, y)] = COMPELLED
-                forced = True
                 break
             label[(w, y)] = COMPELLED
-        if forced:
-            continue
-        if any(z != x and z not in dag.parents(x) for z in dag.parents(y)):
-            verdict = COMPELLED
         else:
-            verdict = REVERSIBLE
-        for z in dag.parents(y):
-            if label[(z, y)] == UNKNOWN:
-                label[(z, y)] = verdict
+            witness = any(z != x and z not in dag.parents(x) for z in dag.parents(y))
+            verdict = COMPELLED if witness else REVERSIBLE
+            for z in dag.parents(y):
+                if label[(z, y)] == UNKNOWN:
+                    label[(z, y)] = verdict
 
     directed = frozenset(e for e in edges if label[e] == COMPELLED)
-    undirected = frozenset(
-        tuple(sorted(e)) for e in edges if label[e] == REVERSIBLE
-    )
+    undirected = frozenset(e for e in edges if label[e] == REVERSIBLE)
     return Pdag(dag.n, directed, undirected)
 
 
@@ -126,24 +119,11 @@ def shd(p1: Pdag, p2: Pdag) -> int:
     orientation or type mismatches, one unit each."""
     if p1.n != p2.n:
         raise ValueError(f"node counts differ: {p1.n} != {p2.n}")
-
-    def classify(p: Pdag):
-        kinds = {}
-        for u, v in p.directed:
-            kinds[(min(u, v), max(u, v))] = ("dir", u, v)
-        for e in p.undirected:
-            kinds[e] = ("und",)
-        return kinds
-
-    k1 = classify(p1)
-    k2 = classify(p2)
-    dist = 0
-    for pair in set(k1) | set(k2):
-        a = k1.get(pair)
-        b = k2.get(pair)
-        if a != b:  # missing, extra, dir-vs-und, or oppositely directed
-            dist += 1
-    return dist
+    # pair (min, max) -> its directed edge, or "und"
+    k1, k2 = ({(min(e), max(e)): e for e in p.directed} | dict.fromkeys(p.undirected, "und")
+              for p in (p1, p2))
+    # missing, extra, dir-vs-und, or oppositely directed
+    return sum(k1.get(pair) != k2.get(pair) for pair in k1.keys() | k2.keys())
 
 
 # ---------------------------------------------------------------------------
@@ -172,6 +152,8 @@ class ExperimentConfig:
             raise ValueError(f"restarts={self.restarts} must be >= 1")
         if len(set(self.seeds)) != len(self.seeds) or not self.seeds:
             raise ValueError("seeds must be nonempty and distinct")
+        if min(self.seeds) < 0:
+            raise ValueError(f"seeds {self.seeds} must be >= 0")
         if not self.methods:
             raise ValueError("methods must be nonempty")
         for score_name, method in self.methods:

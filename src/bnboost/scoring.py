@@ -440,10 +440,7 @@ def _joint_probabilities(net: Network) -> tuple[np.ndarray, np.ndarray]:
         states[i] = (codes >> i) & 1
     probs = np.ones(2 ** n)
     for i in range(n):
-        act = np.full(2 ** n, net.bias[i])
-        for p, w in net.theta[i].items():
-            act += w * states[p]
-        p1 = 1.0 / (1.0 + np.exp(-act))
+        p1 = net.p_one(i, states)
         probs *= np.where(states[i] == 1, p1, 1.0 - p1)
     return states, probs
 

@@ -252,6 +252,7 @@ def test_malformed_experiment_config_is_a_usage_error(tmp_path, capsys):
     good = {"N_schedule": [100], "methods": [["bic", "dp"]], "seeds": [0], "network": {"n": 3}}
     for doc, message in (
         ({**good, "methods": []}, "methods must be nonempty"),
+        ({**good, "seeds": [-1]}, "seeds [-1] must be >= 0"),
         ({k: v for k, v in good.items() if k != "methods"},
          "experiment config has no 'methods' key"),
         ([good], "experiment config is not a JSON object"),

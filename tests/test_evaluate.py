@@ -359,6 +359,8 @@ def test_experiment_config_validation():
         ExperimentConfig(N_schedule=[0, 50], methods=[("bic", "dp")], seeds=[0], n=3)
     with pytest.raises(ValueError, match="methods must be nonempty"):
         ExperimentConfig(N_schedule=[100], methods=[], seeds=[0], n=3)
+    with pytest.raises(ValueError, match=r"seeds \[2, -1\] must be >= 0"):
+        ExperimentConfig(N_schedule=[50], methods=[("bic", "dp")], seeds=[2, -1], n=3)
 
 
 def test_experiment_config_from_dict():
