@@ -419,6 +419,8 @@ def _check_grids(eta: float, N_grid, gamma_grid) -> None:
         raise ValueError("grids must be nonempty")
     if any(b <= a for a, b in zip(N_grid, N_grid[1:])) or N_grid[0] < 1:
         raise ValueError(f"N_grid {list(N_grid)} must ascend from >= 1")
+    if not all(map(math.isfinite, gamma_grid)):
+        raise ValueError(f"gamma_grid {list(gamma_grid)} must be finite")
     if any(b <= a for a, b in zip(gamma_grid, gamma_grid[1:])):
         raise ValueError(f"gamma_grid {list(gamma_grid)} must be ascending")
     if gamma_grid[0] < 0.0 or gamma_grid[-1] >= eta:

@@ -12,6 +12,7 @@ import csv
 import heapq
 import io
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -321,6 +322,8 @@ def _json_value(value, kind: type, what: str):
                 return float(value)
             except OverflowError:  # an integer beyond the float range
                 pass
+        if kind is float and isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{what} is {value!r}, not a finite number")
         if isinstance(value, kind):
             return value
     raise ValueError(f"{what} is {value!r}, not {_JSON_TYPES[kind]}")
@@ -329,11 +332,12 @@ def _json_value(value, kind: type, what: str):
 def json_field(doc, key: str, kind: type, where: str, default=_REQUIRED, each=None):
     """doc[key] of the JSON object doc as kind, which must be the value's
     JSON type: dict an object, list a list, str a string, int an integer
-    (not written with a point or an exponent) and float any number,
-    returned as a float. A boolean or a string is never a number. A missing
-    key gives default where one is given, and each, if given, is the kind
-    of every entry of a list. A document of another shape raises
-    ValueError naming where and the key."""
+    (not written with a point or an exponent) and float any finite
+    number, returned as a float. A boolean or a string is never a number,
+    nor are the NaN and Infinity that Python's json reads. A missing key
+    gives default where one is given, and each, if given, is the kind of
+    every entry of a list. A document of another shape raises ValueError
+    naming where and the key."""
     if not isinstance(doc, dict):
         raise ValueError(f"{where} is not a JSON object")
     if key not in doc:

@@ -148,6 +148,10 @@ class ExperimentConfig:
         sizes = self.N_schedule
         if not sizes or sizes[0] < 1 or any(b <= a for a, b in zip(sizes, sizes[1:])):
             raise ValueError(f"N_schedule {sizes} must ascend from >= 1")
+        if self.n < 1:
+            raise ValueError(f"n={self.n} must be >= 1")
+        if self.d < 0:
+            raise ValueError(f"d={self.d} must be >= 0")
         if self.restarts < 1:
             raise ValueError(f"restarts={self.restarts} must be >= 1")
         if len(set(self.seeds)) != len(self.seeds) or not self.seeds:

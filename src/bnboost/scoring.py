@@ -73,6 +73,9 @@ class ScoreConfig:
     d: int = 2
 
     def __post_init__(self):
+        for key in ("eta", "kappa", "psi2"):
+            if not math.isfinite(getattr(self, key)):
+                raise ValueError(f"{key}={getattr(self, key)!r} must be finite")
         if self.eta <= 0.0:
             raise ValueError(f"eta={self.eta!r} must be > 0")
         if self.kappa <= 0.0:

@@ -209,65 +209,59 @@ def _subset_dp(fams: list[dict]) -> list[int]:
 # greedy hill climbing
 # ---------------------------------------------------------------------------
 
-def _ancestors(parents: list[int]) -> list[int]:
-    """Bit mask of each node's ancestors: a fixpoint over the parent masks."""
-    anc = [0] * len(parents)
+def _above(parents: list[int]) -> list[int]:
+    """Bit mask of the ancestors of each node's parents, so the ancestors of
+    v are parents[v] | above[v]: a fixpoint over the parent masks."""
+    above = [0] * len(parents)
     changed = True
     while changed:
         changed = False
         for v, pa in enumerate(parents):
-            mask = pa
+            mask = 0
             for p in _bits(pa):
-                mask |= anc[p]
-            if mask != anc[v]:
-                anc[v], changed = mask, True
-    return anc
+                mask |= parents[p] | above[p]
+            if mask != above[v]:
+                above[v], changed = mask, True
+    return above
 
 
 def _climb(fams: list[dict], parents: list[int]) -> tuple[list[int], float]:
     """Best-improving single-edge moves until a local maximum; returns the
-    parent masks and the sum of their family scores. Adding u -> v closes a
-    cycle iff v is an ancestor of u; reversing u -> v does iff u is an
-    ancestor of a parent of v (never of u itself). A move is the new parent
-    masks of the one or two nodes it changes."""
+    parent masks and the sum of their family scores. gain[v][u] is the score
+    change from toggling u in v's parent mask (-inf where the table lacks the
+    family); a move, {node: new parent mask}, rebuilds only its nodes' rows.
+    Adding u -> v closes a cycle iff v is an ancestor of u; reversing u -> v
+    does iff u is an ancestor of a parent of v."""
     n = len(fams)
     cur = [f.get(pa) for f, pa in zip(fams, parents)]
     if None in cur:
         raise ValueError("start graph contains a family missing from the table")
+
+    def row(v: int) -> list[float]:
+        return [fams[v].get(parents[v] ^ 1 << u, NEG_INF) - cur[v] for u in range(n)]
+
+    gain = [row(v) for v in range(n)]
     while True:
-        anc = _ancestors(parents)
-        best_delta = 1e-12
-        best_move = None
+        above = _above(parents)
+        best_delta, best_move = 1e-12, None
         for u in range(n):
             for v in range(n):
                 if u == v:
                     continue
-                if parents[v] >> u & 1:
-                    s_v = fams[v].get(parents[v] ^ 1 << u)
-                    if s_v is None:
-                        continue
-                    # deletion
-                    delta = s_v - cur[v]
+                delta = gain[v][u]
+                if parents[v] >> u & 1:  # deletion, then reversal, of u -> v
                     if delta > best_delta:
-                        best_delta, best_move = delta, ((v, parents[v] ^ 1 << u),)
-                    # reversal
-                    s_u = fams[u].get(parents[u] | 1 << v)
-                    if s_u is not None and not any(anc[p] >> u & 1 for p in _bits(parents[v])):
-                        delta = (s_v - cur[v]) + (s_u - cur[u])
-                        if delta > best_delta:
-                            best_delta = delta
-                            best_move = ((v, parents[v] ^ 1 << u), (u, parents[u] | 1 << v))
-                elif not anc[u] >> v & 1:
-                    # addition u -> v
-                    s = fams[v].get(parents[v] | 1 << u)
-                    if s is not None:
-                        delta = s - cur[v]
-                        if delta > best_delta:
-                            best_delta, best_move = delta, ((v, parents[v] | 1 << u),)
+                        best_delta, best_move = delta, {v: parents[v] ^ 1 << u}
+                    if not above[v] >> u & 1 and delta + gain[u][v] > best_delta:
+                        best_delta = delta + gain[u][v]
+                        best_move = {v: parents[v] ^ 1 << u, u: parents[u] | 1 << v}
+                elif not (parents[u] | above[u]) >> v & 1 and delta > best_delta:
+                    best_delta, best_move = delta, {v: parents[v] | 1 << u}  # addition
         if best_move is None:
             return parents, sum(cur)
-        for w, pa in best_move:
+        for w, pa in best_move.items():
             parents[w], cur[w] = pa, fams[w][pa]
+            gain[w] = row(w)
 
 
 def _random_start(fams: list[dict], d: int, rng) -> list[int]:
@@ -312,7 +306,7 @@ def greedy_hill_climb(
         raise ValueError("no valid start: the table lacks the empty families")
     dag = Dag(n, frozenset((u, v) for v in range(n) for u in _bits(best_parents[v])))
     return SearchResult(
-        dag=dag, score=table.dag_score(dag), method="greedy",
+        dag=dag, score=best_score, method="greedy",
         runtime_ms=(time.perf_counter() - t0) * 1e3,
     )
 

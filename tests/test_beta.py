@@ -613,11 +613,13 @@ def test_table_json_roundtrip(small_table, tmp_path):
     ("gamma_grid", lambda v: v[:-1] + [None], "entry of beta table key 'gamma_grid' is None"),
     ("neg_ln_beta", lambda v: [[x] for x in v], r"'neg_ln_beta' is \[.*\], not a number"),
     ("eta", lambda v: [v], r"'eta' is \[0\.01\], not a number"),
+    ("gamma_grid", lambda v: v[:-1] + [math.nan],
+     "entry of beta table key 'gamma_grid' is nan, not a finite number"),
 ], ids=[
     "nan-cell", "reversed-N", "gamma-at-eta", "missing-key", "short-cells", "eta-above-ln2",
     "fractional-N", "fractional-seed", "float-mc-samples", "bool-seed",
     "negative-mc-samples", "zero-mc-samples", "negative-seed",
-    "int-N-grid", "object-cells", "null-gamma", "nested-cells", "list-eta",
+    "int-N-grid", "object-cells", "null-gamma", "nested-cells", "list-eta", "nan-gamma",
 ])
 def test_table_from_json_rejects_bad_grids_and_cells(
     small_table, tmp_path, field, value, match

@@ -207,6 +207,9 @@ def test_library_value_errors_are_usage_errors(tmp_path, capsys):
     assert "bnboost: error: seed=-1 must be an integer >= 0" in err
     err = usage_error(capsys, *beta_args, "--samples", 0, "--seed", 1)
     assert "bnboost: error: samples=0 must be an integer >= 1" in err
+    err = usage_error(capsys, "beta-table", "--eta", 0.01, "--gamma-grid", "0,nan",
+                      "--out", table)
+    assert "bnboost: error: gamma_grid [0.0, nan] must be finite" in err
     assert not table.exists()
 
     net, data, scores = tmp_path / "net.json", tmp_path / "data.csv", tmp_path / "s.txt"
@@ -216,6 +219,9 @@ def test_library_value_errors_are_usage_errors(tmp_path, capsys):
     err = usage_error(capsys, "learn", "--scores", scores, "--method", "greedy",
                       "--restarts", 0, "--out", tmp_path / "g.json")
     assert "bnboost: error: restarts must be >= 1" in err
+    err = usage_error(capsys, "score", "--data", data, "--psi2", "nan", "--out", tmp_path / "n.txt")
+    assert "bnboost: error: psi2=nan must be finite" in err
+    assert not (tmp_path / "n.txt").exists()
 
 
 def test_malformed_beta_table_is_a_usage_error(tmp_path, capsys):
@@ -253,6 +259,9 @@ def test_malformed_experiment_config_is_a_usage_error(tmp_path, capsys):
     for doc, message in (
         ({**good, "methods": []}, "methods must be nonempty"),
         ({**good, "seeds": [-1]}, "seeds [-1] must be >= 0"),
+        ({**good, "network": {"n": 0, "d": -1}}, "n=0 must be >= 1"),
+        ({**good, "network": {"n": 3, "d": -1}}, "d=-1 must be >= 0"),
+        ({**good, "kappa": float("nan")}, "experiment config key 'kappa' is nan, not a finite number"),
         ({k: v for k, v in good.items() if k != "methods"},
          "experiment config has no 'methods' key"),
         ([good], "experiment config is not a JSON object"),

@@ -349,10 +349,15 @@ def test_network_from_dict_names_the_bad_variable():
     (lambda doc: doc["cpds"]["X1"].update(u=False), "cpd of 'X1' key 'u' is False, not a number"),
     (lambda doc: doc["cpds"]["X3"]["theta"].update(X0=10 ** 400),
      "cpd of 'X3' weight of 'X0' is 1000.*, not a number"),
+    (lambda doc: doc["cpds"]["X1"].update(u=math.nan),
+     "cpd of 'X1' key 'u' is nan, not a finite number"),
+    (lambda doc: doc["cpds"]["X3"]["theta"].update(X0=math.inf),
+     "cpd of 'X3' weight of 'X0' is inf, not a finite number"),
 ], ids=[
     "number", "empty", "no-cpds", "string-variables", "number-name", "object-edges",
     "number-edge", "short-edge", "list-name", "list-cpds", "number-cpd", "no-bias",
     "null-bias", "list-theta", "null-weight", "string-bias", "bool-bias", "huge-weight",
+    "nan-bias", "infinite-weight",
 ])
 def test_network_from_dict_rejects_other_shapes(tmp_path, change, match):
     doc = network_to_dict(random_network(4, 2, seed=13))

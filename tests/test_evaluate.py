@@ -1,3 +1,4 @@
+import math
 from itertools import combinations
 
 import numpy as np
@@ -361,6 +362,10 @@ def test_experiment_config_validation():
         ExperimentConfig(N_schedule=[100], methods=[], seeds=[0], n=3)
     with pytest.raises(ValueError, match=r"seeds \[2, -1\] must be >= 0"):
         ExperimentConfig(N_schedule=[50], methods=[("bic", "dp")], seeds=[2, -1], n=3)
+    with pytest.raises(ValueError, match="n=0 must be >= 1"):
+        ExperimentConfig(N_schedule=[50], methods=[("bic", "dp")], seeds=[0], n=0, d=-1)
+    with pytest.raises(ValueError, match="d=-1 must be >= 0"):
+        ExperimentConfig(N_schedule=[50], methods=[("bic", "dp")], seeds=[0], n=3, d=-1)
 
 
 def test_experiment_config_from_dict():
@@ -418,11 +423,13 @@ def test_experiment_config_from_dict():
     (lambda doc: doc.update(restarts=2.2), "'restarts' is 2.2, not an integer"),
     (lambda doc: doc.update(eta="0.01"), "'eta' is '0.01', not a number"),
     (lambda doc: doc.update(kappa=True), "'kappa' is True, not a number"),
+    (lambda doc: doc.update(kappa=math.nan), "'kappa' is nan, not a finite number"),
 ], ids=[
     "list", "no-methods", "number-schedule", "object-seeds", "null-seed", "string-method",
     "short-method", "list-network", "null-n", "number-path", "list-table", "null-eta",
     "word-restarts", "string-d", "float-d", "fractional-integers", "bool-seed",
     "fractional-n", "fractional-network-d", "fractional-restarts", "string-eta", "bool-kappa",
+    "nan-kappa",
 ])
 def test_experiment_config_from_dict_rejects_other_shapes(change, match):
     doc = {"N_schedule": [100], "methods": [["bic", "dp"]], "seeds": [0]}

@@ -659,3 +659,7 @@ def test_score_config_validation():
         ScoreConfig(psi2=-1.0)
     with pytest.raises(ValueError):
         ScoreConfig(d=-1)
+    for key in ("eta", "kappa", "psi2"):
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=f"{key}={value!r} must be finite"):
+                ScoreConfig(**{key: value})

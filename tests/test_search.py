@@ -473,6 +473,13 @@ def test_greedy_matches_the_path_walking_climb(monkeypatch):
         table = random_table(n, d, rng, constant=float(rng.normal()) or 1.0,
                              per_parent=float(rng.uniform(0.0, 3.0)))
         tables.append(drop_families(table, 0.3, rng) if trial % 2 else table)
+    for trial in range(150):  # integer scores, so that moves tie
+        n = int(rng.integers(2, 11))
+        d = int(rng.integers(1, 4))
+        table = random_table(n, d, rng)
+        table.scores = {i: {pa: float(rng.integers(-2, 3)) for pa in fams}
+                        for i, fams in table.scores.items()}
+        tables.append(drop_families(table, 0.3, rng) if trial % 2 else table)
     for trial in range(12):
         net = random_network(7, 2, seed=3000 + trial)
         data = sample(net, 400, seed=4000 + trial)
