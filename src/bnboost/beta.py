@@ -466,8 +466,8 @@ class BetaTable:
 
 def _kl_of_gammas(gammas, eta: float) -> np.ndarray:
     """H(p_gamma || p_eta) for each gamma in [0, eta), where p_g is the
-    uniform-marginal distribution with MI g; one lockstep bisection finds
-    the offsets of the positive gammas and of eta together."""
+    uniform-marginal distribution with MI g; one find_t_plus_batch call
+    finds the offsets of the positive gammas and of eta together."""
     g = np.append(np.asarray(gammas, dtype=np.float64), eta)
     t = np.zeros(g.shape)
     t[g > 0.0] = find_t_plus_batch(g[g > 0.0])
@@ -540,7 +540,7 @@ def build_table(
     use the exact product-type sum: the continuous relaxation assigns the
     gamma = 0 acceptance region zero volume, so MC cannot see it. The MC
     cells share one set of draw, weight and block arrays and take t_gamma
-    from one lockstep bisection of the positive gammas.
+    from one find_t_plus_batch call over the positive gammas.
     """
     if not (0.0 < eta < MI_UPPER):
         raise ValueError(f"eta={eta!r} outside (0, ln 2)")

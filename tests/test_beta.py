@@ -7,7 +7,6 @@ import pytest
 
 from bnboost.dist2x2 import (
     MI_UPPER,
-    T_PLUS_TOL,
     JointDist2x2,
     find_t_plus,
     find_t_plus_batch,
@@ -48,6 +47,7 @@ from bnboost.beta import (
 )
 
 ETA = 0.01
+T_PLUS_TOL = 1e-12  # |MI - eta| every find_t_plus result must meet
 
 
 @pytest.fixture(scope="module")
@@ -561,10 +561,21 @@ def test_batch_equals_element_by_element(small_table):
 def test_lockstep_t_plus_equals_find_t_plus():
     etas = np.concatenate((
         [1e-12, 1e-6, ETA, ETA, 0.3, math.log(2.0) - 1e-9],
+        # a relative stop |dt| <= 4e-16 t cycles between two floats here
+        [0.001117991876968088],
         np.random.default_rng(23).uniform(1e-9, 0.02, 50),
     ))
     ts = find_t_plus_batch(etas)
     assert ts.tolist() == [find_t_plus(float(e)) for e in etas]
+    # bit-equal in any order, with duplicates, one at a time and 0-d
+    order = np.random.default_rng(5).permutation(etas.size)
+    assert find_t_plus_batch(etas[order]).tolist() == ts[order].tolist()
+    doubled = np.concatenate((etas, etas[::-1]))
+    assert find_t_plus_batch(doubled).tolist() == np.concatenate((ts, ts[::-1])).tolist()
+    assert [find_t_plus_batch(e[None])[0] for e in etas] == ts.tolist()
+    zero_d = find_t_plus_batch(np.float64(ETA))
+    assert zero_d.shape == () and float(zero_d) == ts[2]
+    assert find_t_plus_batch(etas.reshape(3, -1)).tolist() == ts.reshape(3, -1).tolist()
     for t, eta in zip(ts, etas):
         assert abs(mutual_information(uniform_marginal_dist(t)) - eta) <= T_PLUS_TOL
     with pytest.raises(ValueError):

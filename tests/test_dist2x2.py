@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 
 from bnboost.dist2x2 import (
+    T_PLUS_STEPS,
     JointDist2x2,
     SupportError,
+    _mi_on_path,
     find_t_plus,
+    find_t_plus_batch,
     kl_divergence,
     mi_from_counts,
     mi_from_counts_batch,
@@ -99,6 +102,68 @@ def test_find_t_plus_roundtrip_grid():
         assert mutual_information(uniform_marginal_dist(t)) == pytest.approx(
             eta, abs=1e-10
         )
+
+
+def series_mi(t):
+    """MI on the uniform-marginal path at offset t as a sum of positive
+    terms: sum_k x^(2k) / (2k(2k-1)), x = 4t. Above x = 0.999 that series
+    needs more than 10^4 terms, so there MI = ln 2 - h(u), u = (1 - x)/2,
+    with the binary entropy h(u) = u - u ln u - sum_{k>=2} u^k / (k(k-1)),
+    all of whose terms after the first two are small against ln 2."""
+    x = 4.0 * t
+    terms = []
+    if x <= 0.999:
+        x2, k = x * x, 1
+        while True:
+            term = x2**k / (2 * k * (2 * k - 1))
+            terms.append(term)
+            if term <= 1e-18 * terms[0]:
+                return math.fsum(terms)
+            k += 1
+    u = 0.5 - 2.0 * t  # exact: 2t is in [1/4, 1/2)
+    k = 2
+    while True:
+        term = u**k / (k * (k - 1))
+        terms.append(term)
+        if term <= 1e-18 * u:
+            return LN2 - math.fsum([u, -u * math.log(u)] + [-v for v in terms])
+        k += 1
+
+
+def oracle_t_plus(eta):
+    """Bisection on series_mi for up to T_PLUS_STEPS steps, stopped once no
+    float lies strictly between the bracket's ends (a relative stop in t);
+    the end whose MI is nearer eta wins."""
+    lo, hi = 0.0, 0.25
+    for _ in range(T_PLUS_STEPS):
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break
+        if series_mi(mid) < eta:
+            lo = mid
+        else:
+            hi = mid
+    return min((lo, hi), key=lambda t: abs(series_mi(t) - eta))
+
+
+ORACLE_ETAS = (3.4e-13, 1e-12, 1e-10, 1e-6, 1e-4, 5e-3, 0.01, 0.3, 0.6, LN2 - 1e-9)
+
+
+def test_t_plus_within_4_ulp_of_series_bisection():
+    rng = np.random.default_rng(2024)
+    etas = np.concatenate((ORACLE_ETAS, rng.uniform(0.0, 0.02, 200)))
+    ts = find_t_plus_batch(etas)
+    ref = np.array([oracle_t_plus(float(e)) for e in etas])
+    rel = np.abs(ts - ref) / ref
+    assert rel.max() <= 4 * np.finfo(np.float64).eps, (etas[rel.argmax()], rel.max())
+
+
+def test_path_mi_matches_series_at_small_t():
+    ts = np.array([1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7])
+    mi, _ = _mi_on_path(ts)
+    for t, m in zip(ts, mi):
+        ref = series_mi(float(t))
+        assert abs(m - ref) <= 1e-15 * ref, (t, m, ref)
 
 
 def test_reference_dist():
