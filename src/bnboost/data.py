@@ -103,7 +103,11 @@ class BinaryDataset:
     rows: np.ndarray  # (N, n) uint8
 
     def __post_init__(self):
-        rows = np.ascontiguousarray(np.asarray(self.rows, dtype=np.uint8))
+        rows = np.asarray(self.rows)
+        # before the cast, which would wrap 256 to 0 and truncate 0.5 to 0
+        if not ((rows == 0) | (rows == 1)).all():
+            raise ValueError("cells must be 0 or 1")
+        rows = np.ascontiguousarray(rows, dtype=np.uint8)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "variable_names", tuple(self.variable_names))
         if rows.ndim != 2 or rows.shape[0] < 1 or rows.shape[1] < 1:
@@ -112,8 +116,6 @@ class BinaryDataset:
             raise ValueError("column count does not match variable names")
         if len(set(self.variable_names)) != len(self.variable_names):
             raise ValueError("duplicate variable names")
-        if (rows > 1).any():
-            raise ValueError("cells must be 0 or 1")
 
     @property
     def n_rows(self) -> int:

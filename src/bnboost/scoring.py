@@ -16,12 +16,18 @@ batched -ln(beta) query covers every size. Families, strata and
 edge_strength take their column sets from one enumerator (_column_sets).
 
 Every contingency table comes from one counting kernel (_count) over the
-dataset's distinct rows: Gram products (BLAS matrix products) for large
-calls on their int64 multiplicities, one bincount for the rest. A count is
-an integer below 2^53, which float64 holds exactly in any summation order,
-so both routes give bit-equal tables, log-likelihoods, boosts and scores.
-Probability weights (edge_strength's exact joint) always take the
-bincount, whose column-order sums do not depend on the BLAS.
+dataset's distinct rows and their int64 multiplicities, by one of three
+routes chosen from the call's sizes. When M column sets times U distinct
+rows reach twice n * 2^n (a measured crossover; with 2000 rows, families
+of two parents pass it up to n = 16), every table is read off one 2^n
+histogram of the rows: n superset-sum passes over it, then k passes of
+Moebius inversion per table. Below that, large calls take Gram products
+(BLAS matrix products) and the rest one bincount. A count, and every
+partial sum or difference the transform forms, is an integer below 2^53,
+which float64 holds exactly in any order of operations, so all routes
+give bit-equal tables, log-likelihoods, boosts and scores. Probability
+weights (edge_strength's exact joint) always take the bincount, whose
+column-order sums do not depend on the BLAS.
 """
 
 from __future__ import annotations
@@ -92,6 +98,9 @@ class ScoreConfig:
 _WORD_BITS = 62
 _CHUNK_CELLS = 1 << 16
 _SERIAL_MADDS = 1 << 18
+# A call takes the superset-sum transform once M column sets times U distinct
+# rows reach this many times its n * 2^n additions (measured crossover).
+_ZETA_WORK = 2
 
 
 def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -120,21 +129,57 @@ def _count(bits: np.ndarray, weights: np.ndarray, colsets: np.ndarray) -> np.nda
     m of the (M, 2^k) float64 result counts the columns u of bits, each
     adding weights[u], by the cell index sum_j bits[colsets[m, j], u] << j.
 
-    Float weights (probabilities) always take _bincount, which adds them in
-    column order, so their sums do not depend on the BLAS. Integer weights
-    (row multiplicities) take Gram products (_gram_count) once the call
+    Three routes, chosen from the call's sizes. Float weights (probabilities)
+    always take _bincount, which adds them in column order, so their sums do
+    not depend on the BLAS. Integer weights (row multiplicities) take the
+    superset-sum transform (_zeta_count) once the direct routes' work, M
+    column sets times U distinct rows, reaches _ZETA_WORK times the
+    transform's n * 2^n; otherwise Gram products (_gram_count) once the call
     outgrows one bincount pass and holds at least n * 2^(k-2) / 2 column
-    sets per distinct prefix; smaller calls cost less as bincounts. Every
-    count is then an integer below 2^53, which float64 holds exactly in any
-    summation order, so both routes give the same counts bit for bit."""
+    sets per distinct prefix, and _bincount below that. Every count, and
+    every partial sum or difference the transform forms, is then an integer
+    below 2^53, which float64 holds exactly in any order of operations, so
+    all three routes give the same counts bit for bit."""
     m_all, k = colsets.shape
     n, u = bits.shape
-    if (weights.dtype.kind == "i" and k >= 2 and m_all * u > _CHUNK_CELLS
-            and n ** (k - 2) < 1 << 62):  # the prefix keys fit in int64
-        order, starts = _by_prefix(colsets, n)
-        if 2 * m_all >= len(starts) * n << (k - 2):
-            return _gram_count(bits, weights, colsets, order, starts)
+    if weights.dtype.kind == "i":
+        if m_all * u >= _ZETA_WORK * (n << n):
+            return _zeta_count(bits, weights, colsets)
+        if (k >= 2 and m_all * u > _CHUNK_CELLS
+                and n ** (k - 2) < 1 << 62):  # the prefix keys fit in int64
+            order, starts = _by_prefix(colsets, n)
+            if 2 * m_all >= len(starts) * n << (k - 2):
+                return _gram_count(bits, weights, colsets, order, starts)
     return _bincount(bits, weights, colsets)
+
+
+def _zeta_count(bits, weights, colsets) -> np.ndarray:
+    """_count for integer weights through one 2^n histogram h of the rows'
+    codes (column j is bit j). n in-place passes turn h into superset sums,
+    z[T] = sum of h[S] over S containing T: the rows with every column of T
+    at 1. A column set's 2^k cells first read z at the OR of their 1-columns'
+    bits, then k in-place passes of Moebius inversion subtract, for each
+    column j, the cells with bit j set from those with it clear. One chunk
+    of column sets holds about _CHUNK_CELLS cells."""
+    m_all, k = colsets.shape
+    n = bits.shape[0]
+    sums = np.bincount(np.left_shift(1, np.arange(n)) @ bits, weights, minlength=1 << n)
+    for j in range(n):
+        half = sums.reshape(-1, 2, 1 << j)
+        half[:, 0] += half[:, 1]
+    out = np.empty((m_all, 1 << k))
+    step = max(1, _CHUNK_CELLS >> k)
+    for lo in range(0, m_all, step):
+        chunk = np.left_shift(1, colsets[lo:lo + step])
+        idx = np.zeros((len(chunk), 1), dtype=np.intp)
+        for j in range(k):
+            idx = np.concatenate((idx, idx | chunk[:, j, None]), axis=1)
+        cells = out[lo:lo + len(chunk)]
+        np.take(sums, idx, out=cells)
+        for j in range(k):
+            half = cells.reshape(len(chunk), -1, 2, 1 << j)
+            half[:, :, 0] -= half[:, :, 1]
+    return out
 
 
 def _by_prefix(colsets: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -515,7 +560,7 @@ def load_scores(path) -> ParentSetScoreTable:
     (n,), constant = _numbers(lines[0], head[1::2])
     if n < 1:
         raise ValueError(f"node count below 1 in scores header: {lines[0]!r}")
-    scores: dict[int, dict[frozenset, float]] = {i: {} for i in range(n)}
+    scores: dict[int, dict[frozenset, float]] = {}
     for ln in lines[1:]:
         ints, score = _numbers(ln, ln.split())
         if len(ints) < 2 or len(ints) != ints[1] + 2:
@@ -525,7 +570,15 @@ def load_scores(path) -> ParentSetScoreTable:
             raise ValueError(f"index outside 0..{n - 1} in scores line: {ln!r}")
         if node in parents or len(parents) != ints[1]:
             raise ValueError(f"node or parent repeated in scores line: {ln!r}")
-        if parents in scores[node]:
+        if parents in scores.setdefault(node, {}):
             raise ValueError(f"family listed twice in scores line: {ln!r}")
         scores[node][parents] = score
+    # every node of a DAG needs a family, so a larger n covers no DAG, and
+    # the table below stays as large as the file
+    if n > len(lines) - 1:
+        raise ValueError(
+            f"node count above the {len(lines) - 1} family lines in scores header: "
+            f"{lines[0]!r}"
+        )
+    scores = {i: scores.get(i, {}) for i in range(n)}
     return ParentSetScoreTable(n=n, scores=scores, constant=constant)

@@ -375,6 +375,10 @@ def test_network_from_dict_rejects_other_shapes(tmp_path, change, match):
 def test_dataset_validation():
     with pytest.raises(ValueError):
         BinaryDataset(("A",), np.array([[2]]))
+    # each would read 0 or 1 after a cast to uint8
+    for cell in (256, 0.5, 1.9, -255):
+        with pytest.raises(ValueError, match="0 or 1"):
+            BinaryDataset(("A",), np.array([[cell]]))
     with pytest.raises(ValueError):
         BinaryDataset(("A", "A"), np.zeros((2, 2), dtype=np.uint8))
     with pytest.raises(ValueError):

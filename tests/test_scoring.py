@@ -21,6 +21,7 @@ from bnboost.scoring import (
     _distinct_rows,
     _gram_count,
     _joint_probabilities,
+    _zeta_count,
     build_parent_set_scores,
     dim,
     edge_strength,
@@ -363,9 +364,11 @@ def test_batched_counts_match_bincount(rows):
         want = np.array([bincount_reference(rows, cs) for cs in colsets])
         assert (_count(bits, weights, colsets) == want).all()
         assert (_bincount(bits, weights, colsets) == want).all()
-        if k >= 2:  # both routes, whichever _count takes
+        if k >= 2:  # every route, whichever _count takes
             gram = _gram_count(bits, weights, colsets, *_by_prefix(colsets, n))
             assert (gram == want).all()
+        if n <= 18:  # every case but n = 70, whose histogram has 2^70 cells
+            assert (_zeta_count(bits, weights, colsets) == want).all()
 
 
 def family_colsets(n, k):
@@ -375,22 +378,70 @@ def family_colsets(n, k):
     ])
 
 
-def test_count_takes_gram_products_only_where_they_pay(monkeypatch):
-    calls = []
-    monkeypatch.setattr(scoring, "_gram_count",
-                        lambda *args: calls.append(args[2].shape) or _gram_count(*args))
-    big = random_rows(20_000, 12, seed=8).astype(np.uint8)
-    small = random_rows(200, 5, seed=9).astype(np.uint8)
-    for rows in (big, small):
-        bits, weights = _distinct_rows(rows)
-        for k in (1, 2, 3):
-            colsets = family_colsets(rows.shape[1], k)
-            want = np.array([bincount_reference(rows, cs) for cs in colsets])
-            assert (_count(bits, weights, colsets) == want).all()
-        # probabilities keep the bincount route whatever the size
-        _count(bits, weights / len(rows), family_colsets(rows.shape[1], 3))
-    # the two families of 12 children with 1 and 2 parents; no other call
-    assert calls == [(132, 2), (660, 3)]
+def test_count_routes_follow_the_work_rule(monkeypatch):
+    """The route each _count call takes in BIC builds of the size of the
+    cli-bic-n12 and bic-dp-n18 workloads, and for probabilities; every
+    route gives the bincount's counts."""
+    routes = []
+    bincount = scoring._bincount
+    for name in ("_zeta_count", "_gram_count", "_bincount"):
+        def route(bits, weights, colsets, *rest, _name=name, _real=getattr(scoring, name)):
+            routes.append((_name, colsets.shape))
+            out = _real(bits, weights, colsets, *rest)
+            assert (out == bincount(bits, weights, colsets)).all()
+            return out
+        monkeypatch.setattr(scoring, name, route)
+
+    bic = ScoreConfig(psi2=0.0)
+    # n = 12, N = 20 000: the transform's 12 * 2^12 additions against M * U
+    data = sample(random_network(12, 2, seed=7000), 20_000, seed=8)
+    u = _distinct_rows(data.rows)[0].shape[1]
+    admitted = [m * u >= scoring._ZETA_WORK * (12 << 12) for m in (12, 132, 660)]
+    assert admitted == [False, True, True]
+    build_parent_set_scores(data, None, bic)
+    assert routes == [("_bincount", (12, 1)), ("_zeta_count", (132, 2)),
+                      ("_zeta_count", (660, 3))]
+    # probabilities keep the bincount route whatever the size
+    routes.clear()
+    bits, weights = _distinct_rows(data.rows)
+    _count(bits, weights / data.n_rows, family_colsets(12, 3))
+    assert routes == [("_bincount", (660, 3))]
+
+    # n = 18, N = 2000: the Gram products and bincounts of the parent rule
+    routes.clear()
+    build_parent_set_scores(sample(random_network(18, 2, seed=7000), 2000, seed=9),
+                            None, bic)
+    assert routes == [("_bincount", (18, 1)), ("_gram_count", (306, 2)),
+                      ("_gram_count", (2448, 3))]
+
+
+def test_zeta_count_temporaries_hold_the_histogram_and_one_chunk():
+    # the strata of every pair given a separating set of two, at the largest
+    # n whose 2000 rows admit them to the transform: at n = 21 even 2000
+    # distinct rows fall short
+    n, n_rows = 20, 2000
+    data = sample(random_network(n, 2, seed=133), n_rows, seed=134)
+    bits, weights = _distinct_rows(data.rows)
+    colsets = np.array([
+        (b, a, *sep) for a, b in combinations(range(n), 2)
+        for sep in combinations([v for v in range(n) if v not in (a, b)], 2)
+    ])
+    assert len(colsets) * bits.shape[1] >= scoring._ZETA_WORK * (n << n)
+    strata_21 = math.comb(21, 2) * math.comb(19, 2)
+    assert strata_21 * n_rows < scoring._ZETA_WORK * (21 << 21)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = _zeta_count(bits, weights, colsets)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert (out[::97] == np.array([bincount_reference(data.rows, cs)
+                                   for cs in colsets[::97]])).all()
+    # beyond the (M, 2^k) result and the 8 MiB histogram
+    histogram = 8 << n
+    assert peak - out.nbytes - histogram < 2.5 * 2 ** 20, (
+        (peak - out.nbytes - histogram) / 2 ** 20)
 
 
 @pytest.mark.parametrize("k", [3, 4])
@@ -591,6 +642,16 @@ def test_load_scores_rejects_bad_files(tmp_path, body, bad_line):
     path.write_text(body)
     with pytest.raises(ValueError, match=re.escape(bad_line or "empty")):
         load_scores(path)
+
+
+def test_load_scores_refuses_more_nodes_than_family_lines(tmp_path):
+    path = tmp_path / "scores.txt"
+    path.write_text("n 1000000000000 constant 0\n0 0 -1.0\n")
+    with pytest.raises(ValueError, match=re.escape("n 1000000000000 constant 0")):
+        load_scores(path)
+    # a node count at the number of family lines loads, a gap left empty
+    path.write_text("n 2 constant 0\n0 0 -1.0\n0 1 1 -2.0\n")
+    assert load_scores(path).scores == {0: {frozenset(): -1.0, frozenset({1}): -2.0}, 1: {}}
 
 
 def test_score_table_missing_family():
