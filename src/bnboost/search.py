@@ -2,12 +2,12 @@
 
 exact_dp drops every family that a subset of its parents scores at least
 as high as, splits the nodes into the connected components the kept
-families leave, and runs the two-phase subset dynamic program (best parent
-set within every predecessor set, then best sink per node subset) on each
-component on its own; it is exact while the largest component has at most
-24 nodes. greedy_hill_climb handles larger problems with restarts. Both
-read each node's families keyed by parent bit mask (bit p set for parent
-p); the table's frozensets are the interface, not the working form.
+families leave, and runs the subset dynamic program (the best sink of each
+node subset takes its best-ranked family inside the rest) on each component
+on its own; it is exact while the largest component has at most 24 nodes.
+greedy_hill_climb handles larger problems with restarts. Both read each
+node's families keyed by parent bit mask (bit p set for parent p); the
+table's frozensets are the interface, not the working form.
 brute_force enumerates every labeled DAG and is the oracle for tiny n.
 """
 
@@ -42,11 +42,13 @@ class SearchResult:
     runtime_ms: float
 
 
-def _dp_bytes(n: int) -> int:
-    """Memory the subset DP holds on n nodes: bps is n * 2^n float64, and phase 2
-    keeps best (float64), sink (int8), the masks (int64) and their
-    popcounts (uint8), 18 bytes per subset."""
-    return (8 * n + 18) << n
+def _dp_bytes(n: int, f: int) -> int:
+    """Memory the subset DP holds on n nodes that keep at most f families
+    each: 17 bytes per subset (best, masks, popcounts) plus one sink's
+    scan of the largest layer, whose comb(n - 1, (n - 1) // 2) subsets take
+    8 bytes per ranked family (the int64 fit test) and about 72 for the
+    layer, index and score arrays; 2-7% above the traced peak at 18-22 nodes."""
+    return (17 << n) + (8 * f + 72) * math.comb(n - 1, (n - 1) // 2)
 
 
 def _kept_families(fams: dict) -> dict:
@@ -110,18 +112,20 @@ def exact_dp(table: ParentSetScoreTable) -> SearchResult:
     families link each node to its candidate parents, and the subset DP runs
     on each connected component of that graph on its own; a node left alone
     takes the empty family. The cap DP_MAX_N and the memory statement apply
-    to the largest component, not to n: its best-parent-set table is
-    k * 2^k float64 at k nodes (38 MB at k = 18, 3.2 GB at k = 24), and
-    phase 2 adds about 18 bytes per subset. Above the cap, or when the
-    allocation fails, the error gives the total. Ties resolve inside each
-    component: to the lowest-index sink of each node subset, then to the
-    parent set with the fewest parents, then the smallest sorted list.
+    to the largest component, not to n: at k nodes the DP holds 17 bytes per
+    subset plus one layer's scan, which grows with the most families a node
+    keeps (traced, 31 MiB at k = 20 and 119 MiB at k = 22 with 12 families
+    per node). Above the cap, or when memory runs out inside the DP, the
+    error gives that total. Ties resolve inside each component: to the
+    lowest-index sink of each node subset, then to the parent set with the
+    fewest parents, then the smallest sorted list.
     """
     t0 = time.perf_counter()
     n = table.n
     kept = [_kept_families(table.scores.get(i, {})) for i in range(n)]
     comps = _components(n, kept)
-    largest = max(map(len, comps))
+    big = max(comps, key=len)
+    largest = len(big)
     if log.isEnabledFor(logging.DEBUG):
         log.debug(
             "exact_dp: %d of %d families kept, %d components, the largest of %d nodes",
@@ -129,9 +133,10 @@ def exact_dp(table: ParentSetScoreTable) -> SearchResult:
             len(comps), largest,
         )
     if largest > DP_MAX_N:
+        need = _dp_bytes(largest, max(len(kept[i]) for i in big)) / 1e9
         raise ValueError(
             f"n={largest} above the exact search cap {DP_MAX_N} in the largest "
-            f"component: it needs about {_dp_bytes(largest) / 1e9:.2g} GB"
+            f"component: it needs about {need:.2g} GB"
         )
     edges = set()
     for comp in comps:
@@ -150,58 +155,52 @@ def exact_dp(table: ParentSetScoreTable) -> SearchResult:
 
 
 def _subset_dp(fams: list[dict]) -> list[int]:
-    """Parent masks of the two-phase subset DP's optimum over every node's
-    families keyed by parent mask, with exact_dp's tie-breaks; the caller
-    checks the size cap."""
+    """Parent masks of the subset DP's optimum over every node's families
+    keyed by parent mask, with exact_dp's tie-breaks; the caller checks the
+    size cap. Each node's families are ranked best first (a tie to fewer
+    parents, then the smaller sorted list), so its best family inside a set
+    is the first ranked one whose mask fits it."""
     n = len(fams)
-    need = f"about {_dp_bytes(n) / 1e9:.2g} GB"
     size = 1 << n
+    ranked = [sorted(f, key=lambda m: (-f[m], m.bit_count(), _bits(m))) for f in fams]
+    # m & ~rest is 0 just when m fits, so argmin finds the first ranked mask
+    # that fits; a trailing mask 0 scored -inf fits every set
+    rank_m = [np.array([*r, 0], dtype=np.int64) for r in ranked]
+    rank_s = [np.array([*map(f.get, r), NEG_INF]) for f, r in zip(fams, ranked)]
     try:
-        bps = np.full((n, size), NEG_INF)
+        # best[U] over orderings of U, the max over its sinks i of best[U \ i]
+        # plus i's best family inside U \ i; processed layer by layer in
+        # subset size so every best[U \ i] is final
         best = np.full(size, NEG_INF)
-        sink = np.full(size, -1, dtype=np.int8)
         masks = np.arange(size, dtype=np.int64)
         pop = np.bitwise_count(masks)
+        best[0] = 0.0
+        for k in range(1, n + 1):
+            layer = masks[pop == k]
+            for i in range(n):
+                bit = 1 << i
+                sel = layer[(layer & bit) != 0]
+                rest = sel ^ bit
+                first = np.argmin(~rest[:, None] & rank_m[i], axis=1)
+                best[sel] = np.maximum(best[sel], best[rest] + rank_s[i][first])
     except MemoryError as exc:
-        raise MemoryError(f"exact_dp at n={n} needs {need}") from exc
-
-    # phase 1: bps[i, W] = best family score of i with parents inside W,
-    # a subset max taken one bit at a time over in-place views
-    for i in range(n):
-        bps[i, list(fams[i])] = list(fams[i].values())
-        for b in range(n):
-            if b != i:
-                half = bps[i].reshape(-1, 2, 1 << b)  # [:, 1] holds the sets with b
-                np.maximum(half[:, 1], half[:, 0], out=half[:, 1])
-
-    # phase 2: best[U] over orderings of U; sink[U] records the last node.
-    # processed layer by layer in subset size so every best[U \ i] is final
-    best[0] = 0.0
-    for k in range(1, n + 1):
-        layer = masks[pop == k]
-        for i in range(n):
-            bit = 1 << i
-            sel = layer[(layer & bit) != 0]
-            rest = sel ^ bit
-            cand = best[rest] + bps[i][rest]
-            upd = cand > best[sel]
-            if upd.any():
-                best[sel[upd]] = cand[upd]
-                sink[sel[upd]] = i
+        need = _dp_bytes(n, max(map(len, fams))) / 1e9
+        raise MemoryError(f"exact_dp at n={n} needs about {need:.2g} GB") from exc
 
     if not math.isfinite(best[size - 1]):
         raise ValueError("the score table covers no complete DAG")
 
-    # reconstruct: peel sinks; each sink takes its best family inside the rest
+    # reconstruct: peel sinks, each the lowest-index node of u whose first
+    # fitting family inside the rest attains best[u], by the same float sum
     parents = [0] * n
     u = size - 1
     while u:
-        i = int(sink[u])
-        u ^= 1 << i
-        parents[i] = min(
-            (m for m, s in fams[i].items() if s == bps[i, u] and not m & ~u),
-            key=lambda m: (m.bit_count(), _bits(m)),
-        )
+        for i in _bits(u):
+            rest = u ^ 1 << i
+            m = next((m for m in ranked[i] if not m & ~rest), None)
+            if m is not None and best[rest] + fams[i][m] == best[u]:
+                break
+        parents[i], u = m, rest
     return parents
 
 

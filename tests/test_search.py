@@ -7,10 +7,14 @@ import numpy as np
 import pytest
 
 from bnboost import search
+from bnboost.beta import build_table
 from bnboost.data import Dag, random_network, sample
 from bnboost.evaluate import dag_to_cpdag
 from bnboost.scoring import ParentSetScoreTable, ScoreConfig, build_parent_set_scores
-from bnboost.search import _subset_dp, all_dags, brute_force, exact_dp, greedy_hill_climb
+from bnboost.search import (
+    _bits, _by_mask, _dp_bytes, _kept_families, _subset_dp,
+    all_dags, brute_force, exact_dp, greedy_hill_climb,
+)
 
 
 def random_table(n, d, rng, scale=3.0, constant=0.0, per_parent=0.0):
@@ -59,11 +63,72 @@ def chain_table(n):
     return ParentSetScoreTable(n=n, scores=scores)
 
 
+def subset_dp_reference(fams):
+    """Independent oracle: the two-phase subset DP. Phase 1 fills bps, each
+    node's best family score inside every subset (n * 2^n float64); phase 2
+    takes the best sink per subset, the lowest index on a tie. Each peeled
+    sink takes the family that scores bps inside the rest, fewest parents,
+    then the smallest sorted list."""
+    n = len(fams)
+    size = 1 << n
+    bps = np.full((n, size), -np.inf)
+    best = np.full(size, -np.inf)
+    sink = np.full(size, -1, dtype=np.int8)
+    masks = np.arange(size, dtype=np.int64)
+    pop = np.bitwise_count(masks)
+    for i in range(n):
+        bps[i, list(fams[i])] = list(fams[i].values())
+        for b in range(n):
+            if b != i:
+                half = bps[i].reshape(-1, 2, 1 << b)  # [:, 1] holds the sets with b
+                np.maximum(half[:, 1], half[:, 0], out=half[:, 1])
+    best[0] = 0.0
+    for k in range(1, n + 1):
+        layer = masks[pop == k]
+        for i in range(n):
+            bit = 1 << i
+            sel = layer[(layer & bit) != 0]
+            rest = sel ^ bit
+            cand = best[rest] + bps[i][rest]
+            upd = cand > best[sel]
+            best[sel[upd]] = cand[upd]
+            sink[sel[upd]] = i
+    if not math.isfinite(best[size - 1]):
+        raise ValueError("the score table covers no complete DAG")
+    parents = [0] * n
+    u = size - 1
+    while u:
+        i = int(sink[u])
+        u ^= 1 << i
+        parents[i] = min(
+            (m for m, s in fams[i].items() if s == bps[i, u] and not m & ~u),
+            key=lambda m: (m.bit_count(), _bits(m)),
+        )
+    return parents
+
+
 def subset_dp_dag(table):
-    """The subset DP's optimum over the whole table, unsplit and unpruned."""
+    """The reference DP's optimum over the whole table, unsplit and unpruned."""
     n = table.n
-    masks = _subset_dp([search._by_mask(table.scores.get(i, {}), range(n)) for i in range(n)])
+    masks = subset_dp_reference([_by_mask(table.scores.get(i, {}), range(n)) for i in range(n)])
     return Dag(n, frozenset((p, i) for i, m in enumerate(masks) for p in range(n) if m >> p & 1))
+
+
+def table_fams(table, prune):
+    """Each node's families keyed by parent mask, pruned by exact_dp's rule or raw."""
+    n = table.n
+    return [
+        _by_mask(_kept_families(f) if prune else f, range(n))
+        for f in (table.scores.get(i, {}) for i in range(n))
+    ]
+
+
+def dp_outcome(dp, fams):
+    """The parent masks dp returns, or the message of the ValueError it raises."""
+    try:
+        return dp(fams)
+    except ValueError as exc:
+        return str(exc)
 
 
 def dag_count_recurrence(n):
@@ -177,11 +242,12 @@ def test_exact_dp_tie_takes_the_smallest_sorted_list_not_the_smallest_mask():
 
 
 def test_exact_dp_rejects_oversize():
-    # the check comes before any DP array: (8 * 25 + 18) * 2^25 bytes
+    # the check comes before any DP array: 17 * 2^25 bytes plus the scan of
+    # (8 * 2 + 72) * comb(24, 12) bytes, as a node keeps at most 2 families
     table = chain_table(25)
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match=r"n=25 above .* about 7\.3 GB"):
+        with pytest.raises(ValueError, match=r"n=25 above .* about 0\.81 GB"):
             exact_dp(table)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -195,8 +261,51 @@ def test_exact_dp_memory_error_states_need(monkeypatch):
 
     table = chain_table(20)
     monkeypatch.setattr(np, "full", no_memory)
-    with pytest.raises(MemoryError, match=r"n=20 needs about 0\.19 GB"):
+    with pytest.raises(MemoryError, match=r"n=20 needs about 0\.026 GB"):
         exact_dp(table)
+
+
+def test_exact_dp_memory_error_inside_a_layer_states_need(monkeypatch):
+    # the up-front arrays fit; the scan of the third (layer, sink) runs out
+    calls = []
+    argmin = np.argmin
+
+    def no_memory_on_the_third(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 3:
+            raise MemoryError
+        return argmin(*args, **kwargs)
+
+    monkeypatch.setattr(np, "argmin", no_memory_on_the_third)
+    with pytest.raises(MemoryError, match=r"n=20 needs about 0\.026 GB"):
+        exact_dp(chain_table(20))
+    assert len(calls) == 3
+
+
+def synthetic_component(n, f, rng):
+    """n nodes, each with the empty family and f - 1 random families of one
+    or two parents, normal scores, keyed by parent mask."""
+    fams = []
+    for i in range(n):
+        others = [v for v in range(n) if v != i]
+        scores = {0: float(rng.normal())}
+        while len(scores) < f:
+            pa = rng.choice(others, size=int(rng.integers(1, 3)), replace=False)
+            scores[sum(1 << int(p) for p in pa)] = float(rng.normal())
+        fams.append(scores)
+    return fams
+
+
+def test_subset_dp_peak_memory_stays_under_the_statement():
+    # an n * 2^n table alone (38 MB at 18 nodes) would break the bound
+    fams = synthetic_component(18, 12, np.random.default_rng(18))
+    tracemalloc.start()
+    try:
+        _subset_dp(fams)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 18 << 18 < peak < _dp_bytes(18, 12)
 
 
 def test_exact_dp_solves_small_components_above_the_cap():
@@ -236,6 +345,45 @@ def test_exact_dp_matches_the_unsplit_dp(d):
         oracle = subset_dp_dag(table)
         assert res.score == pytest.approx(table.dag_score(oracle), rel=1e-12, abs=0.0)
         assert dag_to_cpdag(res.dag) == dag_to_cpdag(oracle)
+
+
+def sweep_table(n, d, rng, ties):
+    """A random table: integer scores in -2..2 (so families tie) or normal
+    ones; about 20% of the nonempty and 2% of the empty families dropped."""
+    scores = {}
+    for i in range(n):
+        others = [v for v in range(n) if v != i]
+        fams = {}
+        for k in range(min(d, n - 1) + 1):
+            for pa in combinations(others, k):
+                if rng.random() >= (0.2 if k else 0.02):
+                    fams[frozenset(pa)] = (
+                        float(rng.integers(-2, 3)) if ties else float(rng.normal())
+                    )
+        scores[i] = fams
+    return ParentSetScoreTable(n=n, scores=scores)
+
+
+def test_subset_dp_matches_the_two_phase_reference():
+    rng = np.random.default_rng(2013)
+    tables = [
+        sweep_table(n, d, rng, ties)
+        for n in range(1, 10) for d in range(4) for ties in (True, False) for _ in range(8)
+    ]
+    beta = build_table(0.01, N_grid=[40, 80, 300], gamma_grid=[0.0, 0.002, 0.005],
+                       samples=20_000, seed=11)
+    for n in range(8, 13):
+        data = sample(random_network(n, 2, seed=900 + n), 2000, seed=1900 + n)
+        tables.append(build_parent_set_scores(data, None, ScoreConfig(psi2=0.0)))
+        tables.append(build_parent_set_scores(data, beta, ScoreConfig(psi2=1.0)))
+    errors = 0
+    for table in tables:
+        for prune in (False, True):
+            fams = table_fams(table, prune)
+            got = dp_outcome(_subset_dp, fams)
+            assert got == dp_outcome(subset_dp_reference, fams)
+            errors += isinstance(got, str)
+    assert 0 < errors < len(tables)
 
 
 def test_exact_dp_logs_the_split_at_debug(caplog):
