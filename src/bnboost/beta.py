@@ -86,7 +86,20 @@ def default_gamma_grid(eta: float, points: int = 12) -> list[float]:
     return [0.0] + [float(g) for g in np.geomspace(eta / 1000.0, 0.9 * eta, points)]
 
 
-def _validate(n: int, ref: JointDist2x2) -> None:
+def _is_integer(value) -> bool:
+    """An int or numpy integer, and not a bool."""
+    return not isinstance(value, bool) and isinstance(value, numbers.Integral)
+
+
+def _validate(n: int, ref: JointDist2x2, gamma: float = 0.0) -> None:
+    """What the exact routes check on entry: gamma finite and >= 0, n an
+    integer >= 1 and ref strictly positive."""
+    if not math.isfinite(gamma):
+        raise ValueError(f"gamma={gamma!r} must be finite")
+    if gamma < 0.0:
+        raise ValueError(f"gamma={gamma!r} must be >= 0")
+    if not _is_integer(n):
+        raise ValueError(f"n={n!r} must be an integer")
     if n < 1:
         raise ValueError(f"n={n} must be >= 1")
     if min(ref.cells) <= 0.0:
@@ -172,9 +185,7 @@ def beta_exact(n: int, gamma: float, ref: JointDist2x2) -> float:
     """
     if n > BETA_EXACT_MAX_N:
         raise ValueError(f"n={n} above the exact-computation cap {BETA_EXACT_MAX_N}")
-    if gamma < 0.0:
-        raise ValueError(f"gamma={gamma!r} must be >= 0")
-    _validate(n, ref)
+    _validate(n, ref, gamma)
     return float(_beta_exact_multi(n, [gamma], ref)[0])
 
 
@@ -182,9 +193,7 @@ def beta_bruteforce(n: int, gamma: float, ref: JointDist2x2) -> float:
     """Oracle: sum sequence probabilities over all 4^n raw sequences."""
     if not (1 <= n <= BRUTE_MAX_N):
         raise ValueError(f"n={n} outside 1..{BRUTE_MAX_N}")
-    if gamma < 0.0:
-        raise ValueError(f"gamma={gamma!r} must be >= 0")
-    _validate(n, ref)
+    _validate(n, ref, gamma)
     cells = ref.cells
     total = 0.0
     for seq in itertools.product(range(4), repeat=n):
@@ -249,7 +258,7 @@ def _sigma_t(n: int, t_gamma: float, ln_ref: np.ndarray) -> float:
 
 def _check_samples_seed(samples, seed) -> None:
     for name, value, low in (("samples", samples, 1), ("seed", seed, 0)):
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+        if not _is_integer(value) or value < low:
             raise ValueError(f"{name}={value!r} must be an integer >= {low}")
 
 
@@ -417,6 +426,8 @@ def beta_mc(
 def _check_grids(eta: float, N_grid, gamma_grid) -> None:
     if not N_grid or not gamma_grid:
         raise ValueError("grids must be nonempty")
+    if not all(map(_is_integer, N_grid)):
+        raise ValueError(f"N_grid {list(N_grid)} must hold integers")
     if any(b <= a for a, b in zip(N_grid, N_grid[1:])) or N_grid[0] < 1:
         raise ValueError(f"N_grid {list(N_grid)} must ascend from >= 1")
     if not all(map(math.isfinite, gamma_grid)):
@@ -550,11 +561,12 @@ def build_table(
             f"eta={eta!r} above {ETA_CONJECTURE_LIMIT}; proposal centering is "
             "unvalidated there"
         )
-    N_grid = list(DEFAULT_N_GRID) if N_grid is None else [int(n) for n in N_grid]
+    N_grid = list(DEFAULT_N_GRID) if N_grid is None else list(N_grid)
     gamma_grid = (
         default_gamma_grid(eta) if gamma_grid is None else [float(g) for g in gamma_grid]
     )
     _check_grids(eta, N_grid, gamma_grid)
+    N_grid = [int(n) for n in N_grid]
 
     ref = reference_dist(eta)
     pos = [j for j, g in enumerate(gamma_grid) if g > 0.0]

@@ -506,6 +506,8 @@ def edge_strength(net: Network, a: int, b: int, d: int) -> float:
         raise ValueError(f"n={n} too large for exact enumeration (max 20)")
     if a == b or not (0 <= a < n and 0 <= b < n):
         raise ValueError(f"bad pair ({a}, {b})")
+    if d < 0:
+        raise ValueError(f"d={d} must be >= 0")
     states, probs = _joint_probabilities(net)
 
     best = math.inf

@@ -1,10 +1,11 @@
 """Maximization of a decomposed structure score over DAGs.
 
 exact_dp drops every family that a subset of its parents scores at least
-as high as, splits the nodes into the connected components the kept
-families leave, and runs the subset dynamic program (the best sink of each
-node subset takes its best-ranked family inside the rest) on each component
-on its own; it is exact while the largest component has at most 24 nodes.
+as high as: ranked best first, such a family follows a kept proper subset.
+It splits the nodes into the connected components the kept families leave
+and runs the subset dynamic program (the best sink of each node subset
+takes its best-ranked family inside the rest) on each component on its
+own; it is exact while the largest component has at most 24 nodes.
 greedy_hill_climb handles larger problems with restarts. Both read each
 node's families keyed by parent bit mask (bit p set for parent p); the
 table's frozensets are the interface, not the working form.
@@ -53,19 +54,15 @@ def _dp_bytes(n: int, f: int) -> int:
 
 def _kept_families(fams: dict) -> dict:
     """The families of one node that score strictly above each proper
-    subset the table has, so a tie keeps the smaller family. within(pa) is
-    the best score over the subsets of pa, pa included, memoised over
-    pa - {x}; a subset missing from the table is walked through."""
-    best_within: dict[frozenset, float] = {}
-
-    def within(pa: frozenset) -> float:
-        s = best_within.get(pa)
-        if s is None:
-            s = max([fams.get(pa, NEG_INF), *(within(pa - {x}) for x in pa)])
-            best_within[pa] = s
-        return s
-
-    return {pa: s for pa, s in fams.items() if all(within(pa - {x}) < s for x in pa)}
+    subset the table has, so a tie keeps the smaller family. Ranked best
+    first, a tie to fewer parents, a family is kept unless a kept one is a
+    proper subset of it: a subset scoring at least as high ranks earlier,
+    and the earliest-ranked proper subset is then itself kept."""
+    kept: dict[frozenset, float] = {}
+    for pa in sorted(sorted(fams, key=len), key=fams.__getitem__, reverse=True):
+        if not any(q < pa for q in kept):
+            kept[pa] = fams[pa]
+    return kept
 
 
 def _by_mask(fams: dict, pos) -> dict[int, float]:
@@ -108,17 +105,19 @@ def exact_dp(table: ParentSetScoreTable) -> SearchResult:
     """Global maximizer of the decomposed score over all DAGs the table covers.
 
     A family is dropped when a proper subset of its parents scores at least
-    as high: no optimum needs it (de Campos & Ji, JMLR 2011). The kept
-    families link each node to its candidate parents, and the subset DP runs
-    on each connected component of that graph on its own; a node left alone
-    takes the empty family. The cap DP_MAX_N and the memory statement apply
-    to the largest component, not to n: at k nodes the DP holds 17 bytes per
-    subset plus one layer's scan, which grows with the most families a node
-    keeps (traced, 31 MiB at k = 20 and 119 MiB at k = 22 with 12 families
-    per node). Above the cap, or when memory runs out inside the DP, the
-    error gives that total. Ties resolve inside each component: to the
-    lowest-index sink of each node subset, then to the parent set with the
-    fewest parents, then the smallest sorted list.
+    as high: no optimum needs it (de Campos & Ji, JMLR 2011). Ranked best
+    first, a tie to fewer parents, such a family follows a kept proper
+    subset (the earliest-ranked one is kept), so only kept families are
+    checked. The kept families link each node to its candidate parents, and
+    the subset DP runs on each connected component of that graph on its
+    own; a node left alone takes the empty family. The cap DP_MAX_N and the
+    memory statement apply to the largest component, not to n: at k nodes
+    the DP holds 17 bytes per subset plus one layer's scan, which grows with
+    the most families a node keeps (traced, 31 MiB at k = 20 and 119 MiB at
+    k = 22 with 12 families per node). Above the cap, or when memory runs
+    out inside the DP, the error gives that total. Ties resolve inside each
+    component: to the lowest-index sink of each node subset, then to the
+    parent set with the fewest parents, then the smallest sorted list.
     """
     t0 = time.perf_counter()
     n = table.n

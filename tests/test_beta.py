@@ -120,6 +120,24 @@ def test_exact_edge_cases(ref):
         beta_exact(10, 0.0, JointDist2x2(0.5, 0.5, 0.0, 0.0))
 
 
+@pytest.mark.parametrize("gamma", [math.nan, math.inf])
+def test_exact_routes_refuse_a_gamma_that_is_not_finite(ref, gamma):
+    for route, n in ((beta_exact, 10), (beta_bruteforce, 4)):
+        with pytest.raises(ValueError, match=f"^gamma={gamma!r} must be finite$"):
+            route(n, gamma, ref)
+
+
+@pytest.mark.parametrize("n", [True, 4.5, 4.0])
+def test_exact_routes_refuse_an_n_that_is_no_integer(ref, n):
+    for call in (
+        lambda: beta_exact(n, 0.0, ref),
+        lambda: beta_bruteforce(n, 0.0, ref),
+        lambda: beta_product_mass(n, ref),
+    ):
+        with pytest.raises(ValueError, match=f"^n={n!r} must be an integer$"):
+            call()
+
+
 def test_exact_monotone_in_gamma(ref):
     for n in (10, 37, 120):
         vals = [beta_exact(n, g, ref) for g in (0.0, 0.001, 0.005, 0.02, 0.1, 0.7)]
@@ -423,6 +441,10 @@ def test_table_validation_errors():
     for seed in (-1, 2.5, True):
         with pytest.raises(ValueError, match=f"seed={seed!r} must be an integer >= 0"):
             build_table(ETA, N_grid=[50], gamma_grid=[0.005], seed=seed)
+    # refused, not truncated to [20, 50] or [1, 50]
+    for N_grid in ([20.7, 50], [True, 50]):
+        with pytest.raises(ValueError, match=r"must hold integers"):
+            build_table(ETA, N_grid=N_grid, gamma_grid=[0.0, 0.005])
 
 
 def cell_seed(seed, i, j):

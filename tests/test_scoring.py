@@ -667,6 +667,13 @@ def test_edge_strength_disconnected_pair_is_zero():
     assert edge_strength(net, 0, 1, 2) == 0.0
 
 
+def test_edge_strength_rejects_a_negative_d():
+    # an empty range of set sizes would otherwise read as an inf strength
+    net = random_network(4, 1, seed=101)
+    with pytest.raises(ValueError, match="^d=-1 must be >= 0$"):
+        edge_strength(net, 0, 1, -1)
+
+
 def test_edge_strength_vacuous_edge_is_zero():
     net = Network(
         dag=Dag(2, frozenset({(0, 1)})), theta={0: {}, 1: {0: 0.0}},

@@ -386,6 +386,41 @@ def test_subset_dp_matches_the_two_phase_reference():
     assert 0 < errors < len(tables)
 
 
+def kept_by_definition(fams):
+    """Independent oracle: the families that score strictly above every
+    proper subset of their parents that the table has."""
+    return {pa: s for pa, s in fams.items() if all(fams[q] < s for q in fams if q < pa)}
+
+
+def test_kept_families_match_their_definition():
+    rng = np.random.default_rng(24)
+    tables = [
+        sweep_table(n, d, rng, ties)
+        for n in range(1, 10) for d in range(4) for ties in (True, False) for _ in range(4)
+    ]
+    beta = build_table(0.01, N_grid=[40, 80, 300], gamma_grid=[0.0, 0.002, 0.005],
+                       samples=20_000, seed=11)
+    for n in range(6, 13):
+        data = sample(random_network(n, 2, seed=700 + n), 1000, seed=1700 + n)
+        tables.append(build_parent_set_scores(data, None, ScoreConfig(psi2=0.0)))
+        tables.append(build_parent_set_scores(data, beta, ScoreConfig(psi2=1.0)))
+    # every parent adds a positive amount, so every family beats its subsets
+    weight = rng.uniform(1.0, 2.0, size=(12, 12))
+    dense = {
+        frozenset(pa): float(weight[0, list(pa)].sum())
+        for k in range(4) for pa in combinations(range(1, 12), k)
+    }
+    assert _kept_families(dense) == dense
+    kept = total = 0
+    for fams in [t.scores.get(i, {}) for t in tables for i in range(t.n)]:
+        got = _kept_families(fams)
+        assert got == kept_by_definition(fams)
+        # the tables list small families first; the rule must not rely on it
+        assert _kept_families(dict(reversed(fams.items()))) == got
+        kept, total = kept + len(got), total + len(fams)
+    assert 0 < kept < total
+
+
 def test_exact_dp_logs_the_split_at_debug(caplog):
     # node 2's {0, 1} ties with {0}, and node 1's {2} loses to its empty family
     scores = {
