@@ -27,12 +27,11 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import json_field, load_json
+from .data import check_count, is_integer, json_field, load_json
 from .dist2x2 import (
     JointDist2x2,
     MI_UPPER,
@@ -86,11 +85,6 @@ def default_gamma_grid(eta: float, points: int = 12) -> list[float]:
     return [0.0] + [float(g) for g in np.geomspace(eta / 1000.0, 0.9 * eta, points)]
 
 
-def _is_integer(value) -> bool:
-    """An int or numpy integer, and not a bool."""
-    return not isinstance(value, bool) and isinstance(value, numbers.Integral)
-
-
 def _validate(n: int, ref: JointDist2x2, gamma: float = 0.0) -> None:
     """What the exact routes check on entry: gamma finite and >= 0, n an
     integer >= 1 and ref strictly positive."""
@@ -98,10 +92,7 @@ def _validate(n: int, ref: JointDist2x2, gamma: float = 0.0) -> None:
         raise ValueError(f"gamma={gamma!r} must be finite")
     if gamma < 0.0:
         raise ValueError(f"gamma={gamma!r} must be >= 0")
-    if not _is_integer(n):
-        raise ValueError(f"n={n!r} must be an integer")
-    if n < 1:
-        raise ValueError(f"n={n} must be >= 1")
+    check_count("n", n, 1)
     if min(ref.cells) <= 0.0:
         raise ValueError("reference distribution must be strictly positive")
 
@@ -183,17 +174,17 @@ def beta_exact(n: int, gamma: float, ref: JointDist2x2) -> float:
 
     Cost grows cubically in n; n above BETA_EXACT_MAX_N is rejected.
     """
+    _validate(n, ref, gamma)
     if n > BETA_EXACT_MAX_N:
         raise ValueError(f"n={n} above the exact-computation cap {BETA_EXACT_MAX_N}")
-    _validate(n, ref, gamma)
     return float(_beta_exact_multi(n, [gamma], ref)[0])
 
 
 def beta_bruteforce(n: int, gamma: float, ref: JointDist2x2) -> float:
     """Oracle: sum sequence probabilities over all 4^n raw sequences."""
-    if not (1 <= n <= BRUTE_MAX_N):
-        raise ValueError(f"n={n} outside 1..{BRUTE_MAX_N}")
     _validate(n, ref, gamma)
+    if n > BRUTE_MAX_N:
+        raise ValueError(f"n={n} outside 1..{BRUTE_MAX_N}")
     cells = ref.cells
     total = 0.0
     for seq in itertools.product(range(4), repeat=n):
@@ -256,12 +247,6 @@ def _sigma_t(n: int, t_gamma: float, ln_ref: np.ndarray) -> float:
     return max(width, 0.25 / math.sqrt(n), 1e-4)
 
 
-def _check_samples_seed(samples, seed) -> None:
-    for name, value, low in (("samples", samples, 1), ("seed", seed, 0)):
-        if not _is_integer(value) or value < low:
-            raise ValueError(f"{name}={value!r} must be an integer >= {low}")
-
-
 class _McWork:
     """What the Monte Carlo cells of one table build share: the logs of the
     reference cells, t_gamma per gamma, and the arrays every beta_mc call
@@ -320,7 +305,8 @@ def beta_mc(
     effective sample size falls below ESS_FLOOR. build_table passes _work
     so that its cells share one set of arrays; it does not change the result.
     """
-    _check_samples_seed(samples, seed)
+    check_count("samples", samples, 1)
+    check_count("seed", seed, 0)
     if not (0.0 < eta < MI_UPPER):
         raise ValueError(f"eta={eta!r} outside (0, ln 2)")
     if not (0.0 < gamma < eta):
@@ -328,8 +314,7 @@ def beta_mc(
             f"gamma={gamma!r} must lie in (0, eta); the gamma=0 acceptance "
             "region has measure zero, use beta_product_mass instead"
         )
-    if n < 1:
-        raise ValueError(f"n={n} must be >= 1")
+    check_count("n", n, 1)
 
     work = _work
     if work is None:
@@ -426,7 +411,7 @@ def beta_mc(
 def _check_grids(eta: float, N_grid, gamma_grid) -> None:
     if not N_grid or not gamma_grid:
         raise ValueError("grids must be nonempty")
-    if not all(map(_is_integer, N_grid)):
+    if not all(map(is_integer, N_grid)):
         raise ValueError(f"N_grid {list(N_grid)} must hold integers")
     if any(b <= a for a, b in zip(N_grid, N_grid[1:])) or N_grid[0] < 1:
         raise ValueError(f"N_grid {list(N_grid)} must ascend from >= 1")
@@ -519,8 +504,7 @@ def neg_ln_beta_batch(table: BetaTable, ns, gammas) -> np.ndarray:
     below = gammas < table.eta
     if not below.any():
         return out
-    uniq, inverse = np.unique(gammas[below], return_inverse=True)
-    kl = _kl_of_gammas(uniq, table.eta)[inverse]
+    kl = _kl_of_gammas(gammas[below], table.eta)
     n = ns[below]
     k0, k1, dk, sk = _segment(table._kl_axis, kl)
     r0, r1, dn, sn = _segment(table._n_axis, n)
@@ -555,7 +539,8 @@ def build_table(
     """
     if not (0.0 < eta < MI_UPPER):
         raise ValueError(f"eta={eta!r} outside (0, ln 2)")
-    _check_samples_seed(samples, seed)
+    check_count("samples", samples, 1)
+    check_count("seed", seed, 0)
     if eta > ETA_CONJECTURE_LIMIT:
         raise ValueError(
             f"eta={eta!r} above {ETA_CONJECTURE_LIMIT}; proposal centering is "

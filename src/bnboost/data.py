@@ -13,6 +13,7 @@ import heapq
 import io
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,7 +34,21 @@ __all__ = [
     "network_from_dict",
     "json_field",
     "load_json",
+    "is_integer",
+    "check_count",
 ]
+
+
+def is_integer(value) -> bool:
+    """An int or numpy integer, and not a bool."""
+    return not isinstance(value, bool) and isinstance(value, numbers.Integral)
+
+
+def check_count(name: str, value, low: int) -> None:
+    """The rule for an integer argument (a size, a degree, a count or a
+    seed): an int or numpy integer, not a bool, at or above low."""
+    if not is_integer(value) or value < low:
+        raise ValueError(f"{name}={value!r} must be an integer >= {low}")
 
 
 class CycleError(ValueError):
@@ -50,8 +65,7 @@ class Dag:
     _parents: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"node count {self.n} must be >= 1")
+        check_count("n", self.n, 1)
         object.__setattr__(self, "edges", frozenset(self.edges))
         parents: list[list[int]] = [[] for _ in range(self.n)]
         for u, v in self.edges:
@@ -171,8 +185,8 @@ def random_network(n: int, d: int, seed: int) -> Network:
     uniformly without replacement. Weights are U[-1/2, 1/2] + N(0,1)/4,
     biases N(0,1)/4.
     """
-    if n < 1 or d < 0:
-        raise ValueError(f"need n >= 1 and d >= 0, got n={n}, d={d}")
+    for name, value, low in (("n", n, 1), ("d", d, 0), ("seed", seed, 0)):
+        check_count(name, value, low)
     rng = np.random.default_rng(seed)
     order = rng.permutation(n)
     edges: set[tuple[int, int]] = set()
@@ -193,8 +207,8 @@ def random_network(n: int, d: int, seed: int) -> Network:
 
 def sample(net: Network, n_rows: int, seed: int) -> BinaryDataset:
     """Ancestral sampling: each node draws Bernoulli(sigmoid(theta.x_pa + u))."""
-    if n_rows < 1:
-        raise ValueError(f"n_rows={n_rows} must be >= 1")
+    check_count("n_rows", n_rows, 1)
+    check_count("seed", seed, 0)
     rng = np.random.default_rng(seed)
     rows = np.zeros((n_rows, net.n), dtype=np.uint8)
     for i in net.dag.topological_order():

@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .beta import BetaTable, load_table
-from .data import Dag, json_field, load_network, random_network, sample
+from .data import Dag, check_count, json_field, load_network, random_network, sample
 from .scoring import ScoreConfig, build_parent_set_scores, check_table
 from .search import brute_force, exact_dp, greedy_hill_climb
 
@@ -146,18 +146,17 @@ class ExperimentConfig:
 
     def __post_init__(self):
         sizes = self.N_schedule
-        if not sizes or sizes[0] < 1 or any(b <= a for a, b in zip(sizes, sizes[1:])):
+        for N in sizes:
+            check_count("N", N, 1)
+        if not sizes or any(b <= a for a, b in zip(sizes, sizes[1:])):
             raise ValueError(f"N_schedule {sizes} must ascend from >= 1")
-        if self.n < 1:
-            raise ValueError(f"n={self.n} must be >= 1")
-        if self.d < 0:
-            raise ValueError(f"d={self.d} must be >= 0")
-        if self.restarts < 1:
-            raise ValueError(f"restarts={self.restarts} must be >= 1")
+        check_count("n", self.n, 1)
+        check_count("d", self.d, 0)
+        check_count("restarts", self.restarts, 1)
         if len(set(self.seeds)) != len(self.seeds) or not self.seeds:
             raise ValueError("seeds must be nonempty and distinct")
-        if min(self.seeds) < 0:
-            raise ValueError(f"seeds {self.seeds} must be >= 0")
+        for seed in self.seeds:
+            check_count("seed", seed, 0)
         if not self.methods:
             raise ValueError("methods must be nonempty")
         for score_name, method in self.methods:

@@ -40,7 +40,7 @@ from itertools import combinations
 import numpy as np
 
 from .beta import BetaTable, neg_ln_beta_batch
-from .data import BinaryDataset, Dag, Network
+from .data import BinaryDataset, Dag, Network, check_count
 from .dist2x2 import JointDist2x2, mi_from_counts_batch, mutual_information
 
 # Not called here; perfbench/tracing.py wraps both names in this module.
@@ -88,8 +88,7 @@ class ScoreConfig:
             raise ValueError(f"kappa={self.kappa!r} must be > 0")
         if self.psi2 < 0.0:
             raise ValueError(f"psi2={self.psi2!r} must be >= 0")
-        if self.d < 0:
-            raise ValueError(f"d={self.d} must be >= 0")
+        check_count("d", self.d, 0)
 
 
 # Row words pack this many columns each; one pass of the counting kernel
@@ -408,6 +407,7 @@ class ParentSetScoreTable:
     variable_names: tuple[str, ...] = ()
 
     def __post_init__(self):
+        check_count("n", self.n, 1)
         if not self.variable_names:
             self.variable_names = tuple(f"X{i}" for i in range(self.n))
 
@@ -504,10 +504,10 @@ def edge_strength(net: Network, a: int, b: int, d: int) -> float:
     n = net.n
     if n > 20:
         raise ValueError(f"n={n} too large for exact enumeration (max 20)")
-    if a == b or not (0 <= a < n and 0 <= b < n):
+    for name, value, low in (("a", a, 0), ("b", b, 0), ("d", d, 0)):
+        check_count(name, value, low)
+    if a == b or a >= n or b >= n:
         raise ValueError(f"bad pair ({a}, {b})")
-    if d < 0:
-        raise ValueError(f"d={d} must be >= 0")
     states, probs = _joint_probabilities(net)
 
     best = math.inf

@@ -23,7 +23,7 @@ from itertools import product
 
 import numpy as np
 
-from .data import Dag
+from .data import Dag, check_count
 from .scoring import ParentSetScoreTable
 
 __all__ = ["SearchResult", "exact_dp", "greedy_hill_climb", "brute_force", "all_dags"]
@@ -283,8 +283,8 @@ def greedy_hill_climb(
 ) -> SearchResult:
     """Best local maximum over restarts; the first climb starts from the
     empty graph, later ones from random DAGs. Deterministic given seed."""
-    if restarts < 1:
-        raise ValueError("restarts must be >= 1")
+    check_count("restarts", restarts, 1)
+    check_count("seed", seed, 0)
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     n = table.n

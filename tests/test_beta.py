@@ -134,7 +134,7 @@ def test_exact_routes_refuse_an_n_that_is_no_integer(ref, n):
         lambda: beta_bruteforce(n, 0.0, ref),
         lambda: beta_product_mass(n, ref),
     ):
-        with pytest.raises(ValueError, match=f"^n={n!r} must be an integer$"):
+        with pytest.raises(ValueError, match=f"^n={n!r} must be an integer >= 1$"):
             call()
 
 

@@ -218,7 +218,7 @@ def test_library_value_errors_are_usage_errors(tmp_path, capsys):
     run("--quiet", "score", "--data", data, "--psi2", 0, "--out", scores)
     err = usage_error(capsys, "learn", "--scores", scores, "--method", "greedy",
                       "--restarts", 0, "--out", tmp_path / "g.json")
-    assert "bnboost: error: restarts must be >= 1" in err
+    assert "bnboost: error: restarts=0 must be an integer >= 1" in err
     err = usage_error(capsys, "score", "--data", data, "--psi2", "nan", "--out", tmp_path / "n.txt")
     assert "bnboost: error: psi2=nan must be finite" in err
     assert not (tmp_path / "n.txt").exists()
@@ -258,9 +258,9 @@ def test_malformed_experiment_config_is_a_usage_error(tmp_path, capsys):
     good = {"N_schedule": [100], "methods": [["bic", "dp"]], "seeds": [0], "network": {"n": 3}}
     for doc, message in (
         ({**good, "methods": []}, "methods must be nonempty"),
-        ({**good, "seeds": [-1]}, "seeds [-1] must be >= 0"),
-        ({**good, "network": {"n": 0, "d": -1}}, "n=0 must be >= 1"),
-        ({**good, "network": {"n": 3, "d": -1}}, "d=-1 must be >= 0"),
+        ({**good, "seeds": [-1]}, "seed=-1 must be an integer >= 0"),
+        ({**good, "network": {"n": 0, "d": -1}}, "n=0 must be an integer >= 1"),
+        ({**good, "network": {"n": 3, "d": -1}}, "d=-1 must be an integer >= 0"),
         ({**good, "kappa": float("nan")}, "experiment config key 'kappa' is nan, not a finite number"),
         ({k: v for k, v in good.items() if k != "methods"},
          "experiment config has no 'methods' key"),
@@ -280,6 +280,19 @@ def inputs(tmp_path_factory):
     run("--quiet", "gen-data", "--net", net, "--rows", 50, "--seed", 2, "--out", data)
     run("--quiet", "score", "--data", data, "--psi2", 0, "--out", scores)
     return net, data, scores
+
+
+@pytest.mark.parametrize("argv", [
+    ("gen-net", "--n", 4, "--d", 1), ("gen-data", "--rows", 10),
+    ("learn", "--method", "greedy"),
+], ids=lambda argv: argv[0])
+def test_a_negative_seed_is_a_usage_error(inputs, tmp_path, capsys, argv):
+    net, _, scores = inputs
+    files = {"gen-net": (), "gen-data": ("--net", net), "learn": ("--scores", scores)}
+    out = tmp_path / "out"
+    err = usage_error(capsys, *argv, *files[argv[0]], "--seed", -1, "--out", out)
+    assert "bnboost: error: seed=-1 must be an integer >= 0" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flag", [

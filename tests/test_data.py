@@ -390,3 +390,87 @@ def test_network_validation():
         Network(dag=Dag(2, frozenset({(0, 1)})), theta={0: {}, 1: {}}, bias={0: 0.0, 1: 0.0})
     with pytest.raises(ValueError):
         Network(dag=Dag(1, frozenset()), theta={0: {}}, bias={})
+
+
+
+@pytest.fixture(scope="module")
+def integer_sites():
+    """site -> (low, good, call) for every integer argument the package
+    checks: call(v) passes v as that argument, every other one valid."""
+    from bnboost.beta import (
+        beta_bruteforce, beta_exact, beta_mc, beta_product_mass, build_table, table_to_json,
+    )
+    from bnboost.dist2x2 import reference_dist
+    from bnboost.evaluate import ExperimentConfig, run_experiment
+    from bnboost.scoring import (
+        ParentSetScoreTable, ScoreConfig, build_parent_set_scores, edge_strength,
+    )
+    from bnboost.search import exact_dp, greedy_hill_climb
+
+    ref = reference_dist(0.01)
+    net = random_network(5, 2, 11)
+    data = sample(net, 300, 12)
+    scores = build_parent_set_scores(data, None, ScoreConfig(psi2=0.0, d=1))
+
+    def table(samples=20000, seed=1):
+        return table_to_json(build_table(0.01, [20, 300], [0.0, 0.005], samples, seed))
+
+    def climb(restarts=2, seed=1):
+        result = greedy_hill_climb(scores, restarts, seed)
+        return result.dag, result.score
+
+    def experiment(N=40, n=3, d=1, restarts=2, seed=5):
+        rows = run_experiment(ExperimentConfig(
+            N_schedule=[N], methods=[("bic", "greedy")], seeds=[seed], n=n, d=d,
+            restarts=restarts))
+        return [(r["seed"], r["N"], r["shd"], r["total_score"], r.get("dag")) for r in rows]
+
+    return {
+        "beta_exact-n": (1, 30, lambda v: beta_exact(v, 0.002, ref)),
+        "beta_bruteforce-n": (1, 4, lambda v: beta_bruteforce(v, 0.002, ref)),
+        "beta_product_mass-n": (1, 30, lambda v: beta_product_mass(v, ref)),
+        "beta_mc-n": (1, 300, lambda v: beta_mc(v, 0.005, 0.01, 20000, 0)),
+        "beta_mc-samples": (1, 20000, lambda v: beta_mc(300, 0.005, 0.01, v, 0)),
+        "beta_mc-seed": (0, 3, lambda v: beta_mc(300, 0.005, 0.01, 20000, v)),
+        "build_table-samples": (1, 20000, lambda v: table(samples=v)),
+        "build_table-seed": (0, 3, lambda v: table(seed=v)),
+        "Dag-n": (1, 3, lambda v: Dag(v, frozenset({(0, 2)}))),
+        "random_network-n": (1, 6, lambda v: random_network(v, 2, 7)),
+        "random_network-d": (0, 2, lambda v: random_network(6, v, 7)),
+        "random_network-seed": (0, 7, lambda v: random_network(6, 2, v)),
+        "sample-n_rows": (1, 100, lambda v: sample(net, v, 3).rows.tobytes()),
+        "sample-seed": (0, 3, lambda v: sample(net, 100, v).rows.tobytes()),
+        "ScoreConfig-d": (0, 1, lambda v: build_parent_set_scores(
+            data, None, ScoreConfig(psi2=0.0, d=v)).scores),
+        "edge_strength-a": (0, 0, lambda v: edge_strength(net, v, 4, 1)),
+        "edge_strength-b": (0, 1, lambda v: edge_strength(net, 4, v, 1)),
+        "edge_strength-d": (0, 2, lambda v: edge_strength(net, 0, 1, v)),
+        "greedy_hill_climb-restarts": (1, 3, lambda v: climb(restarts=v)),
+        "greedy_hill_climb-seed": (0, 4, lambda v: climb(seed=v)),
+        "ParentSetScoreTable-n": (1, 5, lambda v: exact_dp(ParentSetScoreTable(v, scores.scores)).dag),
+        "ExperimentConfig-N": (1, 40, lambda v: experiment(N=v)),
+        "ExperimentConfig-n": (1, 3, lambda v: experiment(n=v)),
+        "ExperimentConfig-d": (0, 1, lambda v: experiment(d=v)),
+        "ExperimentConfig-restarts": (1, 2, lambda v: experiment(restarts=v)),
+        "ExperimentConfig-seed": (0, 5, lambda v: experiment(seed=v)),
+    }
+
+
+@pytest.mark.parametrize("site", [
+    "beta_exact-n", "beta_bruteforce-n", "beta_product_mass-n", "beta_mc-n",
+    "beta_mc-samples", "beta_mc-seed", "build_table-samples", "build_table-seed", "Dag-n",
+    "random_network-n", "random_network-d", "random_network-seed", "sample-n_rows",
+    "sample-seed", "ScoreConfig-d", "edge_strength-a", "edge_strength-b", "edge_strength-d",
+    "greedy_hill_climb-restarts", "greedy_hill_climb-seed", "ParentSetScoreTable-n",
+    "ExperimentConfig-N", "ExperimentConfig-n", "ExperimentConfig-d",
+    "ExperimentConfig-restarts", "ExperimentConfig-seed",
+])
+def test_integer_arguments_follow_one_rule(integer_sites, site):
+    # a bool, a non-integer and a value below the bound are refused with one
+    # message; a numpy integer passes and gives the Python int's result
+    low, good, call = integer_sites[site]
+    name = site.split("-")[1]
+    for bad in (True, 2.5, low - 1):
+        with pytest.raises(ValueError, match=f"^{name}={bad!r} must be an integer >= {low}$"):
+            call(bad)
+    assert call(np.int64(good)) == call(good)

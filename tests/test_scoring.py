@@ -670,7 +670,7 @@ def test_edge_strength_disconnected_pair_is_zero():
 def test_edge_strength_rejects_a_negative_d():
     # an empty range of set sizes would otherwise read as an inf strength
     net = random_network(4, 1, seed=101)
-    with pytest.raises(ValueError, match="^d=-1 must be >= 0$"):
+    with pytest.raises(ValueError, match="^d=-1 must be an integer >= 0$"):
         edge_strength(net, 0, 1, -1)
 
 
