@@ -82,6 +82,7 @@ class TableBuildError(RuntimeError):
 
 def default_gamma_grid(eta: float, points: int = 12) -> list[float]:
     """{0} plus `points` geometrically spaced thresholds in [eta/1000, 0.9*eta]."""
+    check_count("points", points, 0)
     return [0.0] + [float(g) for g in np.geomspace(eta / 1000.0, 0.9 * eta, points)]
 
 

@@ -7,6 +7,10 @@ import numpy as np
 import pytest
 
 import bnboost.data
+from bnboost.beta import (
+    beta_bruteforce, beta_exact, beta_mc, beta_product_mass, build_table, default_gamma_grid,
+    table_to_json,
+)
 from bnboost.data import (
     BinaryDataset,
     CycleError,
@@ -23,6 +27,12 @@ from bnboost.data import (
     save_network,
     save_structure,
 )
+from bnboost.dist2x2 import reference_dist
+from bnboost.evaluate import ExperimentConfig, run_experiment
+from bnboost.scoring import (
+    ParentSetScoreTable, ScoreConfig, build_parent_set_scores, edge_strength,
+)
+from bnboost.search import exact_dp, greedy_hill_climb
 
 
 def sigmoid(x):
@@ -392,21 +402,10 @@ def test_network_validation():
         Network(dag=Dag(1, frozenset()), theta={0: {}}, bias={})
 
 
-
 @pytest.fixture(scope="module")
 def integer_sites():
     """site -> (low, good, call) for every integer argument the package
     checks: call(v) passes v as that argument, every other one valid."""
-    from bnboost.beta import (
-        beta_bruteforce, beta_exact, beta_mc, beta_product_mass, build_table, table_to_json,
-    )
-    from bnboost.dist2x2 import reference_dist
-    from bnboost.evaluate import ExperimentConfig, run_experiment
-    from bnboost.scoring import (
-        ParentSetScoreTable, ScoreConfig, build_parent_set_scores, edge_strength,
-    )
-    from bnboost.search import exact_dp, greedy_hill_climb
-
     ref = reference_dist(0.01)
     net = random_network(5, 2, 11)
     data = sample(net, 300, 12)
@@ -434,6 +433,7 @@ def integer_sites():
         "beta_mc-seed": (0, 3, lambda v: beta_mc(300, 0.005, 0.01, 20000, v)),
         "build_table-samples": (1, 20000, lambda v: table(samples=v)),
         "build_table-seed": (0, 3, lambda v: table(seed=v)),
+        "default_gamma_grid-points": (0, 5, lambda v: default_gamma_grid(0.01, v)),
         "Dag-n": (1, 3, lambda v: Dag(v, frozenset({(0, 2)}))),
         "random_network-n": (1, 6, lambda v: random_network(v, 2, 7)),
         "random_network-d": (0, 2, lambda v: random_network(6, v, 7)),
@@ -447,7 +447,8 @@ def integer_sites():
         "edge_strength-d": (0, 2, lambda v: edge_strength(net, 0, 1, v)),
         "greedy_hill_climb-restarts": (1, 3, lambda v: climb(restarts=v)),
         "greedy_hill_climb-seed": (0, 4, lambda v: climb(seed=v)),
-        "ParentSetScoreTable-n": (1, 5, lambda v: exact_dp(ParentSetScoreTable(v, scores.scores)).dag),
+        "ParentSetScoreTable-n": (1, 5, lambda v: exact_dp(
+            ParentSetScoreTable(v, scores.scores)).dag),
         "ExperimentConfig-N": (1, 40, lambda v: experiment(N=v)),
         "ExperimentConfig-n": (1, 3, lambda v: experiment(n=v)),
         "ExperimentConfig-d": (0, 1, lambda v: experiment(d=v)),
@@ -458,7 +459,8 @@ def integer_sites():
 
 @pytest.mark.parametrize("site", [
     "beta_exact-n", "beta_bruteforce-n", "beta_product_mass-n", "beta_mc-n",
-    "beta_mc-samples", "beta_mc-seed", "build_table-samples", "build_table-seed", "Dag-n",
+    "beta_mc-samples", "beta_mc-seed", "build_table-samples", "build_table-seed",
+    "default_gamma_grid-points", "Dag-n",
     "random_network-n", "random_network-d", "random_network-seed", "sample-n_rows",
     "sample-seed", "ScoreConfig-d", "edge_strength-a", "edge_strength-b", "edge_strength-d",
     "greedy_hill_climb-restarts", "greedy_hill_climb-seed", "ParentSetScoreTable-n",
