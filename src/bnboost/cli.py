@@ -24,6 +24,7 @@ from .data import (
     load_network,
     load_structure,
     random_network,
+    read_variable_names,
     sample,
     save_dataset,
     save_network,
@@ -104,10 +105,10 @@ def _cmd_score(args) -> int:
 def _cmd_learn(args) -> int:
     table = load_scores(args.scores)
     if args.names:
-        names = list(load_dataset(args.names).variable_names)
+        names = read_variable_names(args.names)
         if len(names) != table.n:
             raise ValueError("--names dataset has the wrong variable count")
-        table.variable_names = tuple(names)
+        table.variable_names = names
     if args.method == "dp":
         result = exact_dp(table)
     elif args.method == "greedy":
@@ -198,7 +199,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--restarts", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--names", default=None,
-                   help="optional dataset CSV supplying variable names")
+                   help="optional dataset CSV supplying variable names; "
+                        "only its header row is read")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_learn)
 

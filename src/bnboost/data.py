@@ -26,6 +26,7 @@ __all__ = [
     "sample",
     "save_dataset",
     "load_dataset",
+    "read_variable_names",
     "save_network",
     "load_network",
     "save_structure",
@@ -257,6 +258,29 @@ def _canonical_rows(body: memoryview, n: int, eol: bytes) -> np.ndarray | None:
     return cells
 
 
+def _read_header(text, path):
+    """A csv reader over the text stream, left just past the header record,
+    and that record's names; a name given twice raises ValueError naming
+    the file and the line. Callers open the stream as utf-8-sig, which
+    drops a BOM, and with newline="" as the csv module asks."""
+    reader = csv.reader(text)
+    header = next(reader, [])
+    repeated = [name for j, name in enumerate(header) if name in header[:j]]
+    if repeated:
+        raise ValueError(
+            f"{path} line {reader.line_num}: duplicate variable name {repeated[0]!r}"
+        )
+    return reader, header
+
+
+def read_variable_names(path) -> tuple[str, ...]:
+    """The variable names of a dataset CSV, from its header record alone.
+    The rows below it are not parsed or checked; only the bytes read with
+    the header, one block of the file, must still decode as UTF-8."""
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+        return tuple(_read_header(fh, path)[1])
+
+
 def load_dataset(path) -> BinaryDataset:
     """Read a save_dataset CSV; a malformed file raises ValueError naming
     the file and its 1-based line. Cells read 0 or 1, with optional
@@ -267,13 +291,8 @@ def load_dataset(path) -> BinaryDataset:
     the csv loop, which alone reports errors."""
     with open(path, "rb") as fh:
         raw = fh.read()
-    reader = csv.reader(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8-sig", newline=""))
-    header = next(reader, [])
-    repeated = [name for j, name in enumerate(header) if name in header[:j]]
-    if repeated:
-        raise ValueError(
-            f"{path} line {reader.line_num}: duplicate variable name {repeated[0]!r}"
-        )
+    text = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8-sig", newline="")
+    reader, header = _read_header(text, path)
     end = raw.find(b"\n") + 1
     first = raw[:end]
     eol = b"\r\n" if first.endswith(b"\r\n") else b"\n"

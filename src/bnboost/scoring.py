@@ -529,52 +529,59 @@ def edge_strength(net: Network, a: int, b: int, d: int) -> float:
 # ---------------------------------------------------------------------------
 
 def save_scores(table: ParentSetScoreTable, path) -> None:
-    lines = [f"n {table.n} constant {format(table.constant, '.17g')}"]
+    """Write the score file load_scores reads: scores as .17g, families by
+    node, then size, then sorted parents, each line ended by \n."""
+    # one printf format per family size; %.17g prints what format(x, ".17g") does
+    formats = [f"%d %d{' %d' * k} %.17g\n" for k in range(table.max_parent_size() + 1)]
+    lines = [f"n {table.n} constant {table.constant:.17g}\n"]
     for i in sorted(table.scores):
-        for pa in sorted(table.scores[i], key=lambda s: (len(s), sorted(s))):
-            parts = [str(i), str(len(pa)), *map(str, sorted(pa)),
-                     format(table.scores[i][pa], ".17g")]
-            lines.append(" ".join(parts))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def _numbers(ln: str, toks: list[str]) -> tuple[list[int], float]:
-    """All but the last token as integers, the last as a finite float."""
-    try:
-        ints, last = [int(t) for t in toks[:-1]], float(toks[-1])
-        if math.isfinite(last):
-            return ints, last
-    except ValueError:
-        pass
-    raise ValueError(f"non-integer or non-finite number in scores line: {ln!r}")
+        keyed = sorted((len(pa), sorted(pa), score)
+                       for pa, score in table.scores[i].items())
+        lines += [formats[k] % (i, k, *parents, score) for k, parents, score in keyed]
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("".join(lines))
 
 
 def load_scores(path) -> ParentSetScoreTable:
-    """Read a save_scores file; a malformed line raises ValueError quoting it."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+    """Read a save_scores file; a malformed line raises ValueError quoting
+    it. Checks run line by line in this order: numbers, shape, index
+    range, repeats, family listed twice. A UTF-8 BOM is ignored."""
+    with open(path, "r", encoding="utf-8-sig") as fh:
+        lines = [ln for ln in map(str.strip, fh) if ln]
     if not lines:
         raise ValueError(f"scores file {path} is empty")
     head = lines[0].split()
     if len(head) != 4 or head[0] != "n" or head[2] != "constant":
         raise ValueError(f"bad scores header: {lines[0]!r}")
-    (n,), constant = _numbers(lines[0], head[1::2])
+    try:
+        n, constant = int(head[1]), float(head[3])
+    except ValueError:
+        constant = math.nan
+    if not math.isfinite(constant):
+        raise ValueError(f"non-integer or non-finite number in scores line: {lines[0]!r}")
     if n < 1:
         raise ValueError(f"node count below 1 in scores header: {lines[0]!r}")
     scores: dict[int, dict[frozenset, float]] = {}
     for ln in lines[1:]:
-        ints, score = _numbers(ln, ln.split())
+        toks = ln.split()
+        try:
+            ints, score = list(map(int, toks[:-1])), float(toks[-1])
+        except ValueError:
+            score = math.nan
+        if not math.isfinite(score):
+            raise ValueError(f"non-integer or non-finite number in scores line: {ln!r}")
         if len(ints) < 2 or len(ints) != ints[1] + 2:
             raise ValueError(f"bad scores line: {ln!r}")
-        node, parents = ints[0], frozenset(ints[2:])
-        if not all(0 <= v < n for v in (node, *parents)):
+        node, pa = ints[0], ints[2:]
+        if not 0 <= node < n or pa and not (min(pa) >= 0 and max(pa) < n):
             raise ValueError(f"index outside 0..{n - 1} in scores line: {ln!r}")
+        parents = frozenset(pa)
         if node in parents or len(parents) != ints[1]:
             raise ValueError(f"node or parent repeated in scores line: {ln!r}")
-        if parents in scores.setdefault(node, {}):
+        family = scores.setdefault(node, {})
+        if parents in family:
             raise ValueError(f"family listed twice in scores line: {ln!r}")
-        scores[node][parents] = score
+        family[parents] = score
     # every node of a DAG needs a family, so a larger n covers no DAG, and
     # the table below stays as large as the file
     if n > len(lines) - 1:

@@ -169,6 +169,18 @@ def test_learn_refuses_names_of_another_variable_count(tmp_path, capsys):
     assert not learned.exists()
 
 
+def test_learn_reads_only_the_header_of_names(tmp_path):
+    net, data, scores = tmp_path / "net.json", tmp_path / "data.csv", tmp_path / "s.txt"
+    names, learned = tmp_path / "names.csv", tmp_path / "learned.json"
+    run("--quiet", "gen-net", "--n", 3, "--d", 1, "--seed", 1, "--out", net)
+    run("--quiet", "gen-data", "--net", net, "--rows", 50, "--seed", 2, "--out", data)
+    run("--quiet", "score", "--data", data, "--psi2", 0, "--out", scores)
+    names.write_text("p,q,r\n0,1\nnot,a,row,at,all\n")
+    assert run("--quiet", "learn", "--scores", scores, "--names", names,
+               "--out", learned) == 0
+    assert json.loads(learned.read_text())["variables"] == ["p", "q", "r"]
+
+
 def test_eval_refuses_structures_of_other_variables(tmp_path, capsys):
     truth, learned = tmp_path / "truth.json", tmp_path / "learned.json"
     truth.write_text(json.dumps({"variables": ["A", "B"], "edges": [["A", "B"]]}))

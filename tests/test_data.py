@@ -22,6 +22,7 @@ from bnboost.data import (
     network_from_dict,
     network_to_dict,
     random_network,
+    read_variable_names,
     sample,
     save_dataset,
     save_network,
@@ -297,6 +298,32 @@ def test_load_dataset_drops_a_bom(tmp_path):
     back = load_dataset(path)
     assert back.variable_names == ("A", "B")
     assert back.rows.tolist() == [[0, 1], [1, 0]]
+
+
+@pytest.mark.parametrize("raw, names", [
+    (b"A,B\n0,1\n", ("A", "B")),
+    (b"A,B\r\n", ("A", "B")),
+    (b"\xef\xbb\xbfA,B\r\n0,1\r\n", ("A", "B")),
+    (b'"a,\nb",c\n0,1\n', ("a,\nb", "c")),
+    (b"A,B\n0,x\n0,1,1\n\"", ("A", "B")),
+    (b"A,B\n" + b"0,1\n" * 20_000 + b"\xff\xfe,\x80\n", ("A", "B")),
+    (b"", ()),
+], ids=["lf", "header-only", "bom", "quoted-newline", "bad-body", "bad-bytes-far-below",
+        "empty"])
+def test_read_variable_names_reads_the_header_alone(tmp_path, raw, names):
+    path = tmp_path / "d.csv"
+    path.write_bytes(raw)
+    assert read_variable_names(path) == names
+
+
+def test_read_variable_names_refuses_a_repeated_name_as_load_dataset_does(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_text("A,B,A\n0,1,0\n")
+    with pytest.raises(ValueError) as names:
+        read_variable_names(path)
+    with pytest.raises(ValueError) as data:
+        load_dataset(path)
+    assert str(names.value) == str(data.value) == f"{path} line 1: duplicate variable name 'A'"
 
 
 def test_network_roundtrip(tmp_path):

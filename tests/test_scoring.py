@@ -583,6 +583,30 @@ def test_reconstruction_identity_random_dags(table):
         )
 
 
+@pytest.mark.parametrize("psi2", [0.0, 1.0])
+def test_covered_edge_reversal_keeps_the_score(table, psi2):
+    # u -> v is covered when parents(v) = parents(u) + {u}; reversing it
+    # gives a Markov-equivalent DAG. BIC is score-equivalent and the boost
+    # reads only the skeleton, so both scores stay put.
+    cfg = ScoreConfig(psi2=psi2)
+    reversals = 0
+    for seed in range(6):
+        net = random_network(7, 2, seed=700 + seed)
+        data = sample(net, 2000, seed=800 + seed)
+        pst = build_parent_set_scores(data, table, cfg)
+        dag = net.dag
+        total, decomposed = total_score(data, dag, table, cfg), pst.dag_score(dag)
+        for u, v in sorted(dag.edges):
+            if set(dag.parents(v)) != {*dag.parents(u), u}:
+                continue
+            flipped = Dag(dag.n, dag.edges - {(u, v)} | {(v, u)})
+            assert math.isclose(total_score(data, flipped, table, cfg), total,
+                                rel_tol=1e-12)
+            assert math.isclose(pst.dag_score(flipped), decomposed, rel_tol=1e-12)
+            reversals += 1
+    assert reversals >= 10
+
+
 def test_parent_set_scores_psi2_zero_is_decomposed_bic():
     net = random_network(4, 2, seed=91)
     data = sample(net, 150, seed=92)
@@ -621,37 +645,214 @@ def test_scores_file_roundtrip(tmp_path, table):
     assert back.dag_score(g) == pst.dag_score(g)
 
 
-@pytest.mark.parametrize("body, bad_line", [
-    ("", None),
-    ("n 2 constant 0\n0 0 -1.5\n2 0 -1.0\n", "2 0 -1.0"),
-    ("n 2 constant 0\n0 1 2 -1.5\n", "0 1 2 -1.5"),
-    ("n 2 constant 0\n1 1 1 -1.5\n", "1 1 1 -1.5"),
-    ("n 2 constant 0\n0 0 -1.5\n0 0 -1.25\n", "0 0 -1.25"),
-    ("n 2 constant 0\n0 x -1.0\n", "0 x -1.0"),
-    ("n x constant 0\n", "n x constant 0"),
-    ("n 2 constant 0\n0 0 nan\n", "0 0 nan"),
-    ("n 2 constant 0\n0 0 inf\n", "0 0 inf"),
-    ("n 2 constant nan\n0 0 -1.0\n", "n 2 constant nan"),
-    ("n 0 constant 0\n", "n 0 constant 0"),
-    ("n -1 constant 0\n", "n -1 constant 0"),
-], ids=["empty", "node-range", "parent-range", "own-parent", "duplicate",
-        "non-integer", "non-integer-header", "nan", "inf", "nan-constant",
+def load_scores_reference(path) -> ParentSetScoreTable:
+    """load_scores as a plain per-line loop, every check in its order."""
+
+    def numbers(ln, toks):
+        try:
+            ints, last = [int(t) for t in toks[:-1]], float(toks[-1])
+            if math.isfinite(last):
+                return ints, last
+        except ValueError:
+            pass
+        raise ValueError(f"non-integer or non-finite number in scores line: {ln!r}")
+
+    with open(path, "r", encoding="utf-8-sig") as fh:
+        lines = [ln.strip() for ln in fh if ln.strip()]
+    if not lines:
+        raise ValueError(f"scores file {path} is empty")
+    head = lines[0].split()
+    if len(head) != 4 or head[0] != "n" or head[2] != "constant":
+        raise ValueError(f"bad scores header: {lines[0]!r}")
+    (n,), constant = numbers(lines[0], head[1::2])
+    if n < 1:
+        raise ValueError(f"node count below 1 in scores header: {lines[0]!r}")
+    scores = {}
+    for ln in lines[1:]:
+        ints, score = numbers(ln, ln.split())
+        if len(ints) < 2 or len(ints) != ints[1] + 2:
+            raise ValueError(f"bad scores line: {ln!r}")
+        node, parents = ints[0], frozenset(ints[2:])
+        if not all(0 <= v < n for v in (node, *parents)):
+            raise ValueError(f"index outside 0..{n - 1} in scores line: {ln!r}")
+        if node in parents or len(parents) != ints[1]:
+            raise ValueError(f"node or parent repeated in scores line: {ln!r}")
+        if parents in scores.setdefault(node, {}):
+            raise ValueError(f"family listed twice in scores line: {ln!r}")
+        scores[node][parents] = score
+    if n > len(lines) - 1:
+        raise ValueError(
+            f"node count above the {len(lines) - 1} family lines in scores header: "
+            f"{lines[0]!r}"
+        )
+    scores = {i: scores.get(i, {}) for i in range(n)}
+    return ParentSetScoreTable(n=n, scores=scores, constant=constant)
+
+
+def load_outcome(load, path):
+    """What load gives for path: its error message, or the table with every
+    float as its hex text and every node's families in file order."""
+    try:
+        pst = load(path)
+    except ValueError as exc:
+        return str(exc)
+    families = {i: [(sorted(pa), s.hex()) for pa, s in fams.items()]
+                for i, fams in pst.scores.items()}
+    return pst.n, pst.constant.hex(), families
+
+
+@pytest.mark.parametrize("body, message", [
+    ("", "scores file {path} is empty"),
+    ("\n \n", "scores file {path} is empty"),
+    ("m 2 constant 0\n0 0 -1.5\n", "bad scores header: 'm 2 constant 0'"),
+    ("n 2 const 0\n0 0 -1.5\n", "bad scores header: 'n 2 const 0'"),
+    ("n 2 constant\n0 0 -1.5\n", "bad scores header: 'n 2 constant'"),
+    ("n 2 constant 0\n0 0 -1.5\n2 0 -1.0\n",
+     "index outside 0..1 in scores line: '2 0 -1.0'"),
+    ("n 2 constant 0\n0 1 2 -1.5\n", "index outside 0..1 in scores line: '0 1 2 -1.5'"),
+    ("n 3 constant 0\n0 1 3 -1.5\n", "index outside 0..2 in scores line: '0 1 3 -1.5'"),
+    ("n 2 constant 0\n-1 0 -1.5\n", "index outside 0..1 in scores line: '-1 0 -1.5'"),
+    ("n 2 constant 0\n0 1 99999999999999999999 -1.5\n",
+     "index outside 0..1 in scores line: '0 1 99999999999999999999 -1.5'"),
+    ("n 2 constant 0\n1 1 1 -1.5\n",
+     "node or parent repeated in scores line: '1 1 1 -1.5'"),
+    ("n 3 constant 0\n0 2 1 1 -1.0\n",
+     "node or parent repeated in scores line: '0 2 1 1 -1.0'"),
+    ("n 2 constant 0\n0 0 -1.5\n0 0 -1.25\n",
+     "family listed twice in scores line: '0 0 -1.25'"),
+    ("n 2 constant 0\n-1.5\n", "bad scores line: '-1.5'"),
+    ("n 3 constant 0\n0 2 1 -1.0\n", "bad scores line: '0 2 1 -1.0'"),
+    ("n 2 constant 0\n0 x -1.0\n",
+     "non-integer or non-finite number in scores line: '0 x -1.0'"),
+    ("n 2 constant 0\nx\n", "non-integer or non-finite number in scores line: 'x'"),
+    ("n x constant 0\n", "non-integer or non-finite number in scores line: 'n x constant 0'"),
+    ("n 2 constant 0\n0 0 nan\n",
+     "non-integer or non-finite number in scores line: '0 0 nan'"),
+    ("n 2 constant 0\n0 0 inf\n",
+     "non-integer or non-finite number in scores line: '0 0 inf'"),
+    ("n 2 constant nan\n0 0 -1.0\n",
+     "non-integer or non-finite number in scores line: 'n 2 constant nan'"),
+    ("n 0 constant 0\n", "node count below 1 in scores header: 'n 0 constant 0'"),
+    ("n -1 constant 0\n", "node count below 1 in scores header: 'n -1 constant 0'"),
+], ids=["empty", "blank", "header-word", "header-constant", "header-short", "node-range",
+        "parent-range", "parent-at-n", "negative-node", "past-int64", "own-parent",
+        "repeated-parent", "duplicate", "one-token", "k-disagrees", "non-integer",
+        "one-bad-token", "non-integer-header", "nan", "inf", "nan-constant",
         "zero-nodes", "negative-nodes"])
-def test_load_scores_rejects_bad_files(tmp_path, body, bad_line):
+def test_load_scores_rejects_bad_files(tmp_path, body, message):
     path = tmp_path / "scores.txt"
     path.write_text(body)
-    with pytest.raises(ValueError, match=re.escape(bad_line or "empty")):
+    with pytest.raises(ValueError) as info:
         load_scores(path)
+    assert str(info.value) == message.format(path=path)
+    assert load_outcome(load_scores_reference, path) == str(info.value)
 
 
 def test_load_scores_refuses_more_nodes_than_family_lines(tmp_path):
     path = tmp_path / "scores.txt"
     path.write_text("n 1000000000000 constant 0\n0 0 -1.0\n")
-    with pytest.raises(ValueError, match=re.escape("n 1000000000000 constant 0")):
+    with pytest.raises(ValueError, match=re.escape(
+            "node count above the 1 family lines in scores header: "
+            "'n 1000000000000 constant 0'")):
         load_scores(path)
     # a node count at the number of family lines loads, a gap left empty
     path.write_text("n 2 constant 0\n0 0 -1.0\n0 1 1 -2.0\n")
     assert load_scores(path).scores == {0: {frozenset(): -1.0, frozenset({1}): -2.0}, 1: {}}
+
+
+def test_load_scores_ignores_a_bom(tmp_path):
+    path = tmp_path / "scores.txt"
+    path.write_bytes(b"\xef\xbb\xbfn 1 constant 0\n0 0 -1.5\n")
+    pst = load_scores(path)
+    assert (pst.n, pst.constant, pst.scores) == (1, 0.0, {0: {frozenset(): -1.5}})
+
+
+# one-line mutations: a token replaced, dropped or repeated, or the line
+# repeated or dropped
+_TOKENS = ["x", "", "-1", "0", "1", "2", "5", "1.5", "-2.5e3", "nan", "-inf", "1e999",
+           "+1", "1_0", "0x1", "\u0663", "99999999999999999999", "-0"]
+
+
+def _mutate(lines: list[str], rng) -> list[str]:
+    lines = list(lines)
+    at = int(rng.integers(len(lines)))
+    toks = lines[at].split()
+    kind = int(rng.integers(5))
+    if kind == 0:
+        toks[int(rng.integers(len(toks)))] = _TOKENS[int(rng.integers(len(_TOKENS)))]
+    elif kind == 1:
+        del toks[int(rng.integers(len(toks)))]
+    elif kind == 2:
+        j = int(rng.integers(len(toks)))
+        toks.insert(j, toks[j])
+    elif kind == 3:
+        lines.insert(at, lines[at])
+        return lines
+    else:
+        del lines[at]
+        return lines
+    lines[at] = " ".join(toks)
+    return lines
+
+
+def test_load_scores_matches_the_reference_loop(tmp_path):
+    rng = np.random.default_rng(2026)
+    path = tmp_path / "scores.txt"
+    for trial in range(40):
+        n = int(rng.integers(1, 6))
+        scores = {}
+        for i in range(n):
+            others = [v for v in range(n) if v != i]
+            scores[i] = {
+                frozenset(pa): float(rng.normal(scale=10.0 ** rng.integers(-3, 4)))
+                for k in range(min(2, n - 1) + 1)
+                for pa in combinations(others, k)
+                if k == 0 or rng.random() < 0.7
+            }
+        save_scores(ParentSetScoreTable(n=n, scores=scores, constant=float(rng.normal())),
+                    path)
+        lines = path.read_text().splitlines()
+        outcome = load_outcome(load_scores, path)
+        assert not isinstance(outcome, str)
+        assert outcome == load_outcome(load_scores_reference, path)
+        for _ in range(10):
+            path.write_text("\n".join(_mutate(lines, rng)) + "\n")
+            assert load_outcome(load_scores, path) == load_outcome(load_scores_reference, path)
+
+
+def test_save_scores_writes_the_documented_bytes(tmp_path):
+    # nodes and families out of order, parents compared as numbers (2 < 10),
+    # a node without families and three awkward floats
+    pst = ParentSetScoreTable(n=11, constant=0.1, scores={
+        3: {frozenset({2, 0}): 1e300, frozenset(): -0.0, frozenset({1}): 5e-324,
+            frozenset({0}): -2.5},
+        0: {frozenset({10}): 7.0, frozenset({2}): 0.5, frozenset(): -1.0},
+        1: {},
+        2: {frozenset({3, 1}): 1.25, frozenset({0, 10}): -3.0},
+    })
+    path = tmp_path / "scores.txt"
+    save_scores(pst, path)
+    assert path.read_bytes() == (
+        b"n 11 constant 0.10000000000000001\n"
+        b"0 0 -1\n"
+        b"0 1 2 0.5\n"
+        b"0 1 10 7\n"
+        b"2 2 0 10 -3\n"
+        b"2 2 1 3 1.25\n"
+        b"3 0 -0\n"
+        b"3 1 0 -2.5\n"
+        b"3 1 1 4.9406564584124654e-324\n"
+        b"3 2 0 2 1.0000000000000001e+300\n"
+    )
+
+
+def test_save_scores_reproduces_a_loaded_file(tmp_path):
+    net = random_network(12, 2, seed=31)
+    pst = build_parent_set_scores(sample(net, 500, seed=32), None, ScoreConfig(psi2=0.0))
+    first, second = tmp_path / "first.txt", tmp_path / "second.txt"
+    save_scores(pst, first)
+    save_scores(load_scores(first), second)
+    assert second.read_bytes() == first.read_bytes()
 
 
 def test_score_table_missing_family():
