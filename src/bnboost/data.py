@@ -273,12 +273,32 @@ def _read_header(text, path):
     return reader, header
 
 
+def _utf8_error(path, raw: bytes | None = None) -> ValueError:
+    """The ValueError for a file that is not UTF-8: it names the file, the
+    1-based line of the first byte that does not decode, and that byte.
+    raw is the file's content, read here when not given."""
+    if raw is None:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    try:
+        raw.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:  # offsets count from after a BOM
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        return ValueError(f"{path} line {line}: byte 0x{exc.object[exc.start]:02x} "
+                          f"is not UTF-8 ({exc.reason})")
+    return ValueError(f"{path} is not UTF-8")
+
+
 def read_variable_names(path) -> tuple[str, ...]:
     """The variable names of a dataset CSV, from its header record alone.
     The rows below it are not parsed or checked; only the bytes read with
-    the header, one block of the file, must still decode as UTF-8."""
-    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        return tuple(_read_header(fh, path)[1])
+    the header, one block of the file, must still decode as UTF-8, or
+    ValueError names the file and the line."""
+    try:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+            return tuple(_read_header(fh, path)[1])
+    except UnicodeDecodeError:
+        raise _utf8_error(path) from None
 
 
 def load_dataset(path) -> BinaryDataset:
@@ -291,6 +311,15 @@ def load_dataset(path) -> BinaryDataset:
     the csv loop, which alone reports errors."""
     with open(path, "rb") as fh:
         raw = fh.read()
+    try:
+        return _parse_dataset(raw, path)
+    except UnicodeDecodeError:
+        raise _utf8_error(path, raw) from None
+
+
+def _parse_dataset(raw: bytes, path) -> BinaryDataset:
+    """load_dataset of the file's content raw; a byte that is not UTF-8
+    raises UnicodeDecodeError."""
     text = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8-sig", newline="")
     reader, header = _read_header(text, path)
     end = raw.find(b"\n") + 1
@@ -302,16 +331,15 @@ def load_dataset(path) -> BinaryDataset:
         cells = _canonical_rows(memoryview(raw)[end:], len(header), eol)
     if cells is None:
         rows = []
-        try:
-            for row in filter(None, reader):  # blank lines read as []
-                if len(row) != len(header):
-                    raise ValueError(f"{len(row)} cells, the header has {len(header)}")
-                values = [_CELLS.get(cell.strip()) for cell in row]
-                if None in values:
-                    raise ValueError(f"cell {row[values.index(None)]!r} is not 0 or 1")
-                rows.append(values)
-        except ValueError as exc:
-            raise ValueError(f"{path} line {reader.line_num}: {exc}") from None
+        for row in filter(None, reader):  # blank lines read as []
+            if len(row) != len(header):
+                raise ValueError(f"{path} line {reader.line_num}: {len(row)} cells, "
+                                 f"the header has {len(header)}")
+            values = [_CELLS.get(cell.strip()) for cell in row]
+            if None in values:
+                raise ValueError(f"{path} line {reader.line_num}: "
+                                 f"cell {row[values.index(None)]!r} is not 0 or 1")
+            rows.append(values)
         if not rows:
             raise ValueError(f"{path} line {reader.line_num + 1}: no data rows")
         cells = np.asarray(rows, dtype=np.uint8)

@@ -10,14 +10,20 @@ With bounded-size separating sets the per-pair reward does not depend on
 the candidate graph, so the whole score decomposes into per-family terms
 (ParentSetScoreTable) that combinatorial search can consume directly.
 
-The strata of each separating-set size k form regular (pairs, sets, 2^k)
-arrays, so a reward is a min and two maxes along their axes, and one
-batched -ln(beta) query covers every size. Families, strata and
+A build counts from one count context (_CountContext): the dataset's
+distinct rows, read once, and the superset sums of their histogram,
+formed at most once; the boosts and the family terms share it, and it
+goes when the build returns. The strata stream by separating set: chunks
+of at most _STRATA_BUDGET strata (2x2 tables) pass through the counting
+kernel, one MI call and one batched -ln(beta) query, then reduce into
+each pair's running max over sets of its min over assignments, so memory
+does not grow with the number of pairs. Families, strata and
 edge_strength take their column sets from one enumerator (_column_sets).
 
 Every contingency table comes from one counting kernel (_count) over the
 dataset's distinct rows and their int64 multiplicities, by one of three
-routes chosen from the call's sizes. When M column sets times U distinct
+routes chosen from the sizes of the whole call (for streamed strata, of
+all the chunks of one set size). When M column sets times U distinct
 rows reach twice n * 2^n (a measured crossover; with 2000 rows, families
 of two parents pass it up to n = 16), every table is read off one 2^n
 histogram of the rows: n superset-sum passes over it, then k passes of
@@ -40,7 +46,7 @@ from itertools import combinations
 import numpy as np
 
 from .beta import BetaTable, neg_ln_beta_batch
-from .data import BinaryDataset, Dag, Network, check_count
+from .data import BinaryDataset, Dag, Network, _utf8_error, check_count
 from .dist2x2 import JointDist2x2, mi_from_counts_batch, mutual_information
 
 # Not called here; perfbench/tracing.py wraps both names in this module.
@@ -97,6 +103,8 @@ class ScoreConfig:
 _WORD_BITS = 62
 _CHUNK_CELLS = 1 << 16
 _SERIAL_MADDS = 1 << 18
+# One chunk of a boost pass holds at most this many strata (2x2 tables).
+_STRATA_BUDGET = 1 << 16
 # A call takes the superset-sum transform once M column sets times U distinct
 # rows reach this many times its n * 2^n additions (measured crossover).
 _ZETA_WORK = 2
@@ -123,49 +131,78 @@ def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return bits, np.diff(np.append(starts, n_rows))
 
 
+class _CountContext:
+    """The counts of one build: the data's distinct rows as an (n, U) bit
+    matrix with their weights, and the superset sums of the rows' 2^n
+    histogram, formed on the first count that takes the transform. A build
+    makes one and drops it when it returns; nothing is kept on the data."""
+
+    def __init__(self, bits: np.ndarray, weights: np.ndarray):
+        self.bits, self.weights, self.sums = bits, weights, None
+
+    def count(self, colsets: np.ndarray, work: int | None = None) -> np.ndarray:
+        """Joint counts of every column set at once: colsets is (M, k), and
+        row m of the (M, 2^k) float64 result counts the columns u of bits,
+        each adding weights[u], by the cell index
+        sum_j bits[colsets[m, j], u] << j.
+
+        Three routes, chosen from the sizes of the whole call that colsets
+        belongs to, work column sets (default M). Float weights
+        (probabilities) always take _bincount, which adds them in column
+        order, so their sums do not depend on the BLAS. Integer weights (row
+        multiplicities) take the superset-sum transform (_zeta_count) once
+        the direct routes' work, work column sets times U distinct rows,
+        reaches _ZETA_WORK times the transform's n * 2^n; otherwise Gram
+        products (_gram_count) once the work outgrows one bincount pass and
+        colsets holds at least n * 2^(k-2) / 2 column sets per distinct
+        prefix, and _bincount below that. Every count, and every partial sum
+        or difference the transform forms, is then an integer below 2^53,
+        which float64 holds exactly in any order of operations, so all three
+        routes give the same counts bit for bit."""
+        bits, weights = self.bits, self.weights
+        m_all, k = colsets.shape
+        n, u = bits.shape
+        work = m_all if work is None else work
+        if weights.dtype.kind == "i":
+            if work * u >= _ZETA_WORK * (n << n):
+                if self.sums is None:
+                    self.sums = _superset_sums(bits, weights)
+                return _zeta_count(bits, weights, colsets, self.sums)
+            if (k >= 2 and work * u > _CHUNK_CELLS
+                    and n ** (k - 2) < 1 << 62):  # the prefix keys fit in int64
+                order, starts = _by_prefix(colsets, n)
+                if 2 * m_all >= len(starts) * n << (k - 2):
+                    return _gram_count(bits, weights, colsets, order, starts)
+        return _bincount(bits, weights, colsets)
+
+
 def _count(bits: np.ndarray, weights: np.ndarray, colsets: np.ndarray) -> np.ndarray:
-    """Joint counts of every column set at once: colsets is (M, k), and row
-    m of the (M, 2^k) float64 result counts the columns u of bits, each
-    adding weights[u], by the cell index sum_j bits[colsets[m, j], u] << j.
-
-    Three routes, chosen from the call's sizes. Float weights (probabilities)
-    always take _bincount, which adds them in column order, so their sums do
-    not depend on the BLAS. Integer weights (row multiplicities) take the
-    superset-sum transform (_zeta_count) once the direct routes' work, M
-    column sets times U distinct rows, reaches _ZETA_WORK times the
-    transform's n * 2^n; otherwise Gram products (_gram_count) once the call
-    outgrows one bincount pass and holds at least n * 2^(k-2) / 2 column
-    sets per distinct prefix, and _bincount below that. Every count, and
-    every partial sum or difference the transform forms, is then an integer
-    below 2^53, which float64 holds exactly in any order of operations, so
-    all three routes give the same counts bit for bit."""
-    m_all, k = colsets.shape
-    n, u = bits.shape
-    if weights.dtype.kind == "i":
-        if m_all * u >= _ZETA_WORK * (n << n):
-            return _zeta_count(bits, weights, colsets)
-        if (k >= 2 and m_all * u > _CHUNK_CELLS
-                and n ** (k - 2) < 1 << 62):  # the prefix keys fit in int64
-            order, starts = _by_prefix(colsets, n)
-            if 2 * m_all >= len(starts) * n << (k - 2):
-                return _gram_count(bits, weights, colsets, order, starts)
-    return _bincount(bits, weights, colsets)
+    """_CountContext.count of one call, in a context of its own."""
+    return _CountContext(bits, weights).count(colsets)
 
 
-def _zeta_count(bits, weights, colsets) -> np.ndarray:
-    """_count for integer weights through one 2^n histogram h of the rows'
-    codes (column j is bit j). n in-place passes turn h into superset sums,
-    z[T] = sum of h[S] over S containing T: the rows with every column of T
-    at 1. A column set's 2^k cells first read z at the OR of their 1-columns'
-    bits, then k in-place passes of Moebius inversion subtract, for each
-    column j, the cells with bit j set from those with it clear. One chunk
-    of column sets holds about _CHUNK_CELLS cells."""
-    m_all, k = colsets.shape
+def _superset_sums(bits, weights) -> np.ndarray:
+    """The superset sums z of the 2^n histogram h of the rows' codes (column
+    j is bit j): z[T] = sum of h[S] over S containing T, the rows with every
+    column of T at 1. n in-place passes over h."""
     n = bits.shape[0]
     sums = np.bincount(np.left_shift(1, np.arange(n)) @ bits, weights, minlength=1 << n)
     for j in range(n):
         half = sums.reshape(-1, 2, 1 << j)
         half[:, 0] += half[:, 1]
+    return sums
+
+
+def _zeta_count(bits, weights, colsets, sums=None) -> np.ndarray:
+    """_count for integer weights through the superset sums of the rows
+    (sums, or _superset_sums(bits, weights) when not given). A column set's
+    2^k cells first read the sums at the OR of their 1-columns' bits, then k
+    in-place passes of Moebius inversion subtract, for each column j, the
+    cells with bit j set from those with it clear. One chunk of column sets
+    holds about _CHUNK_CELLS cells."""
+    m_all, k = colsets.shape
+    if sums is None:
+        sums = _superset_sums(bits, weights)
     out = np.empty((m_all, 1 << k))
     step = max(1, _CHUNK_CELLS >> k)
     for lo in range(0, m_all, step):
@@ -260,33 +297,33 @@ def _bincount(bits: np.ndarray, weights: np.ndarray, colsets: np.ndarray) -> np.
     return out
 
 
-def _family_lls(bits, weights, families: np.ndarray) -> np.ndarray:
+def _family_lls(counts: _CountContext, families: np.ndarray) -> np.ndarray:
     """Maximized log-likelihood of each family, a row (child, *parents) of
     families."""
-    counts = _count(bits, weights, families).reshape(len(families), -1, 2)
-    totals = counts.sum(axis=2, keepdims=True)
+    cells = counts.count(families).reshape(len(families), -1, 2)
+    totals = cells.sum(axis=2, keepdims=True)
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.where(
-            counts > 0, counts * np.log(counts / np.maximum(totals, 1)), 0.0
+            cells > 0, cells * np.log(cells / np.maximum(totals, 1)), 0.0
         )
     return terms.reshape(len(families), -1).sum(axis=1)
 
 
-def _log_likelihood(bits, weights, dag: Dag) -> float:
-    """log_likelihood from the distinct rows: one kernel call per in-degree."""
-    if dag.n != bits.shape[0]:
+def _log_likelihood(counts: _CountContext, dag: Dag) -> float:
+    """log_likelihood from a count context: one kernel call per in-degree."""
+    if dag.n != counts.bits.shape[0]:
         raise ValueError("dag and dataset disagree on the variable count")
     lls = np.zeros(dag.n)
     for k in {dag.in_degree(i) for i in range(dag.n)}:
         nodes = [i for i in range(dag.n) if dag.in_degree(i) == k]
         families = np.array([(i, *dag.parents(i)) for i in nodes], dtype=np.intp)
-        lls[nodes] = _family_lls(bits, weights, families)
+        lls[nodes] = _family_lls(counts, families)
     return sum(lls.tolist())
 
 
 def log_likelihood(data: BinaryDataset, dag: Dag) -> float:
     """Log-likelihood of the data under dag with MLE conditionals, in nats."""
-    return _log_likelihood(*_distinct_rows(data.rows), dag)
+    return _log_likelihood(_CountContext(*_distinct_rows(data.rows)), dag)
 
 
 def dim(dag: Dag) -> int:
@@ -298,52 +335,98 @@ def _column_sets(n: int, leads: np.ndarray, k: int) -> np.ndarray:
     """Each row of leads (L, m) followed by every k-subset (k <= n - m) of
     the other columns 0..n-1, in combinations order: an (L * C(n - m, k),
     m + k) array holding all of one lead's sets together."""
-    others = [[v for v in range(n) if v not in lead] for lead in leads.tolist()]
-    subsets = list(combinations(range(n - leads.shape[1]), k))
-    sets = np.array(others, dtype=np.intp)[:, np.array(subsets, dtype=np.intp)]
-    heads = np.broadcast_to(leads[:, None], (*sets.shape[:2], leads.shape[1]))
-    return np.concatenate((heads, sets), axis=2).reshape(-1, leads.shape[1] + k)
+    n_leads, m = leads.shape
+    own = np.zeros((n_leads, n), dtype=bool)
+    own[np.arange(n_leads)[:, None], leads] = True
+    others = np.nonzero(~own)[1].reshape(n_leads, n - m)
+    subsets = np.array(list(combinations(range(n - m), k)), dtype=np.intp)
+    sets = np.empty((n_leads, len(subsets), m + k), dtype=np.intp)
+    sets[:, :, :m] = leads[:, None]
+    sets[:, :, m:] = others[:, subsets]
+    return sets.reshape(n_leads * len(subsets), m + k)
 
 
-def _log_strata(table: BetaTable, n_s, mi, shapes) -> None:
-    seen = n_s > 0
-    interpolated = n_s[seen & (mi < table.eta)]  # the rest read 0, whatever N_s
+def _strata_chunks(n: int, k_max: int):
+    """The column sets (b, a, *S) of the strata of every pair a < b and
+    separating set S of the other columns, |S| <= k_max, S by S: sizes in
+    order, each in combinations order. Yields them in chunks of (k, column
+    sets) parts; a chunk takes as many S as keep its strata (2^|S| per
+    column set) within _STRATA_BUDGET, and at least one."""
+    parts, held = [], 0
+    for k in range(k_max + 1):
+        seps = _column_sets(n, np.zeros((1, 0), dtype=np.intp), k)
+        per_set = math.comb(n - k, 2) << k
+        lo = 0
+        while lo < len(seps):
+            if parts and held + per_set > _STRATA_BUDGET:
+                yield parts
+                parts, held = [], 0
+            hi = min(len(seps), lo + max(1, (_STRATA_BUDGET - held) // per_set))
+            # (S, a, b) as (b, a, S): b is bit 0 of a cell, a bit 1, S above
+            parts.append((k, _column_sets(n, seps[lo:hi], 2)[:, [k + 1, k, *range(k)]]))
+            held += (hi - lo) * per_set
+            lo = hi
+    yield parts
+
+
+def _log_strata(n_pairs: int, tally) -> None:
+    sets, tables, queries, interpolated, above, below, unseen = tally.tolist()
     log.debug(
         "pair_boosts: %d pairs, %d separating sets, %d tables, %d queries "
         "(%d below eta: %d above and %d below the N grid), %d unseen assignments",
-        shapes[0][0], sum(p * c for p, c, _ in shapes), n_s.size, int(seen.sum()),
-        interpolated.size, int((interpolated > table.N_grid[-1]).sum()),
-        int((interpolated < table.N_grid[0]).sum()), int((~seen).sum()),
+        n_pairs, sets, tables, queries, interpolated, above, below, unseen,
     )
 
 
-def _boosts(table: BetaTable, bits, weights, pairs, d: int) -> np.ndarray:
+def _boosts(table: BetaTable, counts: _CountContext, pairs, d: int) -> np.ndarray:
     """Boost of each pair (a, b) in pairs: the max over separating sets S
     (|S| <= d) of the other variables of the min over assignments s of
     -ln(beta) at (N_s, MI of a and b given S = s), an assignment never seen
-    giving 0. Each set size k holds its strata as (pairs, sets, 2^k) arrays
-    from one kernel call; one query covers the strata of every size."""
+    giving 0.
+
+    The strata stream through count, MI, query and reduce one chunk of
+    separating sets at a time (_strata_chunks), so memory does not grow
+    with the number of pairs. In a chunk, each set size's column sets
+    (b, a, *S) take one kernel call, routed by the work of that size over
+    every chunk; one MI call and one query cover the chunk's strata, and
+    each pair keeps a running max of its min over assignments."""
     if not pairs:
         return np.zeros(0)
-    n = bits.shape[0]
-    leads = np.array(pairs, dtype=np.intp)[:, ::-1]
-    shapes, n_s, mi = [], [], []  # MI reads 0 where N_s = 0
-    for k in range(min(d, n - 2) + 1):
-        # cells (s, a, b): b is bit 0, a bit 1, the separating set above
-        counts = _count(bits, weights, _column_sets(n, leads, k)).astype(np.int64)
-        counts = np.moveaxis(counts.reshape(len(pairs), -1, 1 << k, 4), 3, 0)
-        shapes.append(counts.shape[1:])
-        n_s.append(counts.sum(axis=0).ravel())
-        mi.append(mi_from_counts_batch(*counts).ravel())
-    n_s, mi = np.concatenate(n_s), np.concatenate(mi)
-    if log.isEnabledFor(logging.DEBUG):
-        _log_strata(table, n_s, mi, shapes)
-    seen = n_s > 0
-    values = np.zeros(n_s.shape)
-    values[seen] = neg_ln_beta_batch(table, n_s[seen], mi[seen])
-    ends = np.cumsum([math.prod(shape) for shape in shapes])[:-1]
-    return np.max([v.reshape(shape).min(axis=2).max(axis=1)
-                   for v, shape in zip(np.split(values, ends), shapes)], axis=0)
+    n = counts.bits.shape[0]
+    owner = np.full((n, n), -1)  # owner[a, b]: the index of (a, b) in pairs
+    owner[tuple(np.array(pairs).T)] = np.arange(len(pairs))
+    boosts = np.full(len(pairs), -np.inf)
+    tally = np.zeros(7, dtype=np.int64) if log.isEnabledFor(logging.DEBUG) else None
+    for parts in _strata_chunks(n, min(d, n - 2)):
+        owned, cells = [], []  # per counted part: (k, pair of each set), counts
+        for k, sets in parts:
+            owners = owner[sets[:, 1], sets[:, 0]]
+            sets, owners = sets[owners >= 0], owners[owners >= 0]
+            if len(sets):
+                work = len(pairs) * math.comb(n - 2, k)
+                cells.append(counts.count(sets, work).astype(np.int64).reshape(-1, 4))
+                owned.append((k, owners))
+        if not cells:
+            continue
+        cells = np.concatenate(cells).T
+        n_s = cells.sum(axis=0)
+        mi = mi_from_counts_batch(*cells)  # 0 where N_s = 0
+        seen = n_s > 0
+        if tally is not None:
+            interpolated = n_s[seen & (mi < table.eta)]  # the rest read 0
+            tally += [sum(len(o) for _, o in owned), n_s.size, seen.sum(),
+                      interpolated.size, (interpolated > table.N_grid[-1]).sum(),
+                      (interpolated < table.N_grid[0]).sum(), (~seen).sum()]
+        values = np.zeros(n_s.shape)
+        values[seen] = neg_ln_beta_batch(table, n_s[seen], mi[seen])
+        lo = 0
+        for k, owners in owned:
+            hi = lo + (len(owners) << k)
+            np.maximum.at(boosts, owners, values[lo:hi].reshape(-1, 1 << k).min(axis=1))
+            lo = hi
+    if tally is not None:
+        _log_strata(len(pairs), tally)
+    return boosts
 
 
 def check_table(table: BetaTable | None, cfg: ScoreConfig) -> None:
@@ -358,17 +441,26 @@ def check_table(table: BetaTable | None, cfg: ScoreConfig) -> None:
         raise ValueError(f"beta table eta {table.eta!r} != score eta {cfg.eta!r}")
 
 
-def pair_boosts(data: BinaryDataset, table: BetaTable, cfg: ScoreConfig) -> dict:
+def pair_boosts(
+    data: BinaryDataset,
+    table: BetaTable,
+    cfg: ScoreConfig,
+    *,
+    _counts: _CountContext | None = None,
+) -> dict:
     """Boost of every unordered pair (a, b): the max over separating sets S
     of the min over assignments s of -ln(beta) at (N_s, MI of a and b given
     S = s), an assignment never seen giving 0. It does not depend on the
-    graph."""
+    graph. build_parent_set_scores passes _counts, its count context of the
+    same data, so that a build reads the rows once; it does not change the
+    result."""
     if table is None:  # whatever cfg.psi2, as the boosts are -ln(beta) values
         raise ValueError("pair_boosts needs a beta table")
     check_table(table, cfg)
+    if _counts is None:
+        _counts = _CountContext(*_distinct_rows(data.rows))
     pairs = list(combinations(range(data.n_vars), 2))
-    boosts = _boosts(table, *_distinct_rows(data.rows), pairs, cfg.d)
-    return dict(zip(pairs, boosts.tolist()))
+    return dict(zip(pairs, _boosts(table, _counts, pairs, cfg.d).tolist()))
 
 
 def total_score(
@@ -382,14 +474,14 @@ def total_score(
     psi2 = 0 reduces exactly to BIC and needs no beta table.
     """
     dag.check_in_degree(cfg.d)
-    bits, weights = _distinct_rows(data.rows)
-    score = _log_likelihood(bits, weights, dag)
+    counts = _CountContext(*_distinct_rows(data.rows))
+    score = _log_likelihood(counts, dag)
     score -= cfg.kappa * math.log(data.n_rows) * dim(dag)
     if cfg.psi2 == 0.0:
         return score
     check_table(table, cfg)
     pairs = [p for p in combinations(range(dag.n), 2) if not dag.adjacent(*p)]
-    boost = sum(_boosts(table, bits, weights, pairs, cfg.d).tolist())
+    boost = sum(_boosts(table, counts, pairs, cfg.d).tolist())
     return score + cfg.psi2 * boost
 
 
@@ -448,14 +540,14 @@ def build_parent_set_scores(
     log_n = math.log(data.n_rows)
     boost = np.zeros((n, n))  # boost[i, j]: the boost of the pair {i, j}
     constant = 0.0
+    counts = _CountContext(*_distinct_rows(data.rows))
     if cfg.psi2 > 0.0:
-        boosts = pair_boosts(data, table, cfg)
+        boosts = pair_boosts(data, table, cfg, _counts=counts)
         if boosts:
             a, b = np.array(list(boosts)).T
             boost[a, b] = boost[b, a] = list(boosts.values())
         constant = cfg.psi2 * sum(boosts.values())
 
-    bits, weights = _distinct_rows(data.rows)
     scores: dict[int, dict[frozenset, float]] = {i: {} for i in range(n)}
     for k in range(min(cfg.d, n - 1) + 1):
         fam = _column_sets(n, np.arange(n)[:, None], k)
@@ -463,7 +555,7 @@ def build_parent_set_scores(
         for j in range(1, k + 1):  # parent by parent, as a running sum
             boost_sum = boost_sum + boost[fam[:, 0], fam[:, j]]
         penalized = (
-            _family_lls(bits, weights, fam) - cfg.kappa * log_n * 2 ** k
+            _family_lls(counts, fam) - cfg.kappa * log_n * 2 ** k
             - cfg.psi2 * boost_sum
         )
         for (i, *pa), score in zip(fam.tolist(), penalized.tolist()):
@@ -545,9 +637,13 @@ def save_scores(table: ParentSetScoreTable, path) -> None:
 def load_scores(path) -> ParentSetScoreTable:
     """Read a save_scores file; a malformed line raises ValueError quoting
     it. Checks run line by line in this order: numbers, shape, index
-    range, repeats, family listed twice. A UTF-8 BOM is ignored."""
-    with open(path, "r", encoding="utf-8-sig") as fh:
-        lines = [ln for ln in map(str.strip, fh) if ln]
+    range, repeats, family listed twice. A UTF-8 BOM is ignored; a byte
+    that is not UTF-8 raises ValueError naming the file and its line."""
+    try:
+        with open(path, "r", encoding="utf-8-sig") as fh:
+            lines = [ln for ln in map(str.strip, fh) if ln]
+    except UnicodeDecodeError:
+        raise _utf8_error(path) from None
     if not lines:
         raise ValueError(f"scores file {path} is empty")
     head = lines[0].split()

@@ -81,8 +81,8 @@ def test_build_calls_pair_boosts_through_scoring_globals(monkeypatch):
     reading wrong."""
     boosts, got = scoring.pair_boosts, []
 
-    def recording_boosts(data, table, cfg):
-        got.append(boosts(data, table, cfg))
+    def recording_boosts(data, table, cfg, **kwargs):
+        got.append(boosts(data, table, cfg, **kwargs))
         return got[-1]
 
     monkeypatch.setattr(scoring, "pair_boosts", recording_boosts)

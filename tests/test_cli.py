@@ -181,6 +181,27 @@ def test_learn_reads_only_the_header_of_names(tmp_path):
     assert json.loads(learned.read_text())["variables"] == ["p", "q", "r"]
 
 
+def test_inputs_that_are_not_utf8_are_named(tmp_path, capsys):
+    net, data, scores = tmp_path / "net.json", tmp_path / "data.csv", tmp_path / "s.txt"
+    learned = tmp_path / "learned.json"
+    run("--quiet", "gen-net", "--n", 3, "--d", 1, "--seed", 1, "--out", net)
+    run("--quiet", "gen-data", "--net", net, "--rows", 50, "--seed", 2, "--out", data)
+    run("--quiet", "score", "--data", data, "--psi2", 0, "--out", scores)
+    bad_scores, bad_data = tmp_path / "bad.scores", tmp_path / "bad.csv"
+    bad_scores.write_bytes(b"n 1 constant 0\n0 0 \xff1\n")
+    bad_data.write_bytes(data.read_bytes() + b"1,\xff,0\n")
+    bad_names = tmp_path / "names.csv"
+    bad_names.write_bytes(b"p,\xffq,r\n")
+    for argv, bad, line in (
+        (("learn", "--scores", bad_scores), bad_scores, 2),
+        (("score", "--data", bad_data, "--psi2", 0), bad_data, 52),
+        (("learn", "--scores", scores, "--names", bad_names), bad_names, 1),
+    ):
+        err = usage_error(capsys, *argv, "--out", learned)
+        assert f"bnboost: error: {bad} line {line}: byte 0xff is not UTF-8" in err
+    assert not learned.exists()
+
+
 def test_eval_refuses_structures_of_other_variables(tmp_path, capsys):
     truth, learned = tmp_path / "truth.json", tmp_path / "learned.json"
     truth.write_text(json.dumps({"variables": ["A", "B"], "edges": [["A", "B"]]}))

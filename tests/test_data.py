@@ -326,6 +326,27 @@ def test_read_variable_names_refuses_a_repeated_name_as_load_dataset_does(tmp_pa
     assert str(names.value) == str(data.value) == f"{path} line 1: duplicate variable name 'A'"
 
 
+@pytest.mark.parametrize("raw, line", [
+    (b"A,\xffB\n0,1\n", 1),
+    (b"A,B\n0,1\n1,\xff\n", 3),
+    (b"\xef\xbb\xbfA,B\r\n0,1\r\n\x80,0\r\n", 3),
+    (b"A,B\n" + b"0,1\n" * 5000 + b"1,\xfe\n", 5002),
+], ids=["header", "body", "bom-crlf", "far-below"])
+def test_load_dataset_names_a_byte_that_is_not_utf8(tmp_path, raw, line):
+    path = tmp_path / "d.csv"
+    path.write_bytes(raw)
+    with pytest.raises(ValueError, match=rf"d\.csv line {line}: byte 0x.. is not UTF-8"):
+        load_dataset(path)
+
+
+def test_read_variable_names_names_a_byte_that_is_not_utf8(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_bytes(b'"A\n\xff",B\n0,1\n')  # a quoted name over two lines
+    with pytest.raises(ValueError) as info:
+        read_variable_names(path)
+    assert str(info.value) == f"{path} line 2: byte 0xff is not UTF-8 (invalid start byte)"
+
+
 def test_network_roundtrip(tmp_path):
     net = random_network(7, 2, seed=13)
     doc = network_to_dict(net)

@@ -285,6 +285,92 @@ def test_pair_boosts_logs_batch_counts_at_debug(table, caplog):
     )
 
 
+def boosted_results(data, table, cfg):
+    """Every boosted figure of data as float.hex: the build's table (its
+    families in order), the pair boosts, and total_score on three graphs."""
+    pst = build_parent_set_scores(data, table, cfg)
+    dags = [Dag(data.n_vars, frozenset()),
+            random_network(data.n_vars, min(cfg.d, 2), seed=data.n_vars).dag,
+            random_network(data.n_vars, 1, seed=data.n_vars + 1).dag]
+    return (
+        pst.constant.hex(),
+        [(i, sorted(pa), v.hex()) for i in range(pst.n) for pa, v in pst.scores[i].items()],
+        {pair: v.hex() for pair, v in pair_boosts(data, table, cfg).items()},
+        [total_score(data, g, table, cfg).hex() for g in dags],
+    )
+
+
+@pytest.mark.parametrize("data", [
+    skewed_sample(30, seed=61),
+    strong_chain(2000, seed=63),
+    sample(random_network(3, 1, seed=81), 40, seed=82),
+    sample(random_network(8, 2, seed=83), 500, seed=84),
+    sample(random_network(10, 2, seed=85), 300, seed=86),
+], ids=["n6-N30-unseen-strata", "n5-mi-above-eta", "n3", "n8", "n10"])
+@pytest.mark.parametrize("d", [2, 3])
+def test_boosts_do_not_depend_on_the_stratum_budget(table, monkeypatch, data, d):
+    # at the default budget these n take one chunk; 7 strata cut every set
+    # size into several chunks and join sizes in one, 1 gives each set its own
+    cfg = ScoreConfig(d=d)
+    want = boosted_results(data, table, cfg)
+    for budget in (1, 7):
+        monkeypatch.setattr(scoring, "_STRATA_BUDGET", budget)
+        assert boosted_results(data, table, cfg) == want, budget
+
+
+def test_debug_line_sums_over_chunks(table, monkeypatch, caplog):
+    data = skewed_sample(30, seed=61)
+    messages = []
+    for budget in (scoring._STRATA_BUDGET, 1):
+        monkeypatch.setattr(scoring, "_STRATA_BUDGET", budget)
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="bnboost.scoring"):
+            pair_boosts(data, table, ScoreConfig())
+        (record,) = caplog.records
+        messages.append(record.getMessage())
+    assert messages == 2 * [
+        "pair_boosts: 15 pairs, 165 separating sets, 495 tables, 429 queries "
+        "(356 below eta: 0 above and 240 below the N grid), 66 unseen assignments"
+    ]
+
+
+def test_a_boosted_build_counts_from_one_context(table, monkeypatch):
+    calls = []
+    for name in ("_distinct_rows", "_superset_sums", "_zeta_count"):
+        def spy(*args, _name=name, _real=getattr(scoring, name)):
+            calls.append(_name)
+            return _real(*args)
+        monkeypatch.setattr(scoring, name, spy)
+    # n = 12, N = 20 000: the strata of sizes 1 and 2 and the families of
+    # one and two parents all take the transform
+    data = sample(random_network(12, 2, seed=7000), 20_000, seed=8)
+    for cfg in (ScoreConfig(), ScoreConfig(psi2=0.0)):
+        calls.clear()
+        build_parent_set_scores(data, table if cfg.psi2 else None, cfg)
+        assert calls.count("_distinct_rows") == 1
+        assert calls.count("_superset_sums") == 1
+        assert calls.count("_zeta_count") >= (4 if cfg.psi2 else 2)
+    calls.clear()
+    pair_boosts(data, table, ScoreConfig())
+    assert calls.count("_distinct_rows") == calls.count("_superset_sums") == 1
+
+
+def test_pair_boosts_memory_does_not_grow_with_the_pairs(table):
+    # the strata stream in chunks; holding every stratum at once peaked at
+    # 51 MiB at n = 24 and 99 MiB at n = 28
+    peaks = []
+    for n in (24, 28):
+        data = sample(random_network(n, 2, seed=140 + n), 2000, seed=141 + n)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            pair_boosts(data, table, ScoreConfig())
+            peaks.append((tracemalloc.get_traced_memory()[1] - base) / 2 ** 20)
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 20.0 and peaks[1] - peaks[0] < 2.0, peaks
+
+
 def test_boosted_table_of_one_variable(table):
     data = BinaryDataset(("A",), np.array([[0], [1], [1]]))
     empty = Dag(1, frozenset())
@@ -765,6 +851,14 @@ def test_load_scores_ignores_a_bom(tmp_path):
     path.write_bytes(b"\xef\xbb\xbfn 1 constant 0\n0 0 -1.5\n")
     pst = load_scores(path)
     assert (pst.n, pst.constant, pst.scores) == (1, 0.0, {0: {frozenset(): -1.5}})
+
+
+def test_load_scores_names_a_byte_that_is_not_utf8(tmp_path):
+    path = tmp_path / "scores.txt"
+    path.write_bytes(b"n 1 constant 0\n0 0 \xff1\n")
+    with pytest.raises(ValueError) as info:
+        load_scores(path)
+    assert str(info.value) == f"{path} line 2: byte 0xff is not UTF-8 (invalid start byte)"
 
 
 # one-line mutations: a token replaced, dropped or repeated, or the line
