@@ -44,7 +44,6 @@ from .scoring import (
     dim,
     edge_strength,
     load_scores,
-    log_likelihood,
     save_scores,
     total_score,
 )
@@ -61,8 +60,7 @@ __all__ = [
     "BinaryDataset", "Dag", "Network", "load_dataset", "load_network",
     "random_network", "sample", "save_dataset", "save_network",
     "ParentSetScoreTable", "ScoreConfig", "build_parent_set_scores", "dim",
-    "edge_strength", "load_scores", "log_likelihood", "save_scores",
-    "total_score",
+    "edge_strength", "load_scores", "save_scores", "total_score",
     "SearchResult", "brute_force", "exact_dp", "greedy_hill_climb",
     "ExperimentConfig", "Pdag", "dag_to_cpdag", "run_experiment", "shd",
 ]

@@ -62,6 +62,7 @@ __all__ = [
 ]
 
 DEFAULT_N_GRID = (20, 50, 100, 200, 500, 1000, 2000, 5000, 10000)
+DEFAULT_GAMMA_POINTS = 12  # positive thresholds of default_gamma_grid
 EXACT_CAP = 200  # table cells use the type sum up to here, MC beyond
 BETA_EXACT_MAX_N = 2000
 ESS_FLOOR = 100.0  # beta_mc fails below this effective sample size
@@ -80,10 +81,10 @@ class TableBuildError(RuntimeError):
     """A table cell failed; message carries the (N, gamma) coordinates."""
 
 
-def default_gamma_grid(eta: float, points: int = 12) -> list[float]:
-    """{0} plus `points` geometrically spaced thresholds in [eta/1000, 0.9*eta]."""
-    check_count("points", points, 0)
-    return [0.0] + [float(g) for g in np.geomspace(eta / 1000.0, 0.9 * eta, points)]
+def default_gamma_grid(eta: float) -> list[float]:
+    """{0} plus DEFAULT_GAMMA_POINTS geometric thresholds in [eta/1000, 0.9*eta]."""
+    return [0.0] + [float(g) for g in
+                    np.geomspace(eta / 1000.0, 0.9 * eta, DEFAULT_GAMMA_POINTS)]
 
 
 def _validate(n: int, ref: JointDist2x2, gamma: float = 0.0) -> None:

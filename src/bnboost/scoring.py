@@ -20,20 +20,19 @@ each pair's running max over sets of its min over assignments, so memory
 does not grow with the number of pairs. Families, strata and
 edge_strength take their column sets from one enumerator (_column_sets).
 
-Every contingency table comes from one counting kernel (_count) over the
-dataset's distinct rows and their int64 multiplicities, by one of three
-routes chosen from the sizes of the whole call (for streamed strata, of
-all the chunks of one set size). When M column sets times U distinct
-rows reach twice n * 2^n (a measured crossover; with 2000 rows, families
-of two parents pass it up to n = 16), every table is read off one 2^n
-histogram of the rows: n superset-sum passes over it, then k passes of
-Moebius inversion per table. Below that, large calls take Gram products
-(BLAS matrix products) and the rest one bincount. A count, and every
-partial sum or difference the transform forms, is an integer below 2^53,
-which float64 holds exactly in any order of operations, so all routes
-give bit-equal tables, log-likelihoods, boosts and scores. Probability
-weights (edge_strength's exact joint) always take the bincount, whose
-column-order sums do not depend on the BLAS.
+Every contingency table of the data comes from one counting kernel
+(_CountContext.count) over the dataset's distinct rows, each weighted by
+its int64 multiplicity, by one of three routes chosen from the sizes of
+the whole call (for streamed strata, of all the chunks of one set size).
+When M column sets times U distinct rows reach twice n * 2^n (a measured
+crossover; with 2000 rows, families of two parents pass it up to n = 16),
+every table is read off one 2^n histogram of the rows: n superset-sum
+passes over it, then k passes of Moebius inversion per table. Below
+that, large calls take Gram products (BLAS matrix products) and the rest
+one bincount. A count, and every partial sum or difference the transform
+forms, is an integer below 2^53, which float64 holds exactly in any order
+of operations, so all routes give bit-equal tables, log-likelihoods,
+boosts and scores.
 """
 
 from __future__ import annotations
@@ -56,7 +55,6 @@ from .dist2x2 import mi_from_counts  # noqa: F401
 __all__ = [
     "ScoreConfig",
     "ParentSetScoreTable",
-    "log_likelihood",
     "dim",
     "check_table",
     "pair_boosts",
@@ -133,9 +131,10 @@ def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 class _CountContext:
     """The counts of one build: the data's distinct rows as an (n, U) bit
-    matrix with their weights, and the superset sums of the rows' 2^n
-    histogram, formed on the first count that takes the transform. A build
-    makes one and drops it when it returns; nothing is kept on the data."""
+    matrix with their int64 multiplicities, and the superset sums of the
+    rows' 2^n histogram, formed on the first count that takes the
+    transform. A build makes one and drops it when it returns; nothing is
+    kept on the data."""
 
     def __init__(self, bits: np.ndarray, weights: np.ndarray):
         self.bits, self.weights, self.sums = bits, weights, None
@@ -147,38 +146,29 @@ class _CountContext:
         sum_j bits[colsets[m, j], u] << j.
 
         Three routes, chosen from the sizes of the whole call that colsets
-        belongs to, work column sets (default M). Float weights
-        (probabilities) always take _bincount, which adds them in column
-        order, so their sums do not depend on the BLAS. Integer weights (row
-        multiplicities) take the superset-sum transform (_zeta_count) once
-        the direct routes' work, work column sets times U distinct rows,
-        reaches _ZETA_WORK times the transform's n * 2^n; otherwise Gram
-        products (_gram_count) once the work outgrows one bincount pass and
-        colsets holds at least n * 2^(k-2) / 2 column sets per distinct
-        prefix, and _bincount below that. Every count, and every partial sum
-        or difference the transform forms, is then an integer below 2^53,
-        which float64 holds exactly in any order of operations, so all three
-        routes give the same counts bit for bit."""
+        belongs to, work column sets (default M): the superset-sum transform
+        (_zeta_count) once the direct routes' work, work column sets times U
+        distinct rows, reaches _ZETA_WORK times the transform's n * 2^n;
+        otherwise Gram products (_gram_count) once the work outgrows one
+        bincount pass and colsets holds at least n * 2^(k-2) / 2 column sets
+        per distinct prefix, and _bincount below that. Every count, and every
+        partial sum or difference the transform forms, is an integer below
+        2^53, which float64 holds exactly in any order of operations, so all
+        three routes give the same counts bit for bit."""
         bits, weights = self.bits, self.weights
         m_all, k = colsets.shape
         n, u = bits.shape
         work = m_all if work is None else work
-        if weights.dtype.kind == "i":
-            if work * u >= _ZETA_WORK * (n << n):
-                if self.sums is None:
-                    self.sums = _superset_sums(bits, weights)
-                return _zeta_count(bits, weights, colsets, self.sums)
-            if (k >= 2 and work * u > _CHUNK_CELLS
-                    and n ** (k - 2) < 1 << 62):  # the prefix keys fit in int64
-                order, starts = _by_prefix(colsets, n)
-                if 2 * m_all >= len(starts) * n << (k - 2):
-                    return _gram_count(bits, weights, colsets, order, starts)
+        if work * u >= _ZETA_WORK * (n << n):
+            if self.sums is None:
+                self.sums = _superset_sums(bits, weights)
+            return _zeta_count(colsets, self.sums)
+        if (k >= 2 and work * u > _CHUNK_CELLS
+                and n ** (k - 2) < 1 << 62):  # the prefix keys fit in int64
+            order, starts = _by_prefix(colsets, n)
+            if 2 * m_all >= len(starts) * n << (k - 2):
+                return _gram_count(bits, weights, colsets, order, starts)
         return _bincount(bits, weights, colsets)
-
-
-def _count(bits: np.ndarray, weights: np.ndarray, colsets: np.ndarray) -> np.ndarray:
-    """_CountContext.count of one call, in a context of its own."""
-    return _CountContext(bits, weights).count(colsets)
 
 
 def _superset_sums(bits, weights) -> np.ndarray:
@@ -193,16 +183,13 @@ def _superset_sums(bits, weights) -> np.ndarray:
     return sums
 
 
-def _zeta_count(bits, weights, colsets, sums=None) -> np.ndarray:
-    """_count for integer weights through the superset sums of the rows
-    (sums, or _superset_sums(bits, weights) when not given). A column set's
-    2^k cells first read the sums at the OR of their 1-columns' bits, then k
-    in-place passes of Moebius inversion subtract, for each column j, the
-    cells with bit j set from those with it clear. One chunk of column sets
-    holds about _CHUNK_CELLS cells."""
+def _zeta_count(colsets, sums) -> np.ndarray:
+    """_CountContext.count through the superset sums of the rows
+    (_superset_sums). A column set's 2^k cells first read the sums at the OR
+    of their 1-columns' bits, then k in-place passes of Moebius inversion
+    subtract, for each column j, the cells with bit j set from those with it
+    clear. One chunk of column sets holds about _CHUNK_CELLS cells."""
     m_all, k = colsets.shape
-    if sums is None:
-        sums = _superset_sums(bits, weights)
     out = np.empty((m_all, 1 << k))
     step = max(1, _CHUNK_CELLS >> k)
     for lo in range(0, m_all, step):
@@ -230,8 +217,8 @@ def _by_prefix(colsets: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _gram_count(bits, weights, colsets, order, starts) -> np.ndarray:
-    """_count for integer weights, with the column sets grouped as
-    _by_prefix gives them. For each prefix and each assignment s of it,
+    """_CountContext.count with the column sets grouped as _by_prefix gives
+    them. For each prefix and each assignment s of it,
     v = weights * [prefix = s], and the matrix product of the rows v * bits
     against bits^T gives n11 of every column pair at once. Its diagonal
     gives the margins, sum(v) gives N_s, and the other three cells follow by
@@ -280,7 +267,8 @@ def _gram_count(bits, weights, colsets, order, starts) -> np.ndarray:
 
 
 def _bincount(bits: np.ndarray, weights: np.ndarray, colsets: np.ndarray) -> np.ndarray:
-    """_count by one bincount per chunk of column sets."""
+    """_CountContext.count by one bincount per chunk of column sets, which
+    adds the weights in column order (edge_strength passes probabilities)."""
     m_all, k = colsets.shape
     u = bits.shape[1]
     weights = weights.astype(np.float64, copy=False)
@@ -307,23 +295,6 @@ def _family_lls(counts: _CountContext, families: np.ndarray) -> np.ndarray:
             cells > 0, cells * np.log(cells / np.maximum(totals, 1)), 0.0
         )
     return terms.reshape(len(families), -1).sum(axis=1)
-
-
-def _log_likelihood(counts: _CountContext, dag: Dag) -> float:
-    """log_likelihood from a count context: one kernel call per in-degree."""
-    if dag.n != counts.bits.shape[0]:
-        raise ValueError("dag and dataset disagree on the variable count")
-    lls = np.zeros(dag.n)
-    for k in {dag.in_degree(i) for i in range(dag.n)}:
-        nodes = [i for i in range(dag.n) if dag.in_degree(i) == k]
-        families = np.array([(i, *dag.parents(i)) for i in nodes], dtype=np.intp)
-        lls[nodes] = _family_lls(counts, families)
-    return sum(lls.tolist())
-
-
-def log_likelihood(data: BinaryDataset, dag: Dag) -> float:
-    """Log-likelihood of the data under dag with MLE conditionals, in nats."""
-    return _log_likelihood(_CountContext(*_distinct_rows(data.rows)), dag)
 
 
 def dim(dag: Dag) -> int:
@@ -378,11 +349,11 @@ def _log_strata(n_pairs: int, tally) -> None:
     )
 
 
-def _boosts(table: BetaTable, counts: _CountContext, pairs, d: int) -> np.ndarray:
-    """Boost of each pair (a, b) in pairs: the max over separating sets S
-    (|S| <= d) of the other variables of the min over assignments s of
-    -ln(beta) at (N_s, MI of a and b given S = s), an assignment never seen
-    giving 0.
+def _boosts(table: BetaTable, counts: _CountContext, d: int) -> np.ndarray:
+    """Boost of every pair a < b, in combinations order: the max over
+    separating sets S (|S| <= d) of the other variables of the min over
+    assignments s of -ln(beta) at (N_s, MI of a and b given S = s), an
+    assignment never seen giving 0.
 
     The strata stream through count, MI, query and reduce one chunk of
     separating sets at a time (_strata_chunks), so memory does not grow
@@ -390,42 +361,37 @@ def _boosts(table: BetaTable, counts: _CountContext, pairs, d: int) -> np.ndarra
     (b, a, *S) take one kernel call, routed by the work of that size over
     every chunk; one MI call and one query cover the chunk's strata, and
     each pair keeps a running max of its min over assignments."""
-    if not pairs:
-        return np.zeros(0)
     n = counts.bits.shape[0]
-    owner = np.full((n, n), -1)  # owner[a, b]: the index of (a, b) in pairs
-    owner[tuple(np.array(pairs).T)] = np.arange(len(pairs))
-    boosts = np.full(len(pairs), -np.inf)
+    n_pairs = math.comb(n, 2)
+    if not n_pairs:
+        return np.zeros(0)
+    pair_of = np.zeros((n, n), dtype=np.intp)  # pair_of[a, b]: the index of (a, b)
+    pair_of[np.triu_indices(n, 1)] = np.arange(n_pairs)
+    boosts = np.full(n_pairs, -np.inf)
     tally = np.zeros(7, dtype=np.int64) if log.isEnabledFor(logging.DEBUG) else None
     for parts in _strata_chunks(n, min(d, n - 2)):
-        owned, cells = [], []  # per counted part: (k, pair of each set), counts
-        for k, sets in parts:
-            owners = owner[sets[:, 1], sets[:, 0]]
-            sets, owners = sets[owners >= 0], owners[owners >= 0]
-            if len(sets):
-                work = len(pairs) * math.comb(n - 2, k)
-                cells.append(counts.count(sets, work).astype(np.int64).reshape(-1, 4))
-                owned.append((k, owners))
-        if not cells:
-            continue
-        cells = np.concatenate(cells).T
+        cells = np.concatenate([
+            counts.count(sets, n_pairs * math.comb(n - 2, k)).reshape(-1, 4)
+            for k, sets in parts
+        ]).astype(np.int64).T
         n_s = cells.sum(axis=0)
         mi = mi_from_counts_batch(*cells)  # 0 where N_s = 0
         seen = n_s > 0
         if tally is not None:
             interpolated = n_s[seen & (mi < table.eta)]  # the rest read 0
-            tally += [sum(len(o) for _, o in owned), n_s.size, seen.sum(),
+            tally += [sum(len(sets) for _, sets in parts), n_s.size, seen.sum(),
                       interpolated.size, (interpolated > table.N_grid[-1]).sum(),
                       (interpolated < table.N_grid[0]).sum(), (~seen).sum()]
         values = np.zeros(n_s.shape)
         values[seen] = neg_ln_beta_batch(table, n_s[seen], mi[seen])
         lo = 0
-        for k, owners in owned:
-            hi = lo + (len(owners) << k)
-            np.maximum.at(boosts, owners, values[lo:hi].reshape(-1, 1 << k).min(axis=1))
+        for k, sets in parts:
+            hi = lo + (len(sets) << k)
+            np.maximum.at(boosts, pair_of[sets[:, 1], sets[:, 0]],
+                          values[lo:hi].reshape(-1, 1 << k).min(axis=1))
             lo = hi
     if tally is not None:
-        _log_strata(len(pairs), tally)
+        _log_strata(n_pairs, tally)
     return boosts
 
 
@@ -459,8 +425,8 @@ def pair_boosts(
     check_table(table, cfg)
     if _counts is None:
         _counts = _CountContext(*_distinct_rows(data.rows))
-    pairs = list(combinations(range(data.n_vars), 2))
-    return dict(zip(pairs, _boosts(table, _counts, pairs, cfg.d).tolist()))
+    return dict(zip(combinations(range(data.n_vars), 2),
+                    _boosts(table, _counts, cfg.d).tolist()))
 
 
 def total_score(
@@ -474,15 +440,20 @@ def total_score(
     psi2 = 0 reduces exactly to BIC and needs no beta table.
     """
     dag.check_in_degree(cfg.d)
+    if dag.n != data.n_vars:
+        raise ValueError("dag and dataset disagree on the variable count")
     counts = _CountContext(*_distinct_rows(data.rows))
-    score = _log_likelihood(counts, dag)
-    score -= cfg.kappa * math.log(data.n_rows) * dim(dag)
+    lls = np.zeros(dag.n)  # one kernel call per in-degree
+    for k in {dag.in_degree(i) for i in range(dag.n)}:
+        nodes = [i for i in range(dag.n) if dag.in_degree(i) == k]
+        families = np.array([(i, *dag.parents(i)) for i in nodes], dtype=np.intp)
+        lls[nodes] = _family_lls(counts, families)
+    score = sum(lls.tolist()) - cfg.kappa * math.log(data.n_rows) * dim(dag)
     if cfg.psi2 == 0.0:
         return score
     check_table(table, cfg)
-    pairs = [p for p in combinations(range(dag.n), 2) if not dag.adjacent(*p)]
-    boost = sum(_boosts(table, counts, pairs, cfg.d).tolist())
-    return score + cfg.psi2 * boost
+    boosts = zip(combinations(range(dag.n), 2), _boosts(table, counts, cfg.d).tolist())
+    return score + cfg.psi2 * sum(v for p, v in boosts if not dag.adjacent(*p))
 
 
 @dataclass
@@ -606,7 +577,7 @@ def edge_strength(net: Network, a: int, b: int, d: int) -> float:
     for k in range(min(d, n - 2) + 1):
         # one call per set size, so a pair separated by a small set stops early
         colsets = _column_sets(n, np.array([[b, a]]), k)
-        for mass in _count(states, probs, colsets).reshape(len(colsets), -1, 4):
+        for mass in _bincount(states, probs, colsets).reshape(len(colsets), -1, 4):
             worst = max((mutual_information(JointDist2x2(*(cell / cell.sum())))
                          for cell in mass if cell.sum() > 0.0), default=0.0)
             best = min(best, worst)

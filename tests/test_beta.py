@@ -409,7 +409,7 @@ def test_table_monotone_in_n_in_decay_regime():
     tab = build_table(
         ETA,
         N_grid=[200, 500, 1000, 2000],
-        gamma_grid=default_gamma_grid(ETA, points=6),
+        gamma_grid=[0.0, *np.geomspace(ETA / 1000.0, 0.9 * ETA, 6).tolist()],
         samples=50_000,
         seed=23,
     )

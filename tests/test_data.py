@@ -8,7 +8,7 @@ import pytest
 
 import bnboost.data
 from bnboost.beta import (
-    beta_bruteforce, beta_exact, beta_mc, beta_product_mass, build_table, default_gamma_grid,
+    beta_bruteforce, beta_exact, beta_mc, beta_product_mass, build_table,
     table_to_json,
 )
 from bnboost.data import (
@@ -481,7 +481,6 @@ def integer_sites():
         "beta_mc-seed": (0, 3, lambda v: beta_mc(300, 0.005, 0.01, 20000, v)),
         "build_table-samples": (1, 20000, lambda v: table(samples=v)),
         "build_table-seed": (0, 3, lambda v: table(seed=v)),
-        "default_gamma_grid-points": (0, 5, lambda v: default_gamma_grid(0.01, v)),
         "Dag-n": (1, 3, lambda v: Dag(v, frozenset({(0, 2)}))),
         "random_network-n": (1, 6, lambda v: random_network(v, 2, 7)),
         "random_network-d": (0, 2, lambda v: random_network(6, v, 7)),
@@ -508,7 +507,7 @@ def integer_sites():
 @pytest.mark.parametrize("site", [
     "beta_exact-n", "beta_bruteforce-n", "beta_product_mass-n", "beta_mc-n",
     "beta_mc-samples", "beta_mc-seed", "build_table-samples", "build_table-seed",
-    "default_gamma_grid-points", "Dag-n",
+    "Dag-n",
     "random_network-n", "random_network-d", "random_network-seed", "sample-n_rows",
     "sample-seed", "ScoreConfig-d", "edge_strength-a", "edge_strength-b", "edge_strength-d",
     "greedy_hill_climb-restarts", "greedy_hill_climb-seed", "ParentSetScoreTable-n",

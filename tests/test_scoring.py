@@ -17,16 +17,16 @@ from bnboost.scoring import (
     ScoreConfig,
     _bincount,
     _by_prefix,
-    _count,
+    _CountContext,
     _distinct_rows,
     _gram_count,
     _joint_probabilities,
+    _superset_sums,
     _zeta_count,
     build_parent_set_scores,
     dim,
     edge_strength,
     load_scores,
-    log_likelihood,
     pair_boosts,
     save_scores,
     total_score,
@@ -137,6 +137,13 @@ def strong_chain(n_rows, seed):
 
 # ------------------------------------------------------------------ LL and dim
 
+def log_likelihood(data, dag):
+    """The maximized log-likelihood: BIC's total_score, under no in-degree
+    bound, with its penalty kappa * ln(N) * dim added back."""
+    bic = ScoreConfig(psi2=0.0, d=dag.n)
+    return total_score(data, dag, None, bic) + bic.kappa * math.log(data.n_rows) * dim(dag)
+
+
 def test_ll_single_variable():
     data = BinaryDataset(("A",), np.array([[0], [0], [1], [1]]))
     assert log_likelihood(data, Dag(1, frozenset())) == pytest.approx(
@@ -209,8 +216,8 @@ def test_boost_grows_with_sample_count(table):
 
 
 def test_boost_graph_independent(table):
-    # total_score recounts the boosts of each graph's nonadjacent pairs in
-    # one batch; every pair must get the value pair_boosts gives it
+    # total_score reads every pair's boost from its own pass; each
+    # nonadjacent pair must get the value pair_boosts gives it
     net = random_network(5, 2, seed=41)
     data = sample(net, 300, seed=42)
     cfg = ScoreConfig()
@@ -448,13 +455,13 @@ def test_batched_counts_match_bincount(rows):
             + [list(range(n - k, n))]  # the last columns: the second word at n = 70
         ).reshape(301, k)
         want = np.array([bincount_reference(rows, cs) for cs in colsets])
-        assert (_count(bits, weights, colsets) == want).all()
+        assert (_CountContext(bits, weights).count(colsets) == want).all()
         assert (_bincount(bits, weights, colsets) == want).all()
-        if k >= 2:  # every route, whichever _count takes
+        if k >= 2:  # every route, whichever count takes
             gram = _gram_count(bits, weights, colsets, *_by_prefix(colsets, n))
             assert (gram == want).all()
         if n <= 18:  # every case but n = 70, whose histogram has 2^70 cells
-            assert (_zeta_count(bits, weights, colsets) == want).all()
+            assert (_zeta_count(colsets, _superset_sums(bits, weights)) == want).all()
 
 
 def family_colsets(n, k):
@@ -465,38 +472,36 @@ def family_colsets(n, k):
 
 
 def test_count_routes_follow_the_work_rule(monkeypatch):
-    """The route each _count call takes in BIC builds of the size of the
-    cli-bic-n12 and bic-dp-n18 workloads, and for probabilities; every
-    route gives the bincount's counts."""
-    routes = []
+    """The route each count takes in BIC builds of the size of the
+    cli-bic-n12 and bic-dp-n18 workloads; every route gives the bincount's
+    counts."""
+    routes, rows = [], {}
     bincount = scoring._bincount
     for name in ("_zeta_count", "_gram_count", "_bincount"):
-        def route(bits, weights, colsets, *rest, _name=name, _real=getattr(scoring, name)):
+        def route(*args, _name=name, _real=getattr(scoring, name)):
+            colsets = args[0] if _name == "_zeta_count" else args[2]
             routes.append((_name, colsets.shape))
-            out = _real(bits, weights, colsets, *rest)
-            assert (out == bincount(bits, weights, colsets)).all()
+            out = _real(*args)
+            assert (out == bincount(*rows["distinct"], colsets)).all()
             return out
         monkeypatch.setattr(scoring, name, route)
 
     bic = ScoreConfig(psi2=0.0)
     # n = 12, N = 20 000: the transform's 12 * 2^12 additions against M * U
     data = sample(random_network(12, 2, seed=7000), 20_000, seed=8)
-    u = _distinct_rows(data.rows)[0].shape[1]
+    rows["distinct"] = _distinct_rows(data.rows)
+    u = rows["distinct"][0].shape[1]
     admitted = [m * u >= scoring._ZETA_WORK * (12 << 12) for m in (12, 132, 660)]
     assert admitted == [False, True, True]
     build_parent_set_scores(data, None, bic)
     assert routes == [("_bincount", (12, 1)), ("_zeta_count", (132, 2)),
                       ("_zeta_count", (660, 3))]
-    # probabilities keep the bincount route whatever the size
-    routes.clear()
-    bits, weights = _distinct_rows(data.rows)
-    _count(bits, weights / data.n_rows, family_colsets(12, 3))
-    assert routes == [("_bincount", (660, 3))]
 
     # n = 18, N = 2000: the Gram products and bincounts of the parent rule
     routes.clear()
-    build_parent_set_scores(sample(random_network(18, 2, seed=7000), 2000, seed=9),
-                            None, bic)
+    data = sample(random_network(18, 2, seed=7000), 2000, seed=9)
+    rows["distinct"] = _distinct_rows(data.rows)
+    build_parent_set_scores(data, None, bic)
     assert routes == [("_bincount", (18, 1)), ("_gram_count", (306, 2)),
                       ("_gram_count", (2448, 3))]
 
@@ -518,7 +523,7 @@ def test_zeta_count_temporaries_hold_the_histogram_and_one_chunk():
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        out = _zeta_count(bits, weights, colsets)
+        out = _zeta_count(colsets, _superset_sums(bits, weights))
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -573,7 +578,7 @@ def test_weighted_counts_and_edge_strength_match_per_set_reference(monkeypatch):
     rng = np.random.default_rng(112)
     colsets = np.array([rng.choice(7, size=4, replace=False) for _ in range(40)])
     want = np.array([bincount_reference(states.T, cs, weights=probs) for cs in colsets])
-    assert (_count(states, probs, colsets) == want).all()
+    assert (_bincount(states, probs, colsets) == want).all()
 
     for a, b in combinations(range(7), 2):
         for d in (0, 2):
@@ -645,6 +650,40 @@ def test_total_score_complete_dag_has_no_boosts(table):
     with_boost = total_score(data, complete, table, cfg)
     bare = total_score(data, complete, None, ScoreConfig(psi2=0.0))
     assert with_boost == pytest.approx(bare, abs=1e-12)
+
+
+def all_pairs_contract_cases():
+    """(n, d, DAGs) for the contract below: random DAGs at n = 5-8, the
+    complete DAG at n = 4 and the single node."""
+    rng = np.random.default_rng(55)
+    for n in range(5, 9):
+        for d in (2, 3):
+            dags = [Dag(n, frozenset())] + [
+                random_network(n, d, seed=int(rng.integers(1 << 30))).dag for _ in range(4)]
+            yield pytest.param(n, d, dags, id=f"n{n}-d{d}")
+    yield pytest.param(4, 3, [Dag(4, frozenset(combinations(range(4), 2)))], id="complete-n4")
+    yield pytest.param(1, 2, [Dag(1, frozenset())], id="n1")
+
+
+@pytest.mark.parametrize("n, d, dags", all_pairs_contract_cases())
+def test_total_score_adds_the_nonadjacent_pair_boosts(table, n, d, dags):
+    # the boosted score is BIC plus the boosts pair_boosts gives, summed over
+    # the nonadjacent pairs in pair order, to the last bit
+    data = sample(random_network(n, 2, seed=90 + n), 400, seed=91 + n)
+    cfg = ScoreConfig(d=d)
+    boosts = pair_boosts(data, table, cfg)
+    for dag in dags:
+        bic = total_score(data, dag, None, replace(cfg, psi2=0.0))
+        nonadjacent = sum(v for pair, v in boosts.items() if not dag.adjacent(*pair))
+        assert total_score(data, dag, table, cfg) == bic + nonadjacent
+        if len(dag.edges) == n * (n - 1) // 2:
+            assert nonadjacent == 0
+
+
+def test_total_score_refuses_a_dag_of_another_variable_count(table, four_rows):
+    for cfg, tab in ((ScoreConfig(psi2=0.0), None), (ScoreConfig(), table)):
+        with pytest.raises(ValueError, match="disagree on the variable count"):
+            total_score(four_rows, Dag(3, frozenset()), tab, cfg)
 
 
 def test_total_score_rejects_in_degree_violation(table):
