@@ -25,13 +25,12 @@ weight and block arrays.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import check_count, is_integer, json_field, load_json
+from .data import check_count, derived_seed, is_integer, json_field, load_json
 from .dist2x2 import (
     JointDist2x2,
     MI_UPPER,
@@ -54,7 +53,6 @@ __all__ = [
     "neg_ln_beta_batch",
     "query_neg_ln_beta",
     "table_to_json",
-    "table_from_json",
     "save_table",
     "load_table",
     "DEFAULT_N_GRID",
@@ -504,8 +502,6 @@ def neg_ln_beta_batch(table: BetaTable, ns, gammas) -> np.ndarray:
         raise ValueError(f"gamma={float(gammas[~(gammas >= 0.0)][0])!r} must be >= 0")
     out = np.zeros(ns.shape)
     below = gammas < table.eta
-    if not below.any():
-        return out
     kl = _kl_of_gammas(gammas[below], table.eta)
     n = ns[below]
     k0, k1, dk, sk = _segment(table._kl_axis, kl)
@@ -574,9 +570,7 @@ def build_table(
                 if g == 0.0:
                     betas[j] = beta_product_mass(n, ref)
                 elif j not in betas:
-                    cell_seed = int(
-                        np.random.SeedSequence((seed, i, j)).generate_state(1)[0]
-                    )
+                    cell_seed = derived_seed(seed, i, j)
                     betas[j] = beta_mc(n, g, eta, samples, cell_seed, _work=work)
             except Exception as exc:
                 raise TableBuildError(f"cell N={n}, gamma={g!r}: {exc}") from exc
@@ -616,13 +610,10 @@ def table_to_json(table: BetaTable) -> str:
     return "\n".join(lines) + "\n"
 
 
-def table_from_json(text: str) -> BetaTable:
-    """Parse table_to_json output; kl_of_gamma is not read but recomputed.
-    A document of another shape raises ValueError naming the key."""
-    return _table_from_doc(json.loads(text))
-
-
 def _table_from_doc(doc) -> BetaTable:
+    """The table of a parsed table_to_json document; kl_of_gamma is not read
+    but recomputed. A document of another shape raises ValueError naming
+    the key."""
     eta = json_field(doc, "eta", float, "beta table")
     N_grid = json_field(doc, "N_grid", list, "beta table", each=int)
     gamma_grid = json_field(doc, "gamma_grid", list, "beta table", each=float)

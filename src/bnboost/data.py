@@ -37,6 +37,7 @@ __all__ = [
     "load_json",
     "is_integer",
     "check_count",
+    "derived_seed",
 ]
 
 
@@ -50,6 +51,13 @@ def check_count(name: str, value, low: int) -> None:
     seed): an int or numpy integer, not a bool, at or above low."""
     if not is_integer(value) or value < low:
         raise ValueError(f"{name}={value!r} must be an integer >= {low}")
+
+
+def derived_seed(*parts: int) -> int:
+    """The sub-seed rule: the seed of one part of a seeded run (a table
+    cell, an experiment's dataset or search), fixed by the run's seed and
+    the part's indices alone, so it does not depend on evaluation order."""
+    return int(np.random.SeedSequence(parts).generate_state(1)[0])
 
 
 class CycleError(ValueError):
@@ -70,7 +78,7 @@ class Dag:
         object.__setattr__(self, "edges", frozenset(self.edges))
         parents: list[list[int]] = [[] for _ in range(self.n)]
         for u, v in self.edges:
-            if not (0 <= u < self.n and 0 <= v < self.n) or u == v:
+            if u == v or not all(is_integer(x) and 0 <= x < self.n for x in (u, v)):
                 raise ValueError(f"bad edge ({u}, {v}) for n={self.n}")
             parents[v].append(u)
         object.__setattr__(self, "_parents", tuple(tuple(sorted(p)) for p in parents))
@@ -158,7 +166,7 @@ class Network:
         for i in range(self.dag.n):
             pa = self.dag.parents(i)
             th = self.theta.get(i, {})
-            if set(th) != set(pa):
+            if set(th) != set(pa) or not all(map(is_integer, th)):
                 raise ValueError(
                     f"node {i}: theta keys {sorted(th)} != parents {list(pa)}"
                 )

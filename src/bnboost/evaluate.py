@@ -13,10 +13,11 @@ import logging
 import time
 from dataclasses import asdict, dataclass, field, replace
 
-import numpy as np
-
 from .beta import BetaTable, load_table
-from .data import Dag, check_count, json_field, load_network, random_network, sample
+from .data import (
+    Dag, check_count, derived_seed, is_integer, json_field, load_network,
+    random_network, sample,
+)
 from .scoring import ScoreConfig, build_parent_set_scores, check_table
 from .search import brute_force, exact_dp, greedy_hill_climb
 
@@ -48,18 +49,19 @@ class Pdag:
     undirected: frozenset[tuple[int, int]]  # stored as (min, max)
 
     def __post_init__(self):
+        check_count("n", self.n, 1)
         und = frozenset(tuple(sorted(e)) for e in self.undirected)
         object.__setattr__(self, "undirected", und)
         object.__setattr__(self, "directed", frozenset(self.directed))
         pairs = set()
         for u, v in self.directed:
-            if u == v or not (0 <= u < self.n and 0 <= v < self.n):
+            if u == v or not all(is_integer(x) and 0 <= x < self.n for x in (u, v)):
                 raise ValueError(f"bad directed edge ({u}, {v})")
             pairs.add((min(u, v), max(u, v)))
         if len(pairs) != len(self.directed):
             raise ValueError("conflicting directed edges on one pair")
         for u, v in und:
-            if u == v or not (0 <= u < self.n and 0 <= v < self.n):
+            if u == v or not all(is_integer(x) and 0 <= x < self.n for x in (u, v)):
                 raise ValueError(f"bad undirected edge ({u}, {v})")
             if (u, v) in pairs:
                 raise ValueError(f"pair ({u}, {v}) is both directed and undirected")
@@ -166,10 +168,6 @@ class ExperimentConfig:
                 raise ValueError(f"unknown search method {method!r}")
 
 
-def _derived_seed(*parts: int) -> int:
-    return int(np.random.SeedSequence(parts).generate_state(1)[0])
-
-
 def _search(table, method: str, restarts: int, seed: int):
     if method == "dp":
         return exact_dp(table)
@@ -202,7 +200,7 @@ def run_experiment(cfg: ExperimentConfig, beta_table: BetaTable | None = None) -
         net = shared_net if shared_net is not None else random_network(cfg.n, cfg.d, seed)
         truth = dag_to_cpdag(net.dag)
         for n_rows in cfg.N_schedule:
-            data = sample(net, n_rows, _derived_seed(seed, n_rows))
+            data = sample(net, n_rows, derived_seed(seed, n_rows))
             for m_idx, (score_name, method) in enumerate(cfg.methods):
                 row = {
                     "seed": seed, "n": net.n, "d": cfg.d, "N": n_rows,
@@ -216,15 +214,14 @@ def run_experiment(cfg: ExperimentConfig, beta_table: BetaTable | None = None) -
                     table = build_parent_set_scores(
                         data, beta_table if score_name == "boost" else None, run_cfg
                     )
-                    t1 = time.perf_counter()
+                    build_ms = (time.perf_counter() - t0) * 1e3
                     result = _search(
-                        table, method, cfg.restarts, _derived_seed(seed, n_rows, m_idx)
+                        table, method, cfg.restarts, derived_seed(seed, n_rows, m_idx)
                     )
-                    t2 = time.perf_counter()
                     row["shd"] = shd(truth, dag_to_cpdag(result.dag))
                     row["total_score"] = result.score
-                    row["score_build_ms"] = (t1 - t0) * 1e3
-                    row["search_ms"] = (t2 - t1) * 1e3
+                    row["score_build_ms"] = build_ms
+                    row["search_ms"] = result.runtime_ms
                     row["dag"] = result.dag
                 except Exception:
                     log.exception(

@@ -487,6 +487,8 @@ class ParentSetScoreTable:
         return frozenset(parents) in self.scores.get(i, {})
 
     def dag_score(self, dag: Dag) -> float:
+        if dag.n != self.n:
+            raise ValueError(f"dag has {dag.n} nodes and the score table has {self.n}")
         return (
             sum(self.family_score(i, dag.parents(i)) for i in range(dag.n))
             + self.constant

@@ -139,10 +139,6 @@ def exact_dp(table: ParentSetScoreTable) -> SearchResult:
         )
     edges = set()
     for comp in comps:
-        if len(comp) == 1:
-            if frozenset() not in kept[comp[0]]:
-                raise ValueError("the score table covers no complete DAG")
-            continue
         local = {v: k for k, v in enumerate(comp)}
         masks = _subset_dp([_by_mask(kept[i], local) for i in comp])
         edges.update((comp[p], i) for i, pa in zip(comp, masks) for p in _bits(pa))

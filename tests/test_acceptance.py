@@ -21,6 +21,7 @@ checks test the paper's asymptotic claims only where the paper makes them:
 
 import math
 import time
+from collections import Counter
 from itertools import combinations, product
 
 import numpy as np
@@ -38,7 +39,6 @@ from bnboost.dist2x2 import (
     find_t_plus,
     kl_divergence,
     mutual_information,
-    reference_dist,
     uniform_marginal_dist,
 )
 from bnboost.evaluate import (
@@ -55,6 +55,7 @@ from bnboost.scoring import (
     total_score,
 )
 from bnboost.search import all_dags, brute_force, exact_dp
+from oracles import bic_reference, skeleton, v_structures
 
 ETA = 0.01
 UNIF = JointDist2x2(0.25, 0.25, 0.25, 0.25)
@@ -66,11 +67,6 @@ def report(num, name, ok, detail=""):
         line += f"  ({detail})"
     print(line)
     assert ok, line
-
-
-@pytest.fixture(scope="module")
-def ref():
-    return reference_dist(ETA)
 
 
 @pytest.fixture(scope="module")
@@ -300,54 +296,6 @@ def test_criterion_8_scaled_down_recovery(default_table):
     )
 
 
-def dags_with_in_degree_bound(n, d):
-    per_node = []
-    for i in range(n):
-        others = [v for v in range(n) if v != i]
-        fams = []
-        for k in range(min(d, len(others)) + 1):
-            fams.extend(combinations(others, k))
-        per_node.append(fams)
-    out = []
-    for combo in product(*per_node):
-        edges = frozenset((p, i) for i, pa in enumerate(combo) for p in pa)
-        indeg = {i: len(pa) for i, pa in enumerate(combo)}
-        children = {i: [] for i in range(n)}
-        for p, c in edges:
-            children[p].append(c)
-        ready = [i for i in range(n) if indeg[i] == 0]
-        seen = 0
-        while ready:
-            i = ready.pop()
-            seen += 1
-            for c in children[i]:
-                indeg[c] -= 1
-                if indeg[c] == 0:
-                    ready.append(c)
-        if seen == n:
-            out.append(edges)
-    return out
-
-
-def bic_reference(data, dag):
-    """Independent oracle: plain-python counts and ln(N)/2 weighting."""
-    ll = 0.0
-    params = 0
-    for i in range(dag.n):
-        pa = dag.parents(i)
-        counts = {}
-        for row in data.rows:
-            key = tuple(int(row[p]) for p in pa)
-            c = counts.setdefault(key, [0, 0])
-            c[int(row[i])] += 1
-        params += 2 ** len(pa)
-        for c0, c1 in counts.values():
-            for c in (c0, c1):
-                if c:
-                    ll += c * math.log(c / (c0 + c1))
-    return ll - (math.log(data.n_rows) / 2) * params
-
-
 def test_criterion_9_score_sanity(default_table):
     rng = np.random.default_rng(777)
     cfg0 = ScoreConfig(eta=ETA, psi2=0.0)
@@ -365,35 +313,28 @@ def test_criterion_9_score_sanity(default_table):
     cfg = ScoreConfig(eta=ETA)
     pst = build_parent_set_scores(data, default_table, cfg)
     worst_rec = 0.0
-    count = 0
-    for edges in dags_with_in_degree_bound(5, 2):
-        g = Dag(5, edges)
+    # every labeled DAG on 5 nodes with in-degree <= 2
+    bounded = [
+        edges for edges in all_dags(5)
+        if max(Counter(v for _, v in edges).values(), default=0) <= 2
+    ]
+    assert len(bounded) == 13956
+    for edges in bounded:
+        g = Dag(5, frozenset(edges))
         worst_rec = max(
             worst_rec,
             abs(pst.dag_score(g) - total_score(data, g, default_table, cfg)),
         )
-        count += 1
     ok = worst_bic <= 1e-9 and worst_rec <= 1e-9
     report(
         9, "BIC equality and exhaustive reconstruction identity",
         ok,
         f"BIC gap <= {worst_bic:.1e}; reconstruction gap <= {worst_rec:.1e} "
-        f"over {count} graphs",
+        f"over {len(bounded)} graphs",
     )
 
 
 def test_criterion_10_equivalence_classes():
-    def skeleton(dag):
-        return frozenset((min(u, v), max(u, v)) for u, v in dag.edges)
-
-    def v_structures(dag):
-        out = set()
-        for y in range(dag.n):
-            for a, b in combinations(sorted(dag.parents(y)), 2):
-                if not dag.adjacent(a, b):
-                    out.add((a, y, b))
-        return frozenset(out)
-
     bad = 0
     classes = 0
     for n in (2, 3, 4):

@@ -32,7 +32,6 @@ from bnboost.beta import (
     neg_ln_beta_batch,
     query_neg_ln_beta,
     save_table,
-    table_from_json,
     table_to_json,
 )
 from bnboost import beta as beta_module
@@ -43,16 +42,12 @@ from bnboost.beta import (
     _runs,
     _sigma_marginal,
     _sigma_t,
+    _table_from_doc,
     _type_weights,
 )
 
 ETA = 0.01
 T_PLUS_TOL = 1e-12  # |MI - eta| every find_t_plus result must meet
-
-
-@pytest.fixture(scope="module")
-def ref():
-    return reference_dist(ETA)
 
 
 def exact_reference(n, gamma, ref):
@@ -608,7 +603,7 @@ def test_lockstep_t_plus_equals_find_t_plus():
 
 def test_table_json_roundtrip(small_table, tmp_path):
     text = table_to_json(small_table)
-    back = table_from_json(text)
+    back = _table_from_doc(json.loads(text))
     assert back.eta == small_table.eta
     assert back.N_grid == small_table.N_grid
     assert back.gamma_grid == small_table.gamma_grid
@@ -672,7 +667,7 @@ def test_table_from_json_rejects_bad_grids_and_cells(
 @pytest.mark.parametrize("text", ["5", "[]", "null", '"beta table"'])
 def test_table_from_json_rejects_a_document_that_is_no_object(text):
     with pytest.raises(ValueError, match="beta table is not a JSON object"):
-        table_from_json(text)
+        _table_from_doc(json.loads(text))
 
 
 def test_table_ignores_kl_of_gamma_in_file(small_table):
@@ -687,7 +682,7 @@ def test_table_ignores_kl_of_gamma_in_file(small_table):
             del doc["kl_of_gamma"]
         else:
             doc["kl_of_gamma"] = kl
-        back = table_from_json(json.dumps(doc))
+        back = _table_from_doc(doc)
         assert back.kl_of_gamma == small_table.kl_of_gamma
         assert [query_neg_ln_beta(back, n, g) for n in ns for g in gammas] == expect
 

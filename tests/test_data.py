@@ -2,6 +2,7 @@ import copy
 import csv
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from bnboost.data import (
     save_structure,
 )
 from bnboost.dist2x2 import reference_dist
-from bnboost.evaluate import ExperimentConfig, run_experiment
+from bnboost.evaluate import ExperimentConfig, Pdag, run_experiment
 from bnboost.scoring import (
     ParentSetScoreTable, ScoreConfig, build_parent_set_scores, edge_strength,
 )
@@ -38,12 +39,6 @@ from bnboost.search import exact_dp, greedy_hill_climb
 
 def sigmoid(x):
     return 1.0 / (1.0 + math.exp(-x))
-
-
-@pytest.fixture
-def four_rows():
-    # perfectly correlated pair: rows (A,B) = (0,0),(0,0),(1,1),(1,1)
-    return BinaryDataset(("A", "B"), np.array([[0, 0], [0, 0], [1, 1], [1, 1]]))
 
 
 # ----------------------------------------------------------------------- Dag
@@ -482,6 +477,7 @@ def integer_sites():
         "build_table-samples": (1, 20000, lambda v: table(samples=v)),
         "build_table-seed": (0, 3, lambda v: table(seed=v)),
         "Dag-n": (1, 3, lambda v: Dag(v, frozenset({(0, 2)}))),
+        "Pdag-n": (1, 3, lambda v: Pdag(v, frozenset({(0, 2)}), frozenset())),
         "random_network-n": (1, 6, lambda v: random_network(v, 2, 7)),
         "random_network-d": (0, 2, lambda v: random_network(6, v, 7)),
         "random_network-seed": (0, 7, lambda v: random_network(6, 2, v)),
@@ -507,7 +503,7 @@ def integer_sites():
 @pytest.mark.parametrize("site", [
     "beta_exact-n", "beta_bruteforce-n", "beta_product_mass-n", "beta_mc-n",
     "beta_mc-samples", "beta_mc-seed", "build_table-samples", "build_table-seed",
-    "Dag-n",
+    "Dag-n", "Pdag-n",
     "random_network-n", "random_network-d", "random_network-seed", "sample-n_rows",
     "sample-seed", "ScoreConfig-d", "edge_strength-a", "edge_strength-b", "edge_strength-d",
     "greedy_hill_climb-restarts", "greedy_hill_climb-seed", "ParentSetScoreTable-n",
@@ -523,3 +519,23 @@ def test_integer_arguments_follow_one_rule(integer_sites, site):
         with pytest.raises(ValueError, match=f"^{name}={bad!r} must be an integer >= {low}$"):
             call(bad)
     assert call(np.int64(good)) == call(good)
+
+
+def test_node_indices_follow_the_integer_rule():
+    # a node index is an int or a numpy integer, not a bool or a float
+    one = np.int64(1)
+    assert Dag(3, frozenset({(one, 2)})) == Dag(3, frozenset({(1, 2)}))
+    assert Pdag(3, frozenset(), frozenset({(0, one)})).undirected == {(0, 1)}
+    bias = dict.fromkeys(range(3), 0.0)
+    assert Network(Dag(3, frozenset({(1, 2)})), {2: {one: 0.5}}, bias).theta[2] == {1: 0.5}
+    for make, message in (
+        (lambda: Dag(3, frozenset({(True, 2)})), "bad edge (True, 2) for n=3"),
+        (lambda: Dag(3, frozenset({(0.0, 1)})), "bad edge (0.0, 1) for n=3"),
+        (lambda: Dag(3, frozenset({(0, 2.0)})), "bad edge (0, 2.0) for n=3"),
+        (lambda: Pdag(3, frozenset({(True, 2)}), frozenset()), "bad directed edge (True, 2)"),
+        (lambda: Pdag(3, frozenset(), frozenset({(0.0, 1)})), "bad undirected edge (0.0, 1)"),
+        (lambda: Network(Dag(3, frozenset({(1, 2)})), {2: {True: 0.5}}, bias),
+         "node 2: theta keys [True] != parents [1]"),
+    ):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            make()

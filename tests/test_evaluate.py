@@ -18,21 +18,7 @@ from bnboost.evaluate import (
 )
 from bnboost.scoring import ScoreConfig
 from bnboost.search import all_dags
-
-
-def skeleton(dag):
-    return frozenset((min(u, v), max(u, v)) for u, v in dag.edges)
-
-
-def v_structures(dag):
-    """Independent oracle: unshielded colliders a -> y <- b."""
-    out = set()
-    for y in range(dag.n):
-        pa = sorted(dag.parents(y))
-        for a, b in combinations(pa, 2):
-            if not dag.adjacent(a, b):
-                out.add((a, y, b))
-    return frozenset(out)
+from oracles import skeleton, v_structures
 
 
 # ------------------------------------------------------------------ dag_to_cpdag
@@ -106,13 +92,10 @@ def meek_cpdag(dag):
     colliders on the skeleton, then close under the three propagation rules
     (no background knowledge, so the fourth rule never fires)."""
     n = dag.n
-    skel = {(min(u, v), max(u, v)) for u, v in dag.edges}
+    skel = skeleton(dag)
     directed = set()
-    for y in range(n):
-        for a, b in combinations(sorted(dag.parents(y)), 2):
-            if (min(a, b), max(a, b)) not in skel:
-                directed.add((a, y))
-                directed.add((b, y))
+    for a, y, b in v_structures(dag):
+        directed.update({(a, y), (b, y)})
 
     def adjacent(u, v):
         return (min(u, v), max(u, v)) in skel

@@ -31,6 +31,7 @@ from bnboost.scoring import (
     save_scores,
     total_score,
 )
+from oracles import bic_reference
 
 LN_HALF = math.log(0.5)
 
@@ -43,32 +44,6 @@ def table():
         samples=30_000,
         seed=1,
     )
-
-
-@pytest.fixture
-def four_rows():
-    return BinaryDataset(("A", "B"), np.array([[0, 0], [0, 0], [1, 1], [1, 1]]))
-
-
-def bic_reference(data, dag):
-    """Independent BIC oracle: plain-python counts, psi1 = ln(N)/2."""
-    n_rows = data.n_rows
-    ll = 0.0
-    params = 0
-    for i in range(dag.n):
-        pa = dag.parents(i)
-        counts = {}
-        for row in data.rows:
-            key = tuple(int(row[p]) for p in pa)
-            c = counts.setdefault(key, [0, 0])
-            c[int(row[i])] += 1
-        params += 2 ** len(pa)
-        for c0, c1 in counts.values():
-            tot = c0 + c1
-            for c in (c0, c1):
-                if c:
-                    ll += c * math.log(c / tot)
-    return ll - (math.log(n_rows) / 2) * params
 
 
 def mask_counts(rows, cols):
@@ -684,6 +659,14 @@ def test_total_score_refuses_a_dag_of_another_variable_count(table, four_rows):
     for cfg, tab in ((ScoreConfig(psi2=0.0), None), (ScoreConfig(), table)):
         with pytest.raises(ValueError, match="disagree on the variable count"):
             total_score(four_rows, Dag(3, frozenset()), tab, cfg)
+
+
+def test_dag_score_refuses_a_dag_of_another_variable_count():
+    data = sample(random_network(5, 2, 1), 300, 2)
+    pst = build_parent_set_scores(data, None, ScoreConfig(psi2=0.0))
+    for n in (3, 6):
+        with pytest.raises(ValueError, match=f"^dag has {n} nodes and the score table has 5$"):
+            pst.dag_score(Dag(n, frozenset()))
 
 
 def test_total_score_rejects_in_degree_violation(table):
