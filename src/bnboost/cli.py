@@ -16,7 +16,7 @@ import functools
 import logging
 import sys
 
-from .beta import build_table, load_table, save_table
+from .beta import TableBuildError, build_table, load_table, save_table
 from .data import (
     Dag,
     load_dataset,
@@ -104,18 +104,18 @@ def _cmd_score(args) -> int:
 
 def _cmd_learn(args) -> int:
     table = load_scores(args.scores)
+    names = tuple(f"X{i}" for i in range(table.n))
     if args.names:
         names = read_variable_names(args.names)
         if len(names) != table.n:
             raise ValueError("--names dataset has the wrong variable count")
-        table.variable_names = names
     if args.method == "dp":
         result = exact_dp(table)
     elif args.method == "greedy":
         result = greedy_hill_climb(table, restarts=args.restarts, seed=args.seed)
     else:
         result = brute_force(table)
-    save_structure(table.variable_names, result.dag, args.out)
+    save_structure(names, result.dag, args.out)
     log.info("%s search: score %.6f, %d edges, %.1f ms",
              result.method, result.score, len(result.dag.edges), result.runtime_ms)
     return 0
@@ -219,10 +219,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Run one subcommand. Every refusal is a ValueError, raised here or in
-    the library, such as a bad argument value, a malformed input file or
-    structures that do not match, or an OSError naming a file that cannot
-    be opened. It is reported the way argparse reports a bad flag: a usage
-    error on stderr and exit status 2."""
+    the library (a bad argument value, a malformed input file, structures
+    that do not match), an OSError naming a file that cannot be opened, or
+    a TableBuildError naming the beta-table cell that failed. It is reported
+    the way argparse reports a bad flag: a usage error on stderr, exit 2."""
     parser = build_parser()
     args = parser.parse_args(argv)
     logging.basicConfig(
@@ -231,7 +231,7 @@ def main(argv=None) -> int:
     )
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, TableBuildError) as exc:
         parser.error(str(exc))
 
 

@@ -460,10 +460,13 @@ def network_from_dict(doc) -> Network:
 
 def load_json(path, parse):
     """parse(document) of a JSON file, where a ValueError from parsing the
-    JSON or from parse is raised again naming the file."""
-    with open(path, "r", encoding="utf-8") as fh:
+    JSON or from parse is raised again naming the file. A UTF-8 BOM is
+    ignored, and a byte that is not UTF-8 is named with its line."""
+    with open(path, "r", encoding="utf-8-sig") as fh:
         try:
             return parse(json.load(fh))
+        except UnicodeDecodeError:
+            raise _utf8_error(path) from None
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
 

@@ -193,7 +193,8 @@ def run_experiment(cfg: ExperimentConfig, beta_table: BetaTable | None = None) -
     if beta_table is not None:
         check_table(beta_table, cfg.score)
 
-    bic = replace(cfg.score, psi2=0.0)
+    # score name -> the (beta table, config) of its builds
+    builds = {"bic": (None, replace(cfg.score, psi2=0.0)), "boost": (beta_table, cfg.score)}
     shared_net = load_network(cfg.network_path) if cfg.network_path else None
     rows: list[dict] = []
     for seed in sorted(cfg.seeds):
@@ -202,52 +203,38 @@ def run_experiment(cfg: ExperimentConfig, beta_table: BetaTable | None = None) -
         for n_rows in cfg.N_schedule:
             data = sample(net, n_rows, derived_seed(seed, n_rows))
             for m_idx, (score_name, method) in enumerate(cfg.methods):
-                row = {
+                row = dict.fromkeys(CSV_COLUMNS, "") | {
                     "seed": seed, "n": net.n, "d": cfg.d, "N": n_rows,
                     "score_name": score_name, "eta": cfg.score.eta,
-                    "search_method": method, "shd": "", "total_score": "",
-                    "score_build_ms": "", "search_ms": "", "dag": None,
+                    "search_method": method, "dag": None,
                 }
                 try:
-                    run_cfg = cfg.score if score_name == "boost" else bic
                     t0 = time.perf_counter()
-                    table = build_parent_set_scores(
-                        data, beta_table if score_name == "boost" else None, run_cfg
-                    )
+                    table = build_parent_set_scores(data, *builds[score_name])
                     build_ms = (time.perf_counter() - t0) * 1e3
                     result = _search(
                         table, method, cfg.restarts, derived_seed(seed, n_rows, m_idx)
                     )
-                    row["shd"] = shd(truth, dag_to_cpdag(result.dag))
-                    row["total_score"] = result.score
-                    row["score_build_ms"] = build_ms
-                    row["search_ms"] = result.runtime_ms
-                    row["dag"] = result.dag
+                    row.update(shd=shd(truth, dag_to_cpdag(result.dag)),
+                               total_score=result.score, score_build_ms=build_ms,
+                               search_ms=result.runtime_ms, dag=result.dag)
                 except Exception:
-                    log.exception(
-                        "run failed: seed=%s N=%s method=%s/%s",
-                        seed, n_rows, score_name, method,
-                    )
+                    log.exception("run failed: seed=%s N=%s method=%s/%s",
+                                  seed, n_rows, score_name, method)
                 rows.append(row)
 
     rows.sort(key=lambda r: (r["N"], r["score_name"], r["search_method"], r["seed"]))
-    means: list[dict] = []
-    for n_rows in cfg.N_schedule:
-        for score_name, method in sorted(set(cfg.methods)):
-            group = [
-                r for r in rows
-                if r["N"] == n_rows and r["score_name"] == score_name
-                and r["search_method"] == method and r["shd"] != ""
-            ]
-            if not group:
-                continue
-            means.append({
-                "seed": "mean", "n": group[0]["n"], "d": cfg.d, "N": n_rows,
-                "score_name": score_name, "eta": cfg.score.eta,
-                "search_method": method,
-                **{k: sum(r[k] for r in group) / len(group)
-                   for k in ("shd", "total_score", "score_build_ms", "search_ms")},
-            })
+    groups: dict[tuple, list[dict]] = {}  # keyed in the sorted rows' order
+    for r in rows:
+        if r["shd"] != "":
+            groups.setdefault((r["N"], r["score_name"], r["search_method"]), []).append(r)
+    means = [
+        {"seed": "mean", "n": group[0]["n"], "d": cfg.d, "N": n_rows,
+         "score_name": score_name, "eta": cfg.score.eta, "search_method": method,
+         **{k: sum(r[k] for r in group) / len(group)
+            for k in ("shd", "total_score", "score_build_ms", "search_ms")}}
+        for (n_rows, score_name, method), group in groups.items()
+    ]
     return rows + means
 
 

@@ -467,12 +467,9 @@ class ParentSetScoreTable:
     n: int
     scores: dict[int, dict[frozenset, float]]
     constant: float = 0.0
-    variable_names: tuple[str, ...] = ()
 
     def __post_init__(self):
         check_count("n", self.n, 1)
-        if not self.variable_names:
-            self.variable_names = tuple(f"X{i}" for i in range(self.n))
 
     def family_score(self, i: int, parents) -> float:
         key = frozenset(parents)
@@ -533,10 +530,7 @@ def build_parent_set_scores(
         )
         for (i, *pa), score in zip(fam.tolist(), penalized.tolist()):
             scores[i][frozenset(pa)] = score
-    return ParentSetScoreTable(
-        n=n, scores=scores, constant=constant,
-        variable_names=data.variable_names,
-    )
+    return ParentSetScoreTable(n=n, scores=scores, constant=constant)
 
 
 # ---------------------------------------------------------------------------

@@ -45,11 +45,11 @@ class SearchResult:
 
 def _dp_bytes(n: int, f: int) -> int:
     """Memory the subset DP holds on n nodes that keep at most f families
-    each: 17 bytes per subset (best, masks, popcounts) plus one sink's
-    scan of the largest layer, whose comb(n - 1, (n - 1) // 2) subsets take
-    8 bytes per ranked family (the int64 fit test) and about 72 for the
-    layer, index and score arrays; 2-7% above the traced peak at 18-22 nodes."""
-    return (17 << n) + (8 * f + 72) * math.comb(n - 1, (n - 1) // 2)
+    each: 9 bytes per subset (best and popcounts) plus one sink's scan of
+    the largest layer, whose comb(n - 1, (n - 1) // 2) subsets take 8 bytes
+    per ranked family (the int64 fit test) and about 72 for the layer,
+    index and score arrays; 4-6% above the traced peak at 18-22 nodes."""
+    return (9 << n) + (8 * f + 72) * math.comb(n - 1, (n - 1) // 2)
 
 
 def _kept_families(fams: dict) -> dict:
@@ -112,9 +112,9 @@ def exact_dp(table: ParentSetScoreTable) -> SearchResult:
     the subset DP runs on each connected component of that graph on its
     own; a node left alone takes the empty family. The cap DP_MAX_N and the
     memory statement apply to the largest component, not to n: at k nodes
-    the DP holds 17 bytes per subset plus one layer's scan, which grows with
-    the most families a node keeps (traced, 31 MiB at k = 20 and 119 MiB at
-    k = 22 with 12 families per node). Above the cap, or when memory runs
+    the DP holds 9 bytes per subset plus one layer's scan, which grows with
+    the most families a node keeps (traced, 22.5 MiB at k = 20 and 87 MiB
+    at k = 22 with 12 families per node). Above the cap, or when memory runs
     out inside the DP, the error gives that total. Ties resolve inside each
     component: to the lowest-index sink of each node subset, then to the
     parent set with the fewest parents, then the smallest sorted list.
@@ -163,15 +163,15 @@ def _subset_dp(fams: list[dict]) -> list[int]:
     rank_m = [np.array([*r, 0], dtype=np.int64) for r in ranked]
     rank_s = [np.array([*map(f.get, r), NEG_INF]) for f, r in zip(fams, ranked)]
     try:
+        # subset popcounts, made before best so no step holds over 9 bytes a subset
+        pop = np.bitwise_count(np.arange(size, dtype=np.uint32))
         # best[U] over orderings of U, the max over its sinks i of best[U \ i]
         # plus i's best family inside U \ i; processed layer by layer in
         # subset size so every best[U \ i] is final
         best = np.full(size, NEG_INF)
-        masks = np.arange(size, dtype=np.int64)
-        pop = np.bitwise_count(masks)
         best[0] = 0.0
         for k in range(1, n + 1):
-            layer = masks[pop == k]
+            layer = np.flatnonzero(pop == k)  # the subsets of size k, ascending
             for i in range(n):
                 bit = 1 << i
                 sel = layer[(layer & bit) != 0]

@@ -3,7 +3,8 @@
 perfbench/tracing.py swaps module attributes (PATCH_POINTS) for recording
 wrappers, and `from bnboost import *` reads every module's __all__; a
 deletion that leaves either pointing at a missing name fails here rather
-than in a benchmark run. The package also must not pull scipy back in.
+than in a benchmark run. The package also must not pull scipy back in,
+and every perfbench workload's jobs must pass that workload's checks.
 """
 
 import importlib
@@ -11,6 +12,7 @@ import importlib.util
 import os
 import subprocess
 import sys
+import textwrap
 from itertools import combinations
 from pathlib import Path
 
@@ -21,7 +23,8 @@ from bnboost import evaluate, scoring
 from bnboost.beta import build_table
 from bnboost.data import random_network, sample
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
 MODULES = ("dist2x2", "beta", "data", "scoring", "search", "evaluate")
 
 
@@ -108,3 +111,37 @@ def test_import_and_table_build_load_no_scipy():
         capture_output=True, text=True, check=True, timeout=120,
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_every_benchmark_workload_passes_its_checks(tmp_path):
+    """Two untraced and two traced jobs of each perfbench workload run and
+    pass the workload's own output checks. A fresh interpreter keeps
+    recovery-n8's patching of bnboost.evaluate out of this process."""
+    code = textwrap.dedent(f"""
+        import sys
+        from pathlib import Path
+        sys.path.insert(0, {str(PERFBENCH)!r})
+        import run
+        from tracing import Tracer
+        tracer = Tracer()
+        _, table, _ = run.import_and_set_up(True, tracer)
+        from workloads import WORKLOADS
+        for name, workload in WORKLOADS.items():
+            workdir = Path(sys.argv[1], name)
+            workdir.mkdir()
+            wl = workload(1, workdir, table)
+            wl.min_jobs = 2
+            wl.prepare()
+            times, traced, shds, failed = run.run_jobs(wl, 0.0, tracer, 1)
+            print(name, len(times), sum(traced), sorted(failed),
+                  sorted(i for i, got in shds.items() if got))
+    """)
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path)], cwd=tmp_path,
+        capture_output=True, text=True, timeout=300,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == [
+        f"{name} 4 2 [] [0, 1, 2, 3]"
+        for name in ("recovery-n8", "bic-dp-n18", "boost-bigN-n8", "cli-bic-n12")
+    ], out.stderr

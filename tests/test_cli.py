@@ -232,6 +232,23 @@ def test_experiment_command(tmp_path):
     assert len(lines) == 1 + 4 + 2  # header, 4 runs, 2 mean rows
 
 
+def test_experiment_config_with_a_bom(tmp_path):
+    cfg = {"N_schedule": [100], "methods": [["bic", "dp"]], "seeds": [0], "network": {"n": 3}}
+    cfg_path, out = tmp_path / "exp.json", tmp_path / "results.csv"
+    cfg_path.write_bytes(b"\xef\xbb\xbf" + json.dumps(cfg).encode())
+    assert run("--quiet", "experiment", "--config", cfg_path, "--out", out) == 0
+    assert len(out.read_text().strip().split("\n")) == 1 + 1 + 1  # header, run, mean
+
+
+def test_a_failing_beta_table_cell_is_a_usage_error(tmp_path, capsys):
+    table = tmp_path / "t.json"
+    err = usage_error(capsys, "beta-table", "--eta", 0.01, "--n-grid", 500,
+                      "--gamma-grid", 0.005, "--samples", 1, "--out", table)
+    assert ("bnboost: error: cell N=500, gamma=0.005: effective sample size 1.0 "
+            "below floor 100") in err
+    assert not table.exists()
+
+
 def test_library_value_errors_are_usage_errors(tmp_path, capsys):
     table = tmp_path / "beta.json"
     beta_args = ("beta-table", "--eta", 0.01, "--n-grid", 500, "--gamma-grid", 0.005,

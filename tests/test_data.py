@@ -359,6 +359,25 @@ def test_network_roundtrip(tmp_path):
     assert (d1.rows == d2.rows).all()
 
 
+def test_load_network_drops_a_bom(tmp_path):
+    net = random_network(4, 2, seed=5)
+    path = tmp_path / "net.json"
+    save_network(net, path)
+    path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    back = load_network(path)
+    assert (back.dag, back.theta, back.bias) == (net.dag, net.theta, net.bias)
+
+
+def test_load_network_names_a_byte_that_is_not_utf8(tmp_path):
+    path = tmp_path / "net.json"
+    save_network(random_network(3, 1, seed=5), path)
+    # the name "X1" opens line 4 of the variables list
+    path.write_bytes(path.read_bytes().replace(b'"X1"', b'"X\xff"', 1))
+    with pytest.raises(ValueError) as info:
+        load_network(path)
+    assert str(info.value) == f"{path} line 4: byte 0xff is not UTF-8 (invalid start byte)"
+
+
 def test_structure_roundtrip(tmp_path):
     net = random_network(6, 2, seed=21)
     path = tmp_path / "s.json"

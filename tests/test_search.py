@@ -242,12 +242,12 @@ def test_exact_dp_tie_takes_the_smallest_sorted_list_not_the_smallest_mask():
 
 
 def test_exact_dp_rejects_oversize():
-    # the check comes before any DP array: 17 * 2^25 bytes plus the scan of
+    # the check comes before any DP array: 9 * 2^25 bytes plus the scan of
     # (8 * 2 + 72) * comb(24, 12) bytes, as a node keeps at most 2 families
     table = chain_table(25)
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match=r"n=25 above .* about 0\.81 GB"):
+        with pytest.raises(ValueError, match=r"n=25 above .* about 0\.54 GB"):
             exact_dp(table)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -261,7 +261,7 @@ def test_exact_dp_memory_error_states_need(monkeypatch):
 
     table = chain_table(20)
     monkeypatch.setattr(np, "full", no_memory)
-    with pytest.raises(MemoryError, match=r"n=20 needs about 0\.026 GB"):
+    with pytest.raises(MemoryError, match=r"n=20 needs about 0\.018 GB"):
         exact_dp(table)
 
 
@@ -277,7 +277,7 @@ def test_exact_dp_memory_error_inside_a_layer_states_need(monkeypatch):
         return argmin(*args, **kwargs)
 
     monkeypatch.setattr(np, "argmin", no_memory_on_the_third)
-    with pytest.raises(MemoryError, match=r"n=20 needs about 0\.026 GB"):
+    with pytest.raises(MemoryError, match=r"n=20 needs about 0\.018 GB"):
         exact_dp(chain_table(20))
     assert len(calls) == 3
 
