@@ -125,8 +125,9 @@ def mi_from_counts(c00: int, c01: int, c10: int, c11: int) -> float:
 
 def mi_from_counts_batch(c00, c01, c10, c11) -> np.ndarray:
     """mi_from_counts of every table (c00[i], c01[i], c10[i], c11[i]) of
-    integer arrays at once. The products stay integral here too, so product
-    tables give exactly 0.0; an empty table gives 0.0 instead of raising."""
+    nonnegative arrays at once, integer counts or float masses (MI does not
+    change with scale). For integer counts the products stay integral, so
+    product tables give exactly 0.0; an empty table gives 0.0 instead of raising."""
     n = c00 + c01 + c10 + c11
     r0 = c00 + c01
     r1 = c10 + c11

@@ -18,7 +18,7 @@ of at most _STRATA_BUDGET strata (2x2 tables) pass through the counting
 kernel, one MI call and one batched -ln(beta) query, then reduce into
 each pair's running max over sets of its min over assignments, so memory
 does not grow with the number of pairs. Families, strata and
-edge_strength take their column sets from one enumerator (_column_sets).
+edge_strengths take their column sets from one enumerator (_column_sets).
 
 Every contingency table of the data comes from one counting kernel
 (_CountContext.count) over the dataset's distinct rows, each weighted by
@@ -46,7 +46,7 @@ import numpy as np
 
 from .beta import BetaTable, neg_ln_beta_batch
 from .data import BinaryDataset, Dag, Network, _utf8_error, check_count
-from .dist2x2 import JointDist2x2, mi_from_counts_batch, mutual_information
+from .dist2x2 import mi_from_counts_batch
 
 # Not called here; perfbench/tracing.py wraps both names in this module.
 from .beta import query_neg_ln_beta  # noqa: F401
@@ -60,7 +60,7 @@ __all__ = [
     "pair_boosts",
     "total_score",
     "build_parent_set_scores",
-    "edge_strength",
+    "edge_strengths",
     "save_scores",
     "load_scores",
 ]
@@ -268,7 +268,7 @@ def _gram_count(bits, weights, colsets, order, starts) -> np.ndarray:
 
 def _bincount(bits: np.ndarray, weights: np.ndarray, colsets: np.ndarray) -> np.ndarray:
     """_CountContext.count by one bincount per chunk of column sets, which
-    adds the weights in column order (edge_strength passes probabilities)."""
+    adds the weights in column order (edge_strengths passes probabilities)."""
     m_all, k = colsets.shape
     u = bits.shape[1]
     weights = weights.astype(np.float64, copy=False)
@@ -552,34 +552,34 @@ def _joint_probabilities(net: Network) -> tuple[np.ndarray, np.ndarray]:
     return states, probs
 
 
-def edge_strength(net: Network, a: int, b: int, d: int) -> float:
-    """Weakest certificate of dependence between a and b in the true joint.
-
-    min over conditioning sets S (|S| <= d) of the max over assignments s
-    with positive probability of MI(a, b | s). Zero means some small S
-    renders the pair conditionally independent. Exact state enumeration,
-    so the network must have at most 20 nodes.
-    """
+def edge_strengths(net: Network, pairs, d: int) -> list[float]:
+    """Weakest certificate of dependence between a and b in the true joint,
+    for each (a, b) of the iterable pairs, in order: the min over
+    conditioning sets S (|S| <= d) of the max over assignments s of
+    MI(a, b | s), an assignment of probability 0 giving 0. Zero means some
+    small S renders the pair conditionally independent. One exact state
+    enumeration serves every pair, so the network must have at most 20 nodes."""
     n = net.n
     if n > 20:
         raise ValueError(f"n={n} too large for exact enumeration (max 20)")
-    for name, value, low in (("a", a, 0), ("b", b, 0), ("d", d, 0)):
-        check_count(name, value, low)
-    if a == b or a >= n or b >= n:
-        raise ValueError(f"bad pair ({a}, {b})")
+    check_count("d", d, 0)
+    pairs = list(pairs)  # read twice: checks, then column sets
+    for a, b in pairs:
+        check_count("a", a, 0)
+        check_count("b", b, 0)
+        if a == b or a >= n or b >= n:
+            raise ValueError(f"bad pair ({a}, {b})")
     states, probs = _joint_probabilities(net)
-
-    best = math.inf
+    leads = np.array([(b, a) for a, b in pairs], dtype=np.intp).reshape(-1, 2)
+    best = np.full(len(leads), np.inf)
     for k in range(min(d, n - 2) + 1):
-        # one call per set size, so a pair separated by a small set stops early
-        colsets = _column_sets(n, np.array([[b, a]]), k)
-        for mass in _bincount(states, probs, colsets).reshape(len(colsets), -1, 4):
-            worst = max((mutual_information(JointDist2x2(*(cell / cell.sum())))
-                         for cell in mass if cell.sum() > 0.0), default=0.0)
-            best = min(best, worst)
-            if best == 0.0:  # no later set can go lower
-                return 0.0
-    return best
+        # one count per set size; MI does not change with scale, so raw masses serve
+        mass = _bincount(states, probs, _column_sets(n, leads, k)).reshape(-1, 4)
+        mi = mi_from_counts_batch(*mass.T).reshape(len(leads), math.comb(n - 2, k), 1 << k)
+        best = np.minimum(best, mi.max(axis=2).min(axis=1))
+        if not best.any():  # every pair reads 0, and no later set can go lower
+            break
+    return best.tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -48,7 +48,9 @@ def _dp_bytes(n: int, f: int) -> int:
     each: 9 bytes per subset (best and popcounts) plus one sink's scan of
     the largest layer, whose comb(n - 1, (n - 1) // 2) subsets take 8 bytes
     per ranked family (the int64 fit test) and about 72 for the layer,
-    index and score arrays; 4-6% above the traced peak at 18-22 nodes."""
+    index and score arrays. It holds from 18 nodes up (4-6% above the traced
+    peak at 18-22); at 16 nodes with 1, 2 or 4 families per node it is 2-3.5%
+    under, as the fixed cost of the ranked arrays and lists is not in it."""
     return (9 << n) + (8 * f + 72) * math.comb(n - 1, (n - 1) // 2)
 
 
@@ -114,10 +116,11 @@ def exact_dp(table: ParentSetScoreTable) -> SearchResult:
     memory statement apply to the largest component, not to n: at k nodes
     the DP holds 9 bytes per subset plus one layer's scan, which grows with
     the most families a node keeps (traced, 22.5 MiB at k = 20 and 87 MiB
-    at k = 22 with 12 families per node). Above the cap, or when memory runs
-    out inside the DP, the error gives that total. Ties resolve inside each
-    component: to the lowest-index sink of each node subset, then to the
-    parent set with the fewest parents, then the smallest sorted list.
+    at k = 22 with 12 families per node); the total holds from k = 18 up and
+    is 2-3.5% under the traced peak at k = 16. Above the cap, or when memory
+    runs out inside the DP, the error gives that total. Ties resolve inside
+    each component: to the lowest-index sink of each node subset, then to
+    the parent set with the fewest parents, then the smallest sorted list.
     """
     t0 = time.perf_counter()
     n = table.n
@@ -351,15 +354,9 @@ def brute_force(table: ParentSetScoreTable) -> SearchResult:
         parents: list[list[int]] = [[] for _ in range(n)]
         for u, v in edges:
             parents[v].append(u)
-        score = 0.0
-        ok = True
-        for i in range(n):
-            if not table.has_family(i, parents[i]):
-                ok = False
-                break
-            score += table.family_score(i, parents[i])
-        if not ok:
+        if not all(table.has_family(i, parents[i]) for i in range(n)):
             continue
+        score = sum(table.family_score(i, parents[i]) for i in range(n))
         if score > best_score or (
             score == best_score and (best_edges is None or edges < best_edges)
         ):

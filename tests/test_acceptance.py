@@ -51,7 +51,7 @@ from bnboost.scoring import (
     ParentSetScoreTable,
     ScoreConfig,
     build_parent_set_scores,
-    edge_strength,
+    edge_strengths,
     total_score,
 )
 from bnboost.search import all_dags, brute_force, exact_dp
@@ -255,10 +255,8 @@ def test_criterion_8_scaled_down_recovery(default_table):
     for seed in cfg.seeds:
         net = random_network(cfg.n, cfg.d, seed)
         truth = dag_to_cpdag(net.dag)
-        strengths = {
-            (min(a, b), max(a, b)): edge_strength(net, a, b, d=cfg.d)
-            for a, b in net.dag.edges
-        }
+        edges = [(min(a, b), max(a, b)) for a, b in net.dag.edges]
+        strengths = dict(zip(edges, edge_strengths(net, edges, d=cfg.d)))
         strong = {e for e, s in strengths.items() if s >= ETA}
         n_edges += len(strengths)
         n_strong += len(strong)

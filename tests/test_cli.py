@@ -104,6 +104,19 @@ def test_eval_names_the_bad_variable(tmp_path, capsys):
     assert "'X1'" in usage_error(capsys, "eval", "--true", twice, "--learned", net)
 
 
+def test_eval_aligns_a_learned_structure_listed_in_another_order(tmp_path, capsys):
+    # the chain A - B - C; read by position, the learned file would be the
+    # chain B - C - A, two edges off
+    truth, learned = tmp_path / "truth.json", tmp_path / "learned.json"
+    truth.write_text(json.dumps({"variables": ["A", "B", "C"],
+                                 "edges": [["A", "B"], ["B", "C"]]}))
+    for edges, want in (([["A", "B"], ["B", "C"]], "0\n"), ([["A", "B"]], "1\n")):
+        learned.write_text(json.dumps({"variables": ["C", "A", "B"], "edges": edges}))
+        capsys.readouterr()
+        assert run("--quiet", "eval", "--true", truth, "--learned", learned) == 0
+        assert capsys.readouterr().out == want
+
+
 def test_score_requires_table_for_boost(tmp_path, capsys):
     net = tmp_path / "net.json"
     data = tmp_path / "data.csv"

@@ -32,7 +32,7 @@ from bnboost.data import (
 from bnboost.dist2x2 import reference_dist
 from bnboost.evaluate import ExperimentConfig, Pdag, run_experiment
 from bnboost.scoring import (
-    ParentSetScoreTable, ScoreConfig, build_parent_set_scores, edge_strength,
+    ParentSetScoreTable, ScoreConfig, build_parent_set_scores, edge_strengths,
 )
 from bnboost.search import exact_dp, greedy_hill_climb
 
@@ -504,9 +504,9 @@ def integer_sites():
         "sample-seed": (0, 3, lambda v: sample(net, 100, v).rows.tobytes()),
         "ScoreConfig-d": (0, 1, lambda v: build_parent_set_scores(
             data, None, ScoreConfig(psi2=0.0, d=v)).scores),
-        "edge_strength-a": (0, 0, lambda v: edge_strength(net, v, 4, 1)),
-        "edge_strength-b": (0, 1, lambda v: edge_strength(net, 4, v, 1)),
-        "edge_strength-d": (0, 2, lambda v: edge_strength(net, 0, 1, v)),
+        "edge_strength-a": (0, 0, lambda v: edge_strengths(net, [(v, 4)], 1)),
+        "edge_strength-b": (0, 1, lambda v: edge_strengths(net, [(4, v)], 1)),
+        "edge_strength-d": (0, 2, lambda v: edge_strengths(net, [(0, 1)], v)),
         "greedy_hill_climb-restarts": (1, 3, lambda v: climb(restarts=v)),
         "greedy_hill_climb-seed": (0, 4, lambda v: climb(seed=v)),
         "ParentSetScoreTable-n": (1, 5, lambda v: exact_dp(

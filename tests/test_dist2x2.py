@@ -245,6 +245,21 @@ def test_mi_from_counts_matches_normalized_mi():
     assert mi_from_counts_batch(*np.zeros((4, 1), dtype=np.int64))[0] == 0.0
 
 
+def test_mi_batch_matches_scalar_on_every_small_table():
+    # every 2x2 table of counts with 1 <= N <= 30, then the same tables as
+    # float masses: MI does not change with scale, and edge strengths pass
+    # the batch raw probability masses
+    tables = np.array([
+        (c00, c01, c10, n - c00 - c01 - c10) for n in range(1, 31)
+        for c00 in range(n + 1) for c01 in range(n + 1 - c00)
+        for c10 in range(n + 1 - c00 - c01)
+    ])
+    scalar = [mi_from_counts(*t) for t in tables.tolist()]
+    assert mi_from_counts_batch(*tables.T) == pytest.approx(scalar, rel=0, abs=1e-15)
+    masses = tables / tables.sum(axis=1, keepdims=True)
+    assert mi_from_counts_batch(*masses.T) == pytest.approx(scalar, rel=0, abs=1e-15)
+
+
 def test_joint_dist_validation():
     with pytest.raises(ValueError):
         JointDist2x2(0.5, 0.5, 0.5, -0.5)

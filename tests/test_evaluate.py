@@ -312,6 +312,14 @@ def test_run_experiment_requires_matching_eta(tiny_table):
         run_experiment(cfg, beta_table=tiny_table)
 
 
+def test_run_experiment_boost_needs_a_table():
+    cfg = ExperimentConfig(
+        N_schedule=[100], methods=[("bic", "dp"), ("boost", "dp")], seeds=[0], n=3, d=2,
+    )
+    with pytest.raises(ValueError, match="^boost methods need a beta table$"):
+        run_experiment(cfg)
+
+
 def test_rows_to_csv_shape(tiny_table):
     cfg = ExperimentConfig(
         N_schedule=[150], methods=[("bic", "dp")], seeds=[7],

@@ -25,7 +25,7 @@ from bnboost.scoring import (
     _zeta_count,
     build_parent_set_scores,
     dim,
-    edge_strength,
+    edge_strengths,
     load_scores,
     pair_boosts,
     save_scores,
@@ -555,27 +555,46 @@ def test_weighted_counts_and_edge_strength_match_per_set_reference(monkeypatch):
     want = np.array([bincount_reference(states.T, cs, weights=probs) for cs in colsets])
     assert (_bincount(states, probs, colsets) == want).all()
 
-    for a, b in combinations(range(7), 2):
-        for d in (0, 2):
-            assert edge_strength(net, a, b, d) == strength_reference(states, probs, a, b, d), (
+    # the batch takes np.log of raw masses, the reference math.log of
+    # normalised cells: equal to rounding
+    pairs = list(combinations(range(7), 2))
+    for d in (0, 2):
+        for (a, b), got in zip(pairs, edge_strengths(net, pairs, d), strict=True):
+            assert got == pytest.approx(strength_reference(states, probs, a, b, d), abs=1e-15), (
                 a, b, d)
 
     # X1 <- X0 -> X2 and a free X3, with dyadic probabilities so that every
-    # sum and ratio is exact: X1 and X2 are dependent, and {X0}, the first
-    # separating set of size 1, makes them independent with MI exactly 0
+    # sum and ratio is exact: X1 and X2 are dependent, and {X0}, a separating
+    # set of size 1, makes them independent with MI exactly 0
     net = Network(Dag(4, []), theta={i: {} for i in range(4)}, bias={i: 0.0 for i in range(4)})
     states, _ = _joint_probabilities(net)
     x0, x1, x2, _ = states.astype(np.float64)
     probs = (0.5 * np.where(x1, 0.25 + 0.5 * x0, 0.75 - 0.5 * x0)
              * np.where(x2, 0.25 + 0.25 * x0, 0.75 - 0.25 * x0) * 0.5)
     monkeypatch.setattr(scoring, "_joint_probabilities", lambda net: (states, probs))
-    calls = []
-    monkeypatch.setattr(scoring, "mutual_information",
-                        lambda p: calls.append(p) or mutual_information(p))
+    shapes = []
+    monkeypatch.setattr(scoring, "_bincount",
+                        lambda bits, weights, colsets: shapes.append(colsets.shape)
+                        or _bincount(bits, weights, colsets))
     assert strength_reference(states, probs, 1, 2, 0) > 0.0
-    assert edge_strength(net, 1, 2, 1) == strength_reference(states, probs, 1, 2, 1) == 0.0
-    # one cell for the empty set, two for X0 = 0, 1; the set {X3} is never scored
-    assert len(calls) == 3
+    assert edge_strengths(net, [(1, 2)], 2) == [strength_reference(states, probs, 1, 2, 2)] == [0.0]
+    # one count of the empty set, one of both sets of size 1; the size-2 set
+    # {X0, X3} is never counted
+    assert shapes == [(1, 2), (2, 3)]
+
+
+def test_edge_strengths_enumerate_the_joint_once(monkeypatch):
+    net = random_network(6, 2, seed=113)
+    pairs = [(0, 1), (4, 2), (3, 5)]
+    want = [edge_strengths(net, [pair], 2)[0] for pair in pairs]
+    calls = []
+    joint = scoring._joint_probabilities
+    monkeypatch.setattr(scoring, "_joint_probabilities",
+                        lambda net: calls.append(net) or joint(net))
+    assert edge_strengths(net, pairs, 2) == want
+    assert len(calls) == 1
+    assert edge_strengths(net, iter(pairs), 2) == want
+    assert edge_strengths(net, [], 2) == []
 
 
 @pytest.mark.parametrize("psi2, d", [(0.0, 2), (1.0, 2), (1.0, 3)],
@@ -981,14 +1000,15 @@ def test_score_table_missing_family():
 
 def test_edge_strength_disconnected_pair_is_zero():
     net = random_network(4, 0, seed=101)
-    assert edge_strength(net, 0, 1, 2) == 0.0
+    # an exact 0 would be a rounding outcome for an independent pair
+    assert edge_strengths(net, [(0, 1)], 2) == pytest.approx([0.0], abs=1e-15)
 
 
 def test_edge_strength_rejects_a_negative_d():
     # an empty range of set sizes would otherwise read as an inf strength
     net = random_network(4, 1, seed=101)
     with pytest.raises(ValueError, match="^d=-1 must be an integer >= 0$"):
-        edge_strength(net, 0, 1, -1)
+        edge_strengths(net, [(0, 1)], -1)
 
 
 def test_edge_strength_vacuous_edge_is_zero():
@@ -996,7 +1016,7 @@ def test_edge_strength_vacuous_edge_is_zero():
         dag=Dag(2, frozenset({(0, 1)})), theta={0: {}, 1: {0: 0.0}},
         bias={0: 0.0, 1: 0.0},
     )
-    assert edge_strength(net, 0, 1, 2) == pytest.approx(0.0, abs=1e-15)
+    assert edge_strengths(net, [(0, 1)], 2) == pytest.approx([0.0], abs=1e-15)
 
 
 def test_edge_strength_two_node_oracle():
@@ -1013,7 +1033,7 @@ def test_edge_strength_two_node_oracle():
         c * math.log(c / (pa[a] * pb[b]))
         for (a, b), c in zip(((0, 0), (0, 1), (1, 0), (1, 1)), cells)
     )
-    assert edge_strength(net, 0, 1, 2) == pytest.approx(expect, abs=1e-12)
+    assert edge_strengths(net, [(0, 1)], 2) == pytest.approx([expect], abs=1e-12)
 
 
 def test_edge_strength_separated_by_conditioning():
@@ -1023,14 +1043,14 @@ def test_edge_strength_separated_by_conditioning():
         theta={0: {}, 1: {2: 3.0}, 2: {0: 3.0}},
         bias={0: 0.0, 1: -1.5, 2: -1.5},
     )
-    assert edge_strength(net, 0, 1, 1) == pytest.approx(0.0, abs=1e-12)
-    assert edge_strength(net, 0, 1, 0) > 0.01
+    assert edge_strengths(net, [(0, 1)], 1) == pytest.approx([0.0], abs=1e-12)
+    assert edge_strengths(net, [(0, 1)], 0)[0] > 0.01
 
 
 def test_edge_strength_rejects_large_network():
     net = random_network(21, 2, seed=103)
     with pytest.raises(ValueError):
-        edge_strength(net, 0, 1, 2)
+        edge_strengths(net, [(0, 1)], 2)
 
 
 # -------------------------------------------------------------------- config

@@ -532,6 +532,20 @@ def test_greedy_validates_restarts():
         greedy_hill_climb(table, restarts=0, seed=0)
 
 
+def test_greedy_refuses_a_table_without_a_valid_start():
+    # node 1 lacks the empty family: the empty start fails, and so does a
+    # random start while node 0 has no family at all
+    message = "^no valid start: the table lacks the empty families$"
+    table = ParentSetScoreTable(n=2, scores={0: {frozenset(): 0.0},
+                                             1: {frozenset({0}): -1.0}})
+    with pytest.raises(ValueError, match=message):
+        greedy_hill_climb(table, restarts=1, seed=0)
+    table = ParentSetScoreTable(n=3, scores={0: {}, 1: {frozenset(): 0.0},
+                                             2: {frozenset({1}): -1.0}})
+    with pytest.raises(ValueError, match=message):
+        greedy_hill_climb(table, restarts=10, seed=0)
+
+
 def test_search_results_reconstruct():
     rng = np.random.default_rng(31)
     table = random_table(5, 2, rng, constant=2.5)
