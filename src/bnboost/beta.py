@@ -18,14 +18,16 @@ Three routes are provided, in increasing applicability:
 
 BetaTable precomputes -ln(beta) on an (N, gamma) grid for one eta so that
 scoring can answer interpolated queries cheaply, a whole array of them per
-neg_ln_beta_batch call. A build's Monte Carlo cells share one set of draw,
-weight and block arrays.
+neg_ln_beta_batch call. A build's Monte Carlo cells run on one worker per
+available CPU; the table does not depend on the number of workers.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -203,14 +205,20 @@ def beta_product_mass(n: int, ref: JointDist2x2) -> float:
 
     A type is product iff t00 = r0*c0/n, which is an integer exactly when
     c0 is a multiple of n / gcd(r0, n); the sum visits only those
-    gcd(r0, n) + 1 lattice points per row margin r0.
+    gcd(r0, n) + 1 lattice points per row margin r0, weighted in sub-ranges
+    of rows as in _beta_exact_multi and then summed in one pass.
     """
     _validate(n, ref)
     r0 = np.arange(n + 1)
     step = n // np.gcd(r0, n)
-    run, k = _runs(n // step + 1)
-    c0 = k * step[run]
-    _, w = _type_weights(_log_factorials(n), ref, r0[run] * c0 // n, r0[run], c0)
+    counts = n // step + 1
+    off = np.concatenate(([0], np.cumsum(counts)))  # each row's first point
+    w, lgf = np.empty(off[-1]), _log_factorials(n)
+    cuts = np.searchsorted(off, np.arange(0, off[-1], _SUB_ELEMENTS)).tolist()
+    for a, b in zip(cuts, cuts[1:] + [n + 1]):
+        run, k = _runs(counts[a:b])
+        c0 = k * step[a:b][run]
+        _, w[off[a]:off[b]] = _type_weights(lgf, ref, (a + run) * c0 // n, a + run, c0)
     return min(float(w.sum()), 1.0)
 
 
@@ -248,16 +256,16 @@ def _sigma_t(n: int, t_gamma: float, ln_ref: np.ndarray) -> float:
 
 
 class _McWork:
-    """What the Monte Carlo cells of one table build share: the logs of the
-    reference cells, t_gamma per gamma, and the arrays every beta_mc call
-    overwrites. The draw and weight arrays follow the call's sample count;
-    the block arrays hold _MC_BLOCK samples each."""
+    """What the Monte Carlo cells of one table-build worker share: the logs
+    of the reference cells, t_gamma per gamma, and the arrays every beta_mc
+    call overwrites: draws and weights for samples, blocks of _MC_BLOCK
+    samples; about 5.7 MiB traced at 100 000 samples."""
 
-    def __init__(self, ref: JointDist2x2, t_of: dict):
+    def __init__(self, ref: JointDist2x2, t_of: dict, samples: int):
         self.ln_ref = np.log(np.asarray(ref.cells))[:, None]
         self.t_of = t_of  # gamma -> t_gamma
-        self.z = np.empty((3, 0))
-        self.w = np.empty(0)
+        self.z = np.empty((3, samples))
+        self.w = np.empty(samples)
         self.p = np.empty((3, _MC_BLOCK))  # pa, pb, tt
         self.q = np.empty((4, _MC_BLOCK))  # cells of the drawn distributions
         self.lnq = np.empty((4, _MC_BLOCK))
@@ -267,11 +275,8 @@ class _McWork:
         self.vec = np.empty((3, _MC_BLOCK))  # log proposal density, mi, log integrand
         self.ok = np.empty((4, _MC_BLOCK), dtype=bool)
 
-    def draws(self, samples: int, seed: int):
+    def draws(self, seed: int):
         """The (3, samples) standard normal draws of seed, and a weight array."""
-        if self.w.size != samples:
-            self.z = np.empty((3, samples))
-            self.w = np.empty(samples)
         np.random.default_rng(seed).standard_normal(out=self.z)
         return self.z, self.w
 
@@ -302,8 +307,8 @@ def beta_mc(
     Gaussian at t_gamma with width measured from the integrand peak. The
     (pA0, pB0, t) chart has unit Jacobian, so no volume correction appears.
     Deterministic given seed; raises EffectiveSampleSizeError when the
-    effective sample size falls below ESS_FLOOR. build_table passes _work
-    so that its cells share one set of arrays; it does not change the result.
+    effective sample size falls below ESS_FLOOR. build_table passes a
+    worker's _work so that its cells share arrays; the result is the same.
     """
     check_count("samples", samples, 1)
     check_count("seed", seed, 0)
@@ -318,7 +323,7 @@ def beta_mc(
 
     work = _work
     if work is None:
-        work = _McWork(reference_dist(eta), {gamma: find_t_plus(gamma)})
+        work = _McWork(reference_dist(eta), {gamma: find_t_plus(gamma)}, samples)
     t_gamma = work.t_of[gamma]
     sm = _sigma_marginal(n)
     st = _sigma_t(n, t_gamma, work.ln_ref[:, 0])
@@ -333,7 +338,7 @@ def beta_mc(
     # Each step writes into the work arrays but keeps the operations, and
     # their order, of the unblocked estimator (the tests' mc_reference), so
     # every weight has the same bits.
-    z, w = work.draws(samples, seed)
+    z, w = work.draws(seed)
     m = 0
     for lo in range(0, samples, _MC_BLOCK):
         zb = z[:, lo:lo + _MC_BLOCK]
@@ -531,9 +536,11 @@ def build_table(
     Carlo estimate with a per-cell seed derived from (seed, row, column) so
     the result is independent of evaluation order. gamma = 0 cells always
     use the exact product-type sum: the continuous relaxation assigns the
-    gamma = 0 acceptance region zero volume, so MC cannot see it. The MC
-    cells share one set of draw, weight and block arrays and take t_gamma
-    from one find_t_plus_batch call over the positive gammas.
+    gamma = 0 acceptance region zero volume, so MC cannot see it. After the
+    exact cells, the MC cells are dealt in row-major order, by stride, to W
+    = min(MC cells, available CPUs) workers: this thread and W - 1 helper
+    threads, each with its own _McWork. The table does not depend on W, and
+    a failure names the first failing MC cell in row-major order.
     """
     if not (0.0 < eta < MI_UPPER):
         raise ValueError(f"eta={eta!r} outside (0, ln 2)")
@@ -554,28 +561,51 @@ def build_table(
     ref = reference_dist(eta)
     pos = [j for j, g in enumerate(gamma_grid) if g > 0.0]
     pos_gammas = [gamma_grid[j] for j in pos]
-    work = _McWork(ref, dict(zip(pos_gammas, find_t_plus_batch(pos_gammas).tolist())))
-
-    neg = np.zeros((len(N_grid), len(gamma_grid)))
+    betas = np.empty((len(N_grid), len(gamma_grid)))
     for i, n in enumerate(N_grid):
-        betas = {}
         if n <= EXACT_CAP and pos:  # one margin walk for the row's positive gammas
             try:
-                bs = _beta_exact_multi(n, pos_gammas, ref)
+                betas[i, pos] = _beta_exact_multi(n, pos_gammas, ref)
             except Exception as exc:
                 raise TableBuildError(f"exact cells at N={n}: {exc}") from exc
-            betas = dict(zip(pos, bs))
-        for j, g in enumerate(gamma_grid):
+        if gamma_grid[0] == 0.0:  # the grid ascends from >= 0
             try:
-                if g == 0.0:
-                    betas[j] = beta_product_mass(n, ref)
-                elif j not in betas:
-                    cell_seed = derived_seed(seed, i, j)
-                    betas[j] = beta_mc(n, g, eta, samples, cell_seed, _work=work)
+                betas[i, 0] = beta_product_mass(n, ref)
             except Exception as exc:
+                g = gamma_grid[0]
                 raise TableBuildError(f"cell N={n}, gamma={g!r}: {exc}") from exc
-            neg[i, j] = max(0.0, -math.log(max(betas[j], 1e-300)))
 
+    mc_cells = [(i, j) for i, n in enumerate(N_grid) if n > EXACT_CAP for j in pos]
+    affinity = getattr(os, "sched_getaffinity", None)  # not on every platform
+    workers = min(len(mc_cells), len(affinity(0)) if affinity else os.cpu_count() or 1)
+    t_of = dict(zip(pos_gammas, find_t_plus_batch(pos_gammas).tolist()))
+    works = [_McWork(ref, t_of, samples) for _ in range(workers)]
+    failed = []  # (row, column, error) of each worker's first failing cell
+
+    def run(k: int) -> None:
+        for i, j in mc_cells[k::workers]:
+            try:
+                betas[i, j] = beta_mc(N_grid[i], gamma_grid[j], eta, samples,
+                                      derived_seed(seed, i, j), _work=works[k])
+            except Exception as exc:
+                failed.append((i, j, exc))
+                return
+
+    helpers = [threading.Thread(target=run, args=(k,)) for k in range(1, workers)]
+    try:
+        for h in helpers:
+            h.start()
+        if workers:
+            run(0)
+    finally:
+        for h in helpers:
+            h.join()
+    if failed:
+        i, j, exc = min(failed, key=lambda f: f[:2])
+        g = gamma_grid[j]
+        raise TableBuildError(f"cell N={N_grid[i]}, gamma={g!r}: {exc}") from exc
+
+    neg = [[max(0.0, -math.log(max(b, 1e-300))) for b in row] for row in betas.tolist()]
     return BetaTable(
         eta=eta,
         N_grid=N_grid,

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -207,6 +210,32 @@ def test_exact_walk_memory_stays_bounded(ref):
     # length peak near 60 MiB
     _, peak = traced_peak(_beta_exact_multi, 200, default_gamma_grid(ETA)[1:], ref)
     assert peak < 16 * 2 ** 20, peak / 2 ** 20
+
+
+def product_mass_reference(n, ref):
+    """Oracle: beta_product_mass with its weights computed over every
+    lattice point at once; the body of the unchunked sum, unchanged."""
+    r0 = np.arange(n + 1)
+    step = n // np.gcd(r0, n)
+    run, k = _runs(n // step + 1)
+    c0 = k * step[run]
+    _, w = _type_weights(_log_factorials(n), ref, r0[run] * c0 // n, r0[run], c0)
+    return min(float(w.sum()), 1.0)
+
+
+def test_product_mass_sub_ranges_match_unchunked_reference(ref):
+    # bit for bit: the same weights summed in the same order; from n = 2000
+    # on the lattice spans several sub-ranges
+    for n in (1, 2, 20, 97, 2000, 5000, 10_000):
+        assert beta_product_mass(n, ref) == product_mass_reference(n, ref), n
+
+
+def test_product_mass_memory_stays_bounded(ref):
+    # the weights of all 126 000 lattice points (1 MB) plus one sub-range's
+    # temporaries; about 3.5 MiB, where temporaries over every point peak
+    # near 11.4 MiB
+    _, peak = traced_peak(beta_product_mass, 10_000, ref)
+    assert peak < 4 * 2 ** 20, peak / 2 ** 20
 
 
 def test_product_mass_matches_exact_at_zero(ref):
@@ -447,8 +476,8 @@ def cell_seed(seed, i, j):
 
 
 def test_table_mc_cells_match_full_array_reference():
-    # the cells share one set of arrays and still equal the unblocked
-    # estimator at their derived seeds, bit for bit
+    # a worker's cells share one set of arrays and still equal the
+    # unblocked estimator at their derived seeds, bit for bit
     tab = build_table(ETA, N_grid=[300, 600], gamma_grid=[0.002, 0.005],
                       samples=20_000, seed=41)
     for i, n in enumerate(tab.N_grid):
@@ -459,7 +488,14 @@ def test_table_mc_cells_match_full_array_reference():
     assert beta_mc(600, 0.005, ETA, 5_000, 77) == mc_reference(600, 0.005, ETA, 5_000, 77)
 
 
-def test_table_mc_cells_share_one_set_of_arrays(monkeypatch):
+def use_workers(monkeypatch, workers):
+    """Make build_table see `workers` CPUs in this process's affinity."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)),
+                        raising=False)
+
+
+def record_mc_arrays(monkeypatch):
+    """The (draws, weights) addresses of every MC cell build_table runs."""
     draws = []
 
     def recording_mc(*args, _work, **kwargs):
@@ -468,15 +504,75 @@ def test_table_mc_cells_share_one_set_of_arrays(monkeypatch):
         return out
 
     monkeypatch.setattr(beta_module, "beta_mc", recording_mc)
-    samples = 100_000
+    return draws
+
+
+MC_SAMPLES = 100_000
+# 3.2 MB of draws and weights, about 1.7 MiB of block arrays per worker;
+# allocating them per cell would not raise the peak, which is why the
+# addresses are checked as well
+MC_WORK_BOUND = 4 * 8 * MC_SAMPLES + 3 * 2 ** 20
+
+
+def traced_mc_build(monkeypatch, workers):
+    use_workers(monkeypatch, workers)
+    draws = record_mc_arrays(monkeypatch)
     _, peak = traced_peak(build_table, ETA, N_grid=[500, 1000],
-                          gamma_grid=[0.002, 0.005], samples=samples, seed=3)
-    # four cells, one allocation of the draws and weights
+                          gamma_grid=[0.002, 0.005], samples=MC_SAMPLES, seed=3)
+    return draws, peak
+
+
+def test_table_mc_cells_share_one_set_of_arrays(monkeypatch):
+    # one worker: four cells, one allocation of the draws and weights
+    draws, peak = traced_mc_build(monkeypatch, 1)
     assert len(draws) == 4 and len(set(draws)) == 1
-    # 3.2 MB of draws and weights, about 1.7 MiB of block arrays; allocating
-    # them per cell would not raise the peak, which is why the addresses are
-    # checked above
-    assert peak < 4 * 8 * samples + 3 * 2 ** 20, peak / 2 ** 20
+    assert peak < MC_WORK_BOUND, peak / 2 ** 20
+
+
+def test_table_mc_workers_each_share_one_set_of_arrays(monkeypatch):
+    # two workers: four cells, one allocation per worker
+    draws, peak = traced_mc_build(monkeypatch, 2)
+    assert len(draws) == 4 and len(set(draws)) == 2
+    assert peak < 2 * MC_WORK_BOUND, peak / 2 ** 20
+
+
+# an exact row and a gamma = 0 column around 3 MC rows x 3 gammas: more MC
+# cells than workers at every worker count tested
+THREADED_GRID = dict(N_grid=[100, 300, 600, 1200],
+                     gamma_grid=[0.0, 0.001, 0.003, 0.006])
+
+
+def test_threaded_build_is_independent_of_worker_count(monkeypatch):
+    # the threads switch often, so a lost cell write would show in the table
+    tables = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for workers in (1, 2, 3):
+            use_workers(monkeypatch, workers)
+            draws = record_mc_arrays(monkeypatch)
+            tables.append(build_table(ETA, **THREADED_GRID, samples=20_000, seed=17))
+            assert len(draws) == 9 and len(set(draws)) == workers
+    finally:
+        sys.setswitchinterval(interval)
+    for tab in tables[1:]:
+        assert tab.neg_ln_beta.tolist() == tables[0].neg_ln_beta.tolist()
+    for i, n in enumerate(THREADED_GRID["N_grid"][1:], start=1):
+        for j, g in enumerate(THREADED_GRID["gamma_grid"][1:], start=1):
+            want = -math.log(mc_reference(n, g, ETA, 20_000, cell_seed(17, i, j)))
+            assert tables[0].neg_ln_beta[i, j] == want, (n, g)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_threaded_build_error_names_the_first_failing_cell(monkeypatch, workers):
+    # with 10 samples every MC cell fails; the error names the first in
+    # row-major order, as a serial build would, and no helper outlives it
+    use_workers(monkeypatch, workers)
+    threads = threading.active_count()
+    with pytest.raises(TableBuildError, match=r"^cell N=300, gamma=0\.001: ") as info:
+        build_table(ETA, **THREADED_GRID, samples=10, seed=0)
+    assert isinstance(info.value.__cause__, EffectiveSampleSizeError)
+    assert threading.active_count() == threads
 
 
 def test_table_build_error_carries_cell_coords():
