@@ -134,13 +134,14 @@ def shd(p1: Pdag, p2: Pdag) -> int:
 
 @dataclass
 class ExperimentConfig:
-    """One synthetic-recovery experiment: networks, sample sizes, methods."""
+    """One synthetic-recovery experiment: networks, sample sizes, methods.
+    d, the generating networks' max in-degree, defaults to the score's d."""
 
     N_schedule: list[int]
     methods: list[tuple[str, str]]  # (score_name in {bic, boost}, search method)
     seeds: list[int]
     n: int = 8
-    d: int = 2
+    d: int | None = None
     network_path: str | None = None
     score: ScoreConfig = field(default_factory=ScoreConfig)
     beta_table_path: str | None = None
@@ -153,6 +154,8 @@ class ExperimentConfig:
         if not sizes or any(b <= a for a, b in zip(sizes, sizes[1:])):
             raise ValueError(f"N_schedule {sizes} must ascend from >= 1")
         check_count("n", self.n, 1)
+        if self.d is None:
+            self.d = self.score.d
         check_count("d", self.d, 0)
         check_count("restarts", self.restarts, 1)
         if len(set(self.seeds)) != len(self.seeds) or not self.seeds:
@@ -270,7 +273,7 @@ def experiment_config_from_dict(doc: dict) -> ExperimentConfig:
         methods=[(str(a), str(b)) for a, b in methods],
         seeds=json_field(doc, "seeds", list, where, each=int),
         n=json_field(network, "n", int, f"{where} network", ExperimentConfig.n),
-        d=json_field(network, "d", int, f"{where} network", score.d),
+        d=json_field(network, "d", int, f"{where} network", None),
         network_path=json_field(network, "path", str, f"{where} network", None),
         score=score,
         beta_table_path=json_field(doc, "beta_table", str, where, None),

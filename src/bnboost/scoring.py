@@ -96,8 +96,8 @@ class ScoreConfig:
 
 
 # Row words pack this many columns each; one pass of the counting kernel
-# holds about this many index cells, or cells and Gram values, and one of
-# its matrix products at most this many multiply-adds.
+# holds about this many index cells, and one of its matrix products at most
+# this many multiply-adds.
 _WORD_BITS = 62
 _CHUNK_CELLS = 1 << 16
 _SERIAL_MADDS = 1 << 18
@@ -218,50 +218,39 @@ def _by_prefix(colsets: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _gram_count(bits, weights, colsets, order, starts) -> np.ndarray:
     """_CountContext.count with the column sets grouped as _by_prefix gives
-    them. For each prefix and each assignment s of it,
+    them, one group at a time. For each assignment s of the group's prefix,
     v = weights * [prefix = s], and the matrix product of the rows v * bits
     against bits^T gives n11 of every column pair at once. Its diagonal
     gives the margins, sum(v) gives N_s, and the other three cells follow by
     subtraction: n10 = m0 - n11, n01 = m1 - n11, n00 = N_s - m0 - m1 + n11.
-    The columns of bits are sorted by their prefix assignment, so each
-    product runs over the columns where v is nonzero, in blocks that keep it
-    within _SERIAL_MADDS multiply-adds: OpenBLAS runs a product that small
-    on the calling thread, and waking its other threads for one can cost
-    milliseconds. One chunk of prefixes holds about _CHUNK_CELLS
-    cells and Gram values, or one prefix if that holds more."""
+    Each product runs over the columns of bits where v is nonzero, in blocks
+    that keep it within _SERIAL_MADDS multiply-adds: OpenBLAS runs a product
+    that small on the calling thread, and waking its other threads for one
+    can cost milliseconds. A group holds its 2^(k-2) Gram matrices and the
+    cells of its own column sets."""
     m_all, k = colsets.shape
     n, u = bits.shape
-    p = k - 2
-    bounds = np.append(starts, m_all)
-    group = np.repeat(np.arange(len(starts)), np.diff(bounds))
     b, w = bits.astype(np.float64), weights.astype(np.float64)
     out = np.empty((m_all, 1 << k))
     block = max(1, _SERIAL_MADDS // (n * n))  # columns of bits per product
-    # a prefix holds the cells of its sets and its Gram matrices
-    held = np.cumsum((np.diff(bounds) << k) + (n * n << p))
-    cuts = np.flatnonzero(np.diff((held - 1) // _CHUNK_CELLS)) + 1
-    for g_lo, g_hi in zip([0, *cuts], [*cuts, len(starts)]):
-        gram = np.zeros((g_hi - g_lo, 1 << p, n, n))
-        n_s = np.empty((g_hi - g_lo, 1 << p))
-        for g, prefix in enumerate(colsets[order[starts[g_lo:g_hi]], 2:]):
-            code = np.zeros(u, dtype=np.intp)
-            for j, c in enumerate(prefix):
-                code += np.left_shift(bits[c], j, dtype=np.intp)
-            by_code = np.argsort(code, kind="stable")
-            n_s[g] = np.bincount(code, w, minlength=1 << p)
-            edges = np.cumsum(np.bincount(code, minlength=1 << p)).tolist()
-            for s, (first, end) in enumerate(zip([0] + edges, edges)):
-                for lo in range(first, end, block):
-                    rows = by_code[lo:min(lo + block, end)]
-                    x = b[:, rows]
-                    gram[g, s] += (x * w[rows]) @ x.T
-        margins = gram.diagonal(axis1=2, axis2=3)
-        sets = order[bounds[g_lo]:bounds[g_hi]]
-        g = group[bounds[g_lo]:bounds[g_hi]] - g_lo
+    for lo, hi in zip(starts.tolist(), [*starts[1:].tolist(), m_all]):
+        sets = order[lo:hi]
+        code = np.zeros(u, dtype=np.intp)
+        for j, c in enumerate(colsets[sets[0], 2:]):
+            code += np.left_shift(bits[c], j, dtype=np.intp)
+        gram = np.zeros((1 << (k - 2), n, n))
+        for s, g in enumerate(gram):
+            rows = np.flatnonzero(code == s)
+            for first in range(0, len(rows), block):
+                part = rows[first:first + block]
+                x = b[:, part]
+                g += (x * w[part]) @ x.T
+        n_s = np.bincount(code, w, minlength=len(gram))
+        margins = gram.diagonal(axis1=1, axis2=2).T  # (n, 2^(k-2))
         i, j = colsets[sets, 0], colsets[sets, 1]
-        n11, m0, m1 = gram[g, :, i, j], margins[g, :, i], margins[g, :, j]
+        n11, m0, m1 = gram.transpose(1, 2, 0)[i, j], margins[i], margins[j]
         out[sets] = np.stack(
-            (n_s[g] - m0 - m1 + n11, m0 - n11, m1 - n11, n11), axis=-1
+            (n_s - m0 - m1 + n11, m0 - n11, m1 - n11, n11), axis=-1
         ).reshape(len(sets), -1)
     return out
 
@@ -462,6 +451,9 @@ class ParentSetScoreTable:
 
     For any graph in the in-degree class the table covers,
     sum_i family_score(i, parents(i)) + constant reproduces total_score.
+    Every family is one some DAG on the n nodes can use: its node is in
+    0..n-1, its parents are other nodes of 0..n-1, and its score is finite;
+    the constructor refuses any other, and gives absent nodes no families.
     """
 
     n: int
@@ -470,6 +462,20 @@ class ParentSetScoreTable:
 
     def __post_init__(self):
         check_count("n", self.n, 1)
+        nodes = set(range(self.n))
+        for i, fams in self.scores.items():
+            if i not in nodes:
+                raise ValueError(f"score table node {i!r} outside 0..{self.n - 1}")
+            others = nodes - {i}
+            if not all(map(others.issuperset, fams)):
+                pa = next(pa for pa in fams if not others.issuperset(pa))
+                raise ValueError(
+                    f"node {i}: parents {sorted(pa)} are not other nodes of 0..{self.n - 1}"
+                )
+            if not all(map(math.isfinite, fams.values())):
+                pa = next(pa for pa, s in fams.items() if not math.isfinite(s))
+                raise ValueError(f"node {i}: parents {sorted(pa)} score {fams[pa]!r}, not finite")
+        self.scores = {i: self.scores.get(i, {}) for i in range(self.n)}
 
     def family_score(self, i: int, parents) -> float:
         key = frozenset(parents)
@@ -652,5 +658,4 @@ def load_scores(path) -> ParentSetScoreTable:
             f"node count above the {len(lines) - 1} family lines in scores header: "
             f"{lines[0]!r}"
         )
-    scores = {i: scores.get(i, {}) for i in range(n)}
     return ParentSetScoreTable(n=n, scores=scores, constant=constant)

@@ -124,7 +124,7 @@ def exact_dp(table: ParentSetScoreTable) -> SearchResult:
     """
     t0 = time.perf_counter()
     n = table.n
-    kept = [_kept_families(table.scores.get(i, {})) for i in range(n)]
+    kept = [_kept_families(table.scores[i]) for i in range(n)]
     comps = _components(n, kept)
     big = max(comps, key=len)
     largest = len(big)
@@ -287,7 +287,7 @@ def greedy_hill_climb(
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     n = table.n
-    fams = [_by_mask(table.scores.get(i, {}), range(n)) for i in range(n)]
+    fams = [_by_mask(table.scores[i], range(n)) for i in range(n)]
     d = table.max_parent_size()
     best_parents = None
     best_score = NEG_INF

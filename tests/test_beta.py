@@ -580,6 +580,44 @@ def test_table_build_error_carries_cell_coords():
         build_table(ETA, N_grid=[500], gamma_grid=[0.005], samples=10, seed=0)
 
 
+@pytest.mark.parametrize("eta", [0.0, -0.01, 0.7, math.nan])
+def test_table_refuses_eta_outside_the_mi_range(eta):
+    with pytest.raises(ValueError) as info:
+        build_table(eta, N_grid=[20], gamma_grid=[0.0])
+    assert str(info.value) == f"eta={eta!r} outside (0, ln 2)"
+
+
+def test_table_refuses_a_descending_gamma_grid():
+    with pytest.raises(ValueError) as info:
+        build_table(ETA, N_grid=[20], gamma_grid=[0.005, 0.001])
+    assert str(info.value) == "gamma_grid [0.005, 0.001] must be ascending"
+
+
+@pytest.mark.parametrize("cell", [-1.0, math.inf])
+def test_table_refuses_a_negative_or_infinite_cell(cell):
+    with pytest.raises(ValueError) as info:
+        BetaTable(eta=ETA, N_grid=[20], gamma_grid=[0.0, 0.005],
+                  neg_ln_beta=[[1.0, cell]], mc_samples=10, seed=0)
+    assert str(info.value) == "neg_ln_beta entries must be finite and >= 0"
+
+
+@pytest.mark.parametrize("name, message", [
+    ("_beta_exact_multi", "exact cells at N=20: cell failed"),
+    ("beta_product_mass", "cell N=20, gamma=0.0: cell failed"),
+], ids=["exact-row", "product-mass"])
+def test_table_build_names_a_failing_exact_cell(monkeypatch, name, message):
+    cause = RuntimeError("cell failed")
+
+    def fail(*args):
+        raise cause
+
+    monkeypatch.setattr(beta_module, name, fail)
+    with pytest.raises(TableBuildError) as info:
+        build_table(ETA, N_grid=[20], gamma_grid=[0.0, 0.005])
+    assert str(info.value) == message
+    assert info.value.__cause__ is cause
+
+
 # ----------------------------------------------------------------- queries
 
 def test_query_at_grid_point_returns_stored(small_table):

@@ -253,6 +253,20 @@ def test_experiment_config_with_a_bom(tmp_path):
     assert len(out.read_text().strip().split("\n")) == 1 + 1 + 1  # header, run, mean
 
 
+def test_experiment_without_out_writes_the_csv_to_stdout(tmp_path, capsys):
+    cfg = {"N_schedule": [100], "methods": [["bic", "dp"]], "seeds": [0], "network": {"n": 3}}
+    cfg_path, out = tmp_path / "c.json", tmp_path / "results.csv"
+    cfg_path.write_text(json.dumps(cfg))
+    assert run("--quiet", "experiment", "--config", cfg_path, "--out", out) == 0
+    assert capsys.readouterr().out == ""
+    assert run("--quiet", "experiment", "--config", cfg_path) == 0
+
+    def untimed(text):  # the rows less their two time columns
+        return [line.split(",")[:-2] for line in text.split("\n")]
+
+    assert untimed(capsys.readouterr().out) == untimed(out.read_text())
+
+
 def test_a_failing_beta_table_cell_is_a_usage_error(tmp_path, capsys):
     table = tmp_path / "t.json"
     err = usage_error(capsys, "beta-table", "--eta", 0.01, "--n-grid", 500,

@@ -464,6 +464,18 @@ def test_network_validation():
         Network(dag=Dag(1, frozenset()), theta={0: {}}, bias={})
 
 
+def test_dataset_refuses_a_column_count_other_than_the_names():
+    with pytest.raises(ValueError) as info:
+        BinaryDataset(("A", "B"), np.zeros((3, 3), dtype=np.uint8))
+    assert str(info.value) == "column count does not match variable names"
+
+
+def test_network_refuses_a_name_count_other_than_the_dag():
+    with pytest.raises(ValueError) as info:
+        Network(Dag(2, frozenset()), {}, {0: 0.0, 1: 0.0}, variable_names=("A",))
+    assert str(info.value) == "variable name count does not match the DAG"
+
+
 @pytest.fixture(scope="module")
 def integer_sites():
     """site -> (low, good, call) for every integer argument the package

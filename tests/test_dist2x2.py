@@ -265,3 +265,10 @@ def test_joint_dist_validation():
         JointDist2x2(0.5, 0.5, 0.5, -0.5)
     with pytest.raises(ValueError):
         JointDist2x2(0.3, 0.3, 0.3, 0.3)
+
+
+@pytest.mark.parametrize("t", [0.25, -0.25])
+def test_uniform_marginal_path_refuses_its_end_points(t):
+    with pytest.raises(ValueError) as info:
+        uniform_marginal_dist(t)
+    assert str(info.value) == f"t={t!r} outside (-1/4, 1/4)"

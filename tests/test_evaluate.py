@@ -378,7 +378,8 @@ def test_experiment_config_from_dict():
     assert cfg.beta_table_path == "beta.json"
     assert cfg.restarts == 4
     assert cfg.score.eta == 0.01
-    # missing keys take the config classes' own defaults
+    # missing keys take the config classes' own defaults, and the network's
+    # in-degree the score's d
     doc = {"N_schedule": [100], "methods": [["bic", "dp"]], "seeds": [0]}
     cfg = experiment_config_from_dict(doc)
     assert cfg.score == ScoreConfig()
@@ -386,6 +387,18 @@ def test_experiment_config_from_dict():
     assert (cfg.n, cfg.restarts) == (ExperimentConfig.n, ExperimentConfig.restarts)
     cfg = experiment_config_from_dict({**doc, "kappa": 1, "d": 3})
     assert cfg.score == ScoreConfig(kappa=1.0, d=3)
+
+
+def test_network_in_degree_follows_one_rule_from_both_entry_points():
+    # the generating networks' in-degree defaults to the score's d
+    doc = {"N_schedule": [100], "methods": [["bic", "dp"]], "seeds": [0], "d": 3}
+    direct = ExperimentConfig(N_schedule=[100], methods=[("bic", "dp")], seeds=[0],
+                              score=ScoreConfig(d=3))
+    assert direct.d == 3
+    assert experiment_config_from_dict(doc) == direct
+    given = ExperimentConfig(N_schedule=[100], methods=[("bic", "dp")], seeds=[0], d=1,
+                             score=ScoreConfig(d=3))
+    assert experiment_config_from_dict({**doc, "network": {"d": 1}}) == given
 
 
 @pytest.mark.parametrize("change, match", [

@@ -996,6 +996,33 @@ def test_score_table_missing_family():
         pst.family_score(0, (1,))
 
 
+def test_score_table_refuses_a_node_outside_its_range():
+    with pytest.raises(ValueError) as info:
+        ParentSetScoreTable(n=2, scores={0: {frozenset(): 0.0}, 5: {frozenset({1, 7}): 3.0}})
+    assert str(info.value) == "score table node 5 outside 0..1"
+
+
+@pytest.mark.parametrize("parents", [{7}, {1}, {-1}, {0, 2}])
+def test_score_table_refuses_a_parent_that_is_no_other_node(parents):
+    with pytest.raises(ValueError) as info:
+        ParentSetScoreTable(n=2, scores={0: {frozenset(): 0.0},
+                                         1: {frozenset(): 0.0, frozenset(parents): 1.0}})
+    assert str(info.value) == f"node 1: parents {sorted(parents)} are not other nodes of 0..1"
+
+
+@pytest.mark.parametrize("score", [math.nan, math.inf, -math.inf])
+def test_score_table_refuses_a_score_that_is_not_finite(score):
+    with pytest.raises(ValueError) as info:
+        ParentSetScoreTable(n=2, scores={0: {frozenset(): score, frozenset({1}): 1.0},
+                                         1: {frozenset(): 0.0}})
+    assert str(info.value) == f"node 0: parents [] score {score!r}, not finite"
+
+
+def test_score_table_gives_absent_nodes_no_families():
+    pst = ParentSetScoreTable(n=3, scores={1: {frozenset(): -1.0}})
+    assert pst.scores == {0: {}, 1: {frozenset(): -1.0}, 2: {}}
+
+
 # ---------------------------------------------------------------- edge strength
 
 def test_edge_strength_disconnected_pair_is_zero():
@@ -1009,6 +1036,14 @@ def test_edge_strength_rejects_a_negative_d():
     net = random_network(4, 1, seed=101)
     with pytest.raises(ValueError, match="^d=-1 must be an integer >= 0$"):
         edge_strengths(net, [(0, 1)], -1)
+
+
+@pytest.mark.parametrize("pair", [(0, 0), (0, 5)])
+def test_edge_strength_rejects_a_pair_outside_the_network(pair):
+    net = random_network(3, 1, seed=101)
+    with pytest.raises(ValueError) as info:
+        edge_strengths(net, [pair], 1)
+    assert str(info.value) == f"bad pair {pair}"
 
 
 def test_edge_strength_vacuous_edge_is_zero():

@@ -323,6 +323,20 @@ def test_exact_dp_rejects_a_node_without_families():
         exact_dp(table)
 
 
+def test_all_dags_refuses_more_nodes_than_its_cap():
+    with pytest.raises(ValueError) as info:
+        all_dags(6)
+    assert str(info.value) == "n=6 above the enumeration cap 5"
+
+
+def test_brute_force_refuses_a_table_whose_families_all_close_a_cycle():
+    table = ParentSetScoreTable(n=2, scores={0: {frozenset({1}): 0.0},
+                                             1: {frozenset({0}): 0.0}})
+    with pytest.raises(ValueError) as info:
+        brute_force(table)
+    assert str(info.value) == "the score table covers no complete DAG"
+
+
 def drop_families(table, frac, rng):
     """The table less a random share of its nonempty families."""
     return ParentSetScoreTable(n=table.n, scores={
