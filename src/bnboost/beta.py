@@ -447,6 +447,8 @@ class BetaTable:
 
     def __post_init__(self):
         _check_grids(self.eta, self.N_grid, self.gamma_grid)
+        check_count("mc_samples", self.mc_samples, 1)
+        check_count("seed", self.seed, 0)
         self.neg_ln_beta = np.asarray(self.neg_ln_beta, dtype=np.float64)
         if self.neg_ln_beta.shape != (len(self.N_grid), len(self.gamma_grid)):
             raise ValueError("neg_ln_beta shape does not match the grids")
@@ -651,19 +653,13 @@ def _table_from_doc(doc) -> BetaTable:
     shape = (len(N_grid), len(gamma_grid))
     if len(cells) != shape[0] * shape[1]:
         raise ValueError(f"neg_ln_beta has {len(cells)} cells, not {shape}")
-    mc_samples = json_field(doc, "mc_samples", int, "beta table")
-    if mc_samples < 1:
-        raise ValueError(f"beta table key 'mc_samples' holds {mc_samples}, below 1")
-    seed = json_field(doc, "seed", int, "beta table")
-    if seed < 0:
-        raise ValueError(f"beta table key 'seed' holds {seed}, below 0")
     return BetaTable(
         eta=eta,
         N_grid=N_grid,
         gamma_grid=gamma_grid,
         neg_ln_beta=np.asarray(cells, dtype=np.float64).reshape(shape),
-        mc_samples=mc_samples,
-        seed=seed,
+        mc_samples=json_field(doc, "mc_samples", int, "beta table"),
+        seed=json_field(doc, "seed", int, "beta table"),
     )
 
 

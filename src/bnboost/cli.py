@@ -15,6 +15,7 @@ import argparse
 import functools
 import logging
 import sys
+import time
 
 from .beta import TableBuildError, build_table, load_table, save_table
 from .data import (
@@ -31,10 +32,12 @@ from .data import (
     save_structure,
 )
 from .evaluate import (
+    SEARCH_METHODS,
     dag_to_cpdag,
     experiment_config_from_dict,
     rows_to_csv,
     run_experiment,
+    run_search,
     shd,
 )
 from .scoring import (
@@ -44,7 +47,8 @@ from .scoring import (
     load_scores,
     save_scores,
 )
-from .search import brute_force, exact_dp, greedy_hill_climb
+# Not called here; perfbench/tracing.py wraps both names in this module.
+from .search import exact_dp, greedy_hill_climb  # noqa: F401
 
 log = logging.getLogger("bnboost")
 
@@ -109,15 +113,12 @@ def _cmd_learn(args) -> int:
         names = read_variable_names(args.names)
         if len(names) != table.n:
             raise ValueError("--names dataset has the wrong variable count")
-    if args.method == "dp":
-        result = exact_dp(table)
-    elif args.method == "greedy":
-        result = greedy_hill_climb(table, restarts=args.restarts, seed=args.seed)
-    else:
-        result = brute_force(table)
+    t0 = time.perf_counter()
+    result = run_search(table, args.method, args.restarts, args.seed)
+    search_ms = (time.perf_counter() - t0) * 1e3
     save_structure(names, result.dag, args.out)
     log.info("%s search: score %.6f, %d edges, %.1f ms",
-             result.method, result.score, len(result.dag.edges), result.runtime_ms)
+             args.method, result.score, len(result.dag.edges), search_ms)
     return 0
 
 
@@ -195,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("learn", help="search for the best-scoring structure")
     p.add_argument("--scores", required=True, help="parent-set scores path")
-    p.add_argument("--method", choices=("dp", "greedy", "brute"), default="dp")
+    p.add_argument("--method", choices=SEARCH_METHODS, default="dp")
     p.add_argument("--restarts", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--names", default=None,

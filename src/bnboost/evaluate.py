@@ -19,13 +19,15 @@ from .data import (
     random_network, sample,
 )
 from .scoring import ScoreConfig, build_parent_set_scores, check_table
-from .search import brute_force, exact_dp, greedy_hill_climb
+from .search import SearchResult, brute_force, exact_dp, greedy_hill_climb
 
 __all__ = [
     "Pdag",
     "ExperimentConfig",
     "dag_to_cpdag",
     "shd",
+    "SEARCH_METHODS",
+    "run_search",
     "run_experiment",
     "rows_to_csv",
     "experiment_config_from_dict",
@@ -33,6 +35,8 @@ __all__ = [
 ]
 
 log = logging.getLogger(__name__)
+
+SEARCH_METHODS = ("dp", "greedy", "brute")
 
 CSV_COLUMNS = (
     "seed", "n", "d", "N", "score_name", "eta", "search_method",
@@ -167,16 +171,19 @@ class ExperimentConfig:
         for score_name, method in self.methods:
             if score_name not in ("bic", "boost"):
                 raise ValueError(f"unknown score {score_name!r}")
-            if method not in ("dp", "greedy", "brute"):
+            if method not in SEARCH_METHODS:
                 raise ValueError(f"unknown search method {method!r}")
 
 
-def _search(table, method: str, restarts: int, seed: int):
+def run_search(table, method: str, restarts: int = 10, seed: int = 0) -> SearchResult:
+    """Run the search that method names, looked up in this module at call time."""
     if method == "dp":
         return exact_dp(table)
     if method == "greedy":
         return greedy_hill_climb(table, restarts=restarts, seed=seed)
-    return brute_force(table)
+    if method == "brute":
+        return brute_force(table)
+    raise ValueError(f"unknown search method {method!r}")
 
 
 def run_experiment(cfg: ExperimentConfig, beta_table: BetaTable | None = None) -> list[dict]:
@@ -214,13 +221,13 @@ def run_experiment(cfg: ExperimentConfig, beta_table: BetaTable | None = None) -
                 try:
                     t0 = time.perf_counter()
                     table = build_parent_set_scores(data, *builds[score_name])
-                    build_ms = (time.perf_counter() - t0) * 1e3
-                    result = _search(
-                        table, method, cfg.restarts, derived_seed(seed, n_rows, m_idx)
-                    )
+                    t1 = time.perf_counter()
+                    result = run_search(table, method, cfg.restarts,
+                                        derived_seed(seed, n_rows, m_idx))
+                    t2 = time.perf_counter()
                     row.update(shd=shd(truth, dag_to_cpdag(result.dag)),
-                               total_score=result.score, score_build_ms=build_ms,
-                               search_ms=result.runtime_ms, dag=result.dag)
+                               total_score=result.score, score_build_ms=(t1 - t0) * 1e3,
+                               search_ms=(t2 - t1) * 1e3, dag=result.dag)
                 except Exception:
                     log.exception("run failed: seed=%s N=%s method=%s/%s",
                                   seed, n_rows, score_name, method)

@@ -453,7 +453,8 @@ class ParentSetScoreTable:
     sum_i family_score(i, parents(i)) + constant reproduces total_score.
     Every family is one some DAG on the n nodes can use: its node is in
     0..n-1, its parents are other nodes of 0..n-1, and its score is finite;
-    the constructor refuses any other, and gives absent nodes no families.
+    the constructor refuses any other family and a constant that is not
+    finite, and gives absent nodes no families.
     """
 
     n: int
@@ -462,6 +463,8 @@ class ParentSetScoreTable:
 
     def __post_init__(self):
         check_count("n", self.n, 1)
+        if not math.isfinite(self.constant):
+            raise ValueError(f"score table constant {self.constant!r}, not finite")
         nodes = set(range(self.n))
         for i, fams in self.scores.items():
             if i not in nodes:
@@ -485,9 +488,6 @@ class ParentSetScoreTable:
             raise ValueError(
                 f"no score for node {i} with parents {sorted(key)}"
             ) from None
-
-    def has_family(self, i: int, parents) -> bool:
-        return frozenset(parents) in self.scores.get(i, {})
 
     def dag_score(self, dag: Dag) -> float:
         if dag.n != self.n:

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import logging
 import math
-import time
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
@@ -39,8 +38,6 @@ log = logging.getLogger(__name__)
 class SearchResult:
     dag: Dag
     score: float
-    method: str
-    runtime_ms: float
 
 
 def _dp_bytes(n: int, f: int) -> int:
@@ -122,7 +119,6 @@ def exact_dp(table: ParentSetScoreTable) -> SearchResult:
     each component: to the lowest-index sink of each node subset, then to
     the parent set with the fewest parents, then the smallest sorted list.
     """
-    t0 = time.perf_counter()
     n = table.n
     kept = [_kept_families(table.scores[i]) for i in range(n)]
     comps = _components(n, kept)
@@ -146,10 +142,7 @@ def exact_dp(table: ParentSetScoreTable) -> SearchResult:
         masks = _subset_dp([_by_mask(kept[i], local) for i in comp])
         edges.update((comp[p], i) for i, pa in zip(comp, masks) for p in _bits(pa))
     dag = Dag(n, frozenset(edges))
-    return SearchResult(
-        dag=dag, score=table.dag_score(dag), method="dp",
-        runtime_ms=(time.perf_counter() - t0) * 1e3,
-    )
+    return SearchResult(dag, table.dag_score(dag))
 
 
 def _subset_dp(fams: list[dict]) -> list[int]:
@@ -284,7 +277,6 @@ def greedy_hill_climb(
     empty graph, later ones from random DAGs. Deterministic given seed."""
     check_count("restarts", restarts, 1)
     check_count("seed", seed, 0)
-    t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     n = table.n
     fams = [_by_mask(table.scores[i], range(n)) for i in range(n)]
@@ -302,10 +294,7 @@ def greedy_hill_climb(
     if best_parents is None:
         raise ValueError("no valid start: the table lacks the empty families")
     dag = Dag(n, frozenset((u, v) for v in range(n) for u in _bits(best_parents[v])))
-    return SearchResult(
-        dag=dag, score=best_score, method="greedy",
-        runtime_ms=(time.perf_counter() - t0) * 1e3,
-    )
+    return SearchResult(dag, best_score)
 
 
 # ---------------------------------------------------------------------------
@@ -347,16 +336,16 @@ def brute_force(table: ParentSetScoreTable) -> SearchResult:
     n = table.n
     if n > BRUTE_MAX_N:
         raise ValueError(f"n={n} above the enumeration cap {BRUTE_MAX_N}")
-    t0 = time.perf_counter()
     best_score = NEG_INF
     best_edges = None
     for edges in all_dags(n):
         parents: list[list[int]] = [[] for _ in range(n)]
         for u, v in edges:
             parents[v].append(u)
-        if not all(table.has_family(i, parents[i]) for i in range(n)):
+        fams = [table.scores[i].get(frozenset(pa)) for i, pa in enumerate(parents)]
+        if None in fams:
             continue
-        score = sum(table.family_score(i, parents[i]) for i in range(n))
+        score = sum(fams)
         if score > best_score or (
             score == best_score and (best_edges is None or edges < best_edges)
         ):
@@ -364,8 +353,4 @@ def brute_force(table: ParentSetScoreTable) -> SearchResult:
             best_edges = edges
     if best_edges is None:
         raise ValueError("the score table covers no complete DAG")
-    dag = Dag(n, frozenset(best_edges))
-    return SearchResult(
-        dag=dag, score=best_score + table.constant, method="brute",
-        runtime_ms=(time.perf_counter() - t0) * 1e3,
-    )
+    return SearchResult(Dag(n, frozenset(best_edges)), best_score + table.constant)

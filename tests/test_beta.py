@@ -767,9 +767,9 @@ def test_table_json_roundtrip(small_table, tmp_path):
     ("seed", lambda v: 1.9, "'seed' is 1.9, not an integer"),
     ("mc_samples", lambda v: 1000.0, "'mc_samples' is 1000.0, not an integer"),
     ("seed", lambda v: True, "'seed' is True, not an integer"),
-    ("mc_samples", lambda v: -5, "'mc_samples' holds -5, below 1"),
-    ("mc_samples", lambda v: 0, "'mc_samples' holds 0, below 1"),
-    ("seed", lambda v: -1, "'seed' holds -1, below 0"),
+    ("mc_samples", lambda v: -5, "mc_samples=-5 must be an integer >= 1"),
+    ("mc_samples", lambda v: 0, "mc_samples=0 must be an integer >= 1"),
+    ("seed", lambda v: -1, "seed=-1 must be an integer >= 0"),
     ("N_grid", lambda v: 5, "'N_grid' is 5, not a list"),
     ("neg_ln_beta", lambda v: {"cells": v}, "'neg_ln_beta' is .*, not a list"),
     ("gamma_grid", lambda v: v[:-1] + [None], "entry of beta table key 'gamma_grid' is None"),
@@ -831,3 +831,17 @@ def test_table_rejects_malformed():
             mc_samples=10,
             seed=0,
         )
+
+
+@pytest.mark.parametrize("field, value, match", [
+    ("mc_samples", 0, "mc_samples=0 must be an integer >= 1"),
+    ("mc_samples", True, "mc_samples=True must be an integer >= 1"),
+    ("seed", -1, "seed=-1 must be an integer >= 0"),
+])
+def test_table_refuses_a_count_that_no_file_could_hold(small_table, field, value, match):
+    """The table checks its own mc_samples and seed, so save_table never
+    writes a file that load_table refuses."""
+    kwargs = {k: getattr(small_table, k) for k in
+              ("eta", "N_grid", "gamma_grid", "neg_ln_beta", "mc_samples", "seed")}
+    with pytest.raises(ValueError, match=match):
+        BetaTable(**{**kwargs, field: value})

@@ -1,10 +1,13 @@
 import json
+import logging
 
 import pytest
 
+from bnboost import evaluate
 from bnboost.beta import load_table
 from bnboost.cli import main
 from bnboost.data import load_dataset, load_network
+from bnboost.evaluate import SEARCH_METHODS
 from bnboost.scoring import load_scores
 
 
@@ -393,3 +396,47 @@ def test_an_unreadable_input_file_is_a_usage_error(inputs, tmp_path, capsys, fla
     err = usage_error(capsys, *argv)
     assert "bnboost: error: " in err and str(missing) in err
     assert not out.exists()
+
+
+@pytest.fixture
+def learn_scores(tmp_path):
+    """A BIC score file over a 4-node network, small enough for brute force."""
+    net, data, scores = (tmp_path / f for f in ("net.json", "data.csv", "scores.txt"))
+    run("--quiet", "gen-net", "--n", 4, "--d", 2, "--seed", 11, "--out", net)
+    run("--quiet", "gen-data", "--net", net, "--rows", 400, "--seed", 12, "--out", data)
+    run("--quiet", "score", "--data", data, "--psi2", 0, "--d", 2, "--out", scores)
+    return scores
+
+
+@pytest.mark.parametrize("method", SEARCH_METHODS)
+def test_learn_runs_its_search_through_evaluate(learn_scores, tmp_path, monkeypatch,
+                                                caplog, method):
+    """learn and run_experiment share evaluate.run_search, which looks each
+    search up in bnboost.evaluate; perfbench's tracer records cli-bic-n12's
+    search.exact_dp span at that name."""
+    calls = []
+
+    def recording(name, search):
+        def wrapper(table, **kwargs):
+            calls.append((name, kwargs))
+            return search(table, **kwargs)
+        return wrapper
+
+    for name in ("exact_dp", "greedy_hill_climb", "brute_force"):
+        monkeypatch.setattr(evaluate, name, recording(name, getattr(evaluate, name)))
+    out = tmp_path / "learned.json"
+    with caplog.at_level(logging.INFO, logger="bnboost"):
+        assert run("learn", "--scores", learn_scores, "--method", method,
+                   "--restarts", 3, "--seed", 7, "--out", out) == 0
+    expect = {"dp": ("exact_dp", {}), "brute": ("brute_force", {}),
+              "greedy": ("greedy_hill_climb", {"restarts": 3, "seed": 7})}
+    assert calls == [expect[method]]
+    (line,) = [r.getMessage() for r in caplog.records if " search: score " in r.getMessage()]
+    assert line.startswith(f"{method} search: score ")
+
+
+def test_learn_refuses_a_method_no_search_has(learn_scores, tmp_path, capsys):
+    err = usage_error(capsys, "learn", "--scores", learn_scores, "--method", "astar",
+                      "--out", tmp_path / "learned.json")
+    assert "invalid choice: 'astar'" in err
+    assert not (tmp_path / "learned.json").exists()

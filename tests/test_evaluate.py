@@ -13,10 +13,12 @@ from bnboost.evaluate import (
     experiment_config_from_dict,
     rows_to_csv,
     run_experiment,
+    run_search,
     shd,
     CSV_COLUMNS,
+    SEARCH_METHODS,
 )
-from bnboost.scoring import ScoreConfig
+from bnboost.scoring import ParentSetScoreTable, ScoreConfig
 from bnboost.search import all_dags
 from oracles import skeleton, v_structures
 
@@ -441,3 +443,14 @@ def test_experiment_config_from_dict_rejects_other_shapes(change, match):
     doc = doc if changed is None else changed
     with pytest.raises(ValueError, match=match):
         experiment_config_from_dict(doc)
+
+
+def test_a_method_outside_search_methods_is_refused():
+    """SEARCH_METHODS is the one list of search names: learn's --method
+    choices, ExperimentConfig and run_search all read it."""
+    assert SEARCH_METHODS == ("dp", "greedy", "brute")
+    with pytest.raises(ValueError, match="^unknown search method 'astar'$"):
+        ExperimentConfig(N_schedule=[100], methods=[("bic", "astar")], seeds=[0])
+    table = ParentSetScoreTable(n=1, scores={0: {frozenset(): -1.0}})
+    with pytest.raises(ValueError, match="^unknown search method 'astar'$"):
+        run_search(table, "astar")

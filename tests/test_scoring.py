@@ -1018,6 +1018,16 @@ def test_score_table_refuses_a_score_that_is_not_finite(score):
     assert str(info.value) == f"node 0: parents [] score {score!r}, not finite"
 
 
+@pytest.mark.parametrize("constant", [math.nan, math.inf, -math.inf])
+def test_score_table_refuses_a_constant_that_is_not_finite(constant):
+    """Taken in, a nan constant would give exact_dp a nan score, leave greedy
+    no start it could accept and be saved in a file load_scores refuses."""
+    with pytest.raises(ValueError) as info:
+        ParentSetScoreTable(n=2, scores={0: {frozenset(): 0.0}, 1: {frozenset(): 0.0}},
+                            constant=constant)
+    assert str(info.value) == f"score table constant {constant!r}, not finite"
+
+
 def test_score_table_gives_absent_nodes_no_families():
     pst = ParentSetScoreTable(n=3, scores={1: {frozenset(): -1.0}})
     assert pst.scores == {0: {}, 1: {frozenset(): -1.0}, 2: {}}

@@ -154,7 +154,6 @@ def test_exact_dp_single_node():
     res = exact_dp(table)
     assert res.dag.edges == frozenset()
     assert res.score == -1.5
-    assert res.method == "dp"
 
 
 def test_exact_dp_matches_brute_force():
@@ -494,7 +493,6 @@ def test_greedy_empty_start_stays_at_optimum():
                 table.scores[i][pa] = 0.0
     res = greedy_hill_climb(table, restarts=1, seed=0)
     assert res.dag.edges == frozenset()
-    assert res.method == "greedy"
 
 
 def test_greedy_never_beats_dp():
@@ -569,7 +567,6 @@ def test_search_results_reconstruct():
         brute_force(table),
     ):
         assert table.dag_score(res.dag) == pytest.approx(res.score, abs=1e-9)
-        assert res.runtime_ms >= 0.0
         Dag(res.dag.n, res.dag.edges)  # acyclicity re-validated
 
 
