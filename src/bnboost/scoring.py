@@ -29,10 +29,15 @@ crossover; with 2000 rows, families of two parents pass it up to n = 16),
 every table is read off one 2^n histogram of the rows: n superset-sum
 passes over it, then k passes of Moebius inversion per table. Below
 that, large calls take Gram products (BLAS matrix products) and the rest
-one bincount. A count, and every partial sum or difference the transform
-forms, is an integer below 2^53, which float64 holds exactly in any order
-of operations, so all routes give bit-equal tables, log-likelihoods,
-boosts and scores.
+one bincount. The Gram route groups the column sets by all but their
+first two columns and reads each group off an all-ones lattice: for each
+set T of the group's columns, the Gram of the rows where all of T is 1,
+then Moebius inversion over T (after the ADtree's elision of one value,
+Moore & Lee, JAIR 1998); the Grams of the empty set and of single
+columns serve the whole call. A count, and every partial sum or
+difference the transform or the lattice forms, is an integer below 2^53,
+which float64 holds exactly in any order of operations, so all routes
+give bit-equal tables, log-likelihoods, boosts and scores.
 """
 
 from __future__ import annotations
@@ -151,10 +156,15 @@ class _CountContext:
         distinct rows, reaches _ZETA_WORK times the transform's n * 2^n;
         otherwise Gram products (_gram_count) once the work outgrows one
         bincount pass and colsets holds at least n * 2^(k-2) / 2 column sets
-        per distinct prefix, and _bincount below that. Every count, and every
-        partial sum or difference the transform forms, is an integer below
-        2^53, which float64 holds exactly in any order of operations, so all
-        three routes give the same counts bit for bit."""
+        per distinct prefix, and _bincount below that. The Gram route forms,
+        for each prefix (columns 2..k-1) and each set T of its columns, the
+        Gram of the rows where all of T is 1, and Moebius inversion over T
+        turns them into the Grams of each prefix assignment; the Grams of
+        the empty set and of each single column are formed once per call.
+        Every count, and every partial sum or difference the transform or
+        the lattice forms, is an integer below 2^53, which float64 holds
+        exactly in any order of operations, so all three routes give the
+        same counts bit for bit."""
         bits, weights = self.bits, self.weights
         m_all, k = colsets.shape
         n, u = bits.shape
@@ -218,37 +228,60 @@ def _by_prefix(colsets: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _gram_count(bits, weights, colsets, order, starts) -> np.ndarray:
     """_CountContext.count with the column sets grouped as _by_prefix gives
-    them, one group at a time. For each assignment s of the group's prefix,
-    v = weights * [prefix = s], and the matrix product of the rows v * bits
-    against bits^T gives n11 of every column pair at once. Its diagonal
-    gives the margins, sum(v) gives N_s, and the other three cells follow by
-    subtraction: n10 = m0 - n11, n01 = m1 - n11, n00 = N_s - m0 - m1 + n11.
-    Each product runs over the columns of bits where v is nonzero, in blocks
-    that keep it within _SERIAL_MADDS multiply-adds: OpenBLAS runs a product
-    that small on the calling thread, and waking its other threads for one
-    can cost milliseconds. A group holds its 2^(k-2) Gram matrices and the
-    cells of its own column sets."""
+    them, one group at a time, from an all-ones Gram lattice. For a set T of
+    columns, G_T is the matrix product of the rows w * bits against bits^T
+    over the distinct rows where every column of T is 1, w the weights: its
+    entry (i, j) counts those rows with i and j at 1, and entry (c, c) for
+    c in T is N_T, their total weight (N_{} is the sum of w). A group forms
+    G_T for each T within its prefix (about U / 2^|T| rows each), and k - 2
+    passes of Moebius inversion over them, as _zeta_count's, subtract, for
+    each prefix column, the Grams with it at 1 from those without, which
+    leaves the Gram and N_s of the rows with the prefix at each assignment
+    s. Its diagonal gives the margins m0 and m1 of the first two columns,
+    and the four cells follow by subtraction: n10 = m0 - n11,
+    n01 = m1 - n11, n00 = N_s - m0 - m1 + n11. G_{} and the n single-column
+    G_{c} are held for the whole call once formed, at most 1 + n matrices,
+    and larger T are formed inside their group. Each product runs over the
+    columns of bits where the rows match, in blocks that keep it within
+    _SERIAL_MADDS multiply-adds: OpenBLAS runs a product that small on the
+    calling thread, and waking its other threads for one can cost
+    milliseconds. Beside the held Grams, a group holds its 2^(k-2) Gram
+    matrices and the cells of its own column sets."""
     m_all, k = colsets.shape
-    n, u = bits.shape
+    n = bits.shape[0]
     b, w = bits.astype(np.float64), weights.astype(np.float64)
     out = np.empty((m_all, 1 << k))
     block = max(1, _SERIAL_MADDS // (n * n))  # columns of bits per product
+
+    def gram(cols):  # G_T for the columns cols of T
+        rows = np.flatnonzero(np.logical_and.reduce(bits[list(cols)]))
+        g = np.zeros((n, n))
+        for first in range(0, len(rows), block):
+            part = rows[first:first + block]
+            x = b[:, part]
+            g += (x * w[part]) @ x.T
+        return g
+
+    held = {}  # G_T for |T| <= 1, formed on first use
+    total = w.sum()
+    # one group's Grams and N_s: G_T and N_T at index t (bit j of t set when
+    # T holds prefix column j), then those of the assignment s = t
+    grams, n_s = np.empty((1 << (k - 2), n, n)), np.empty(1 << (k - 2))
     for lo, hi in zip(starts.tolist(), [*starts[1:].tolist(), m_all]):
         sets = order[lo:hi]
-        code = np.zeros(u, dtype=np.intp)
-        for j, c in enumerate(colsets[sets[0], 2:]):
-            code += np.left_shift(bits[c], j, dtype=np.intp)
-        gram = np.zeros((1 << (k - 2), n, n))
-        for s, g in enumerate(gram):
-            rows = np.flatnonzero(code == s)
-            for first in range(0, len(rows), block):
-                part = rows[first:first + block]
-                x = b[:, part]
-                g += (x * w[part]) @ x.T
-        n_s = np.bincount(code, w, minlength=len(gram))
-        margins = gram.diagonal(axis1=1, axis2=2).T  # (n, 2^(k-2))
+        prefix = colsets[sets[0], 2:].tolist()
+        for t, g in enumerate(grams):
+            cols = tuple(c for j, c in enumerate(prefix) if t >> j & 1)
+            if len(cols) <= 1 and cols not in held:
+                held[cols] = gram(cols)
+            g[:] = held[cols] if len(cols) <= 1 else gram(cols)
+            n_s[t] = g[cols[0], cols[0]] if cols else total
+        for j in range(k - 2):  # Moebius inversion, prefix column by column
+            for half in (grams.reshape(-1, 2, 1 << j, n, n), n_s.reshape(-1, 2, 1 << j)):
+                half[:, 0] -= half[:, 1]
+        margins = grams.diagonal(axis1=1, axis2=2).T  # (n, 2^(k-2))
         i, j = colsets[sets, 0], colsets[sets, 1]
-        n11, m0, m1 = gram.transpose(1, 2, 0)[i, j], margins[i], margins[j]
+        n11, m0, m1 = grams.transpose(1, 2, 0)[i, j], margins[i], margins[j]
         out[sets] = np.stack(
             (n_s - m0 - m1 + n11, m0 - n11, m1 - n11, n11), axis=-1
         ).reshape(len(sets), -1)
@@ -534,8 +567,11 @@ def build_parent_set_scores(
             _family_lls(counts, fam) - cfg.kappa * log_n * 2 ** k
             - cfg.psi2 * boost_sum
         )
-        for (i, *pa), score in zip(fam.tolist(), penalized.tolist()):
-            scores[i][frozenset(pa)] = score
+        # _column_sets lists each child's comb(n - 1, k) families in a row
+        keys, values = list(map(frozenset, fam[:, 1:].tolist())), penalized.tolist()
+        per = math.comb(n - 1, k)
+        for i, lo in enumerate(range(0, len(keys), per)):
+            scores[i].update(zip(keys[lo:lo + per], values[lo:lo + per]))
     return ParentSetScoreTable(n=n, scores=scores, constant=constant)
 
 

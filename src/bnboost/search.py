@@ -2,10 +2,12 @@
 
 exact_dp drops every family that a subset of its parents scores at least
 as high as: ranked best first, such a family follows a kept proper subset.
-It splits the nodes into the connected components the kept families leave
-and runs the subset dynamic program (the best sink of each node subset
-takes its best-ranked family inside the rest) on each component on its
-own; it is exact while the largest component has at most 24 nodes.
+The empty family is a subset of every family, so every family that scores
+at or below it goes first, and only the rest are ranked. exact_dp splits
+the nodes into the connected components the kept families leave and runs
+the subset dynamic program (the best sink of each node subset takes its
+best-ranked family inside the rest) on each component on its own; it is
+exact while the largest component has at most 24 nodes.
 greedy_hill_climb handles larger problems with restarts. Both read each
 node's families keyed by parent bit mask (bit p set for parent p); the
 table's frozensets are the interface, not the working form.
@@ -53,10 +55,16 @@ def _dp_bytes(n: int, f: int) -> int:
 
 def _kept_families(fams: dict) -> dict:
     """The families of one node that score strictly above each proper
-    subset the table has, so a tie keeps the smaller family. Ranked best
-    first, a tie to fewer parents, a family is kept unless a kept one is a
-    proper subset of it: a subset scoring at least as high ranks earlier,
-    and the earliest-ranked proper subset is then itself kept."""
+    subset the table has, so a tie keeps the smaller family. When the table
+    has the empty family, every other family that scores at or below it is
+    dropped first: the empty family is a proper subset of each, so the rank
+    rule would drop them too. Ranked best first, a tie to fewer parents, a
+    family is kept unless a kept one is a proper subset of it: a subset
+    scoring at least as high ranks earlier, and the earliest-ranked proper
+    subset is then itself kept."""
+    floor = fams.get(frozenset())
+    if floor is not None:
+        fams = {pa: s for pa, s in fams.items() if s > floor or not pa}
     kept: dict[frozenset, float] = {}
     for pa in sorted(sorted(fams, key=len), key=fams.__getitem__, reverse=True):
         if not any(q < pa for q in kept):
@@ -107,8 +115,10 @@ def exact_dp(table: ParentSetScoreTable) -> SearchResult:
     as high: no optimum needs it (de Campos & Ji, JMLR 2011). Ranked best
     first, a tie to fewer parents, such a family follows a kept proper
     subset (the earliest-ranked one is kept), so only kept families are
-    checked. The kept families link each node to its candidate parents, and
-    the subset DP runs on each connected component of that graph on its
+    checked. The empty family, where the table has it, is such a subset of
+    every family, so the families at or below its score are dropped before
+    any ranking. The kept families link each node to its candidate parents,
+    and the subset DP runs on each connected component of that graph on its
     own; a node left alone takes the empty family. The cap DP_MAX_N and the
     memory statement apply to the largest component, not to n: at k nodes
     the DP holds 9 bytes per subset plus one layer's scan, which grows with

@@ -530,8 +530,56 @@ def test_gram_count_temporaries_stay_cache_sized(k):
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    # beyond the (M, 2^k) result: about 0.9 MiB at k = 3 and 1.6 MiB at k = 4
+    # beyond the (M, 2^k) result: about 0.7 MiB at k = 3 and at k = 4
     assert peak - out.nbytes < 2.5 * 2 ** 20, (peak - out.nbytes) / 2 ** 20
+
+
+def sampled_strata(n, size, rng):
+    """Strata column sets (b, a, *S) with |S| = size: every pair of the
+    other columns for 4 separating sets, so that groups hold many sets,
+    then 300 drawn one at a time."""
+    sets = []
+    for _ in range(4):
+        sep = rng.choice(n, size=size, replace=False).tolist()
+        others = [v for v in range(n) if v not in sep]
+        sets += [(b, a, *sep) for a, b in combinations(others, 2)]
+    sets += [tuple(rng.choice(n, size=size + 2, replace=False)) for _ in range(300)]
+    return np.array(sets)
+
+
+@pytest.mark.parametrize("n", [24, 40])
+@pytest.mark.parametrize("size", [2, 3])  # at 3, the Grams of two prefix columns are not held
+def test_gram_count_matches_bincount_on_sampled_strata(n, size):
+    data = sample(random_network(n, 2, seed=240 + n), 5000, seed=241 + n)
+    bits, weights = _distinct_rows(data.rows)
+    colsets = sampled_strata(n, size, np.random.default_rng(n + size))
+    got = _gram_count(bits, weights, colsets, *_by_prefix(colsets, n))
+    assert (got == _bincount(bits, weights, colsets)).all()
+
+
+def test_gram_count_holds_at_most_one_plus_n_grams():
+    n, k = 40, 5
+    data = sample(random_network(n, 2, seed=4040), 5000, seed=4041)
+    bits, weights = _distinct_rows(data.rows)
+    # about 400 prefixes over every column and most column pairs: holding
+    # the Grams of two columns as well would take C(40, 2) = 780 more
+    colsets = sampled_strata(n, k - 2, np.random.default_rng(5))[-300:]
+    ordered = _by_prefix(colsets, n)
+    assert len(ordered[1]) > 250 and set(colsets[:, 2:].ravel()) == set(range(n))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = _gram_count(bits, weights, colsets, *ordered)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert (out == _bincount(bits, weights, colsets)).all()
+    # beyond the result and the float copies of bits and weights: the held
+    # Grams, one group's 2^(k-2) Grams, and 640 KiB for one product's
+    # blocks, its row indices and numpy's small caches
+    held = peak - out.nbytes - (n + 1) * bits.shape[1] * 8
+    gram = n * n * 8
+    assert held - (gram << (k - 2)) - 640 * 2 ** 10 <= (1 + n) * gram, held / gram
 
 
 def strength_reference(states, probs, a, b, d):

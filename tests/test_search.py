@@ -434,6 +434,30 @@ def test_kept_families_match_their_definition():
     assert 0 < kept < total
 
 
+def fs(*parents):
+    return frozenset(parents)
+
+
+def test_kept_families_drop_the_families_that_tie_the_empty_family():
+    # {1} ties the empty family and {1, 2} ties {2}; {3} scores below both
+    fams = {fs(): -1.0, fs(1): -1.0, fs(2): -0.5, fs(1, 2): -0.5, fs(3): -2.0}
+    assert _kept_families(fams) == {fs(): -1.0, fs(2): -0.5}
+
+
+def test_kept_families_without_the_empty_family_keep_the_rank_rule():
+    # no floor is made up: {1} stays although it scores lowest, {1, 2} loses
+    # to {2}, {2, 3} ties {2}, and {1, 3} beats {1} with {3} absent
+    fams = {fs(1): -3.0, fs(2): -1.0, fs(1, 2): -2.0, fs(1, 3): -0.5, fs(2, 3): -1.0}
+    assert _kept_families(fams) == {fs(1): -3.0, fs(2): -1.0, fs(1, 3): -0.5}
+
+
+def test_kept_families_when_the_empty_family_ranks_last():
+    fams = {fs(): -5.0, fs(1): -1.0, fs(2): -2.0, fs(3): -4.0,
+            fs(1, 2): -1.5, fs(1, 3): -0.5}
+    assert _kept_families(fams) == {fs(): -5.0, fs(1): -1.0, fs(2): -2.0,
+                                    fs(3): -4.0, fs(1, 3): -0.5}
+
+
 def test_exact_dp_logs_the_split_at_debug(caplog):
     # node 2's {0, 1} ties with {0}, and node 1's {2} loses to its empty family
     scores = {
