@@ -18,8 +18,9 @@ Three routes are provided, in increasing applicability:
 
 BetaTable precomputes -ln(beta) on an (N, gamma) grid for one eta so that
 scoring can answer interpolated queries cheaply, a whole array of them per
-neg_ln_beta_batch call. A build's Monte Carlo cells run on one worker per
-available CPU; the table does not depend on the number of workers.
+neg_ln_beta_batch call. A build's Monte Carlo cells run as one task per
+available CPU, the first in the calling thread and the rest on a thread
+pool; the table does not depend on the number of tasks.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from __future__ import annotations
 import itertools
 import math
 import os
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -256,14 +256,11 @@ def _sigma_t(n: int, t_gamma: float, ln_ref: np.ndarray) -> float:
 
 
 class _McWork:
-    """What the Monte Carlo cells of one table-build worker share: the logs
-    of the reference cells, t_gamma per gamma, and the arrays every beta_mc
-    call overwrites: draws and weights for samples, blocks of _MC_BLOCK
-    samples; about 5.7 MiB traced at 100 000 samples."""
+    """The arrays every beta_mc call of one table-build task overwrites:
+    draws and weights for samples, blocks of _MC_BLOCK samples; about
+    5.7 MiB traced at 100 000 samples."""
 
-    def __init__(self, ref: JointDist2x2, t_of: dict, samples: int):
-        self.ln_ref = np.log(np.asarray(ref.cells))[:, None]
-        self.t_of = t_of  # gamma -> t_gamma
+    def __init__(self, samples: int):
         self.z = np.empty((3, samples))
         self.w = np.empty(samples)
         self.p = np.empty((3, _MC_BLOCK))  # pa, pb, tt
@@ -274,11 +271,6 @@ class _McWork:
         self.marg = np.empty((2, 2, _MC_BLOCK))  # (a, 1 - a), (b, 1 - b)
         self.vec = np.empty((3, _MC_BLOCK))  # log proposal density, mi, log integrand
         self.ok = np.empty((4, _MC_BLOCK), dtype=bool)
-
-    def draws(self, seed: int):
-        """The (3, samples) standard normal draws of seed, and a weight array."""
-        np.random.default_rng(seed).standard_normal(out=self.z)
-        return self.z, self.w
 
 
 def _product_cells(marg: np.ndarray, out: np.ndarray) -> None:
@@ -308,7 +300,7 @@ def beta_mc(
     (pA0, pB0, t) chart has unit Jacobian, so no volume correction appears.
     Deterministic given seed; raises EffectiveSampleSizeError when the
     effective sample size falls below ESS_FLOOR. build_table passes a
-    worker's _work so that its cells share arrays; the result is the same.
+    task's _work so that its cells share arrays; the result is the same.
     """
     check_count("samples", samples, 1)
     check_count("seed", seed, 0)
@@ -321,12 +313,11 @@ def beta_mc(
         )
     check_count("n", n, 1)
 
-    work = _work
-    if work is None:
-        work = _McWork(reference_dist(eta), {gamma: find_t_plus(gamma)}, samples)
-    t_gamma = work.t_of[gamma]
+    work = _McWork(samples) if _work is None else _work
+    ln_ref = np.log(np.asarray(reference_dist(eta).cells))[:, None]
+    t_gamma = find_t_plus(gamma)
     sm = _sigma_marginal(n)
-    st = _sigma_t(n, t_gamma, work.ln_ref[:, 0])
+    st = _sigma_t(n, t_gamma, ln_ref[:, 0])
     # the Gaussian proposal's mean, width and log normaliser for (pa, pb, tt)
     mu = np.array([[0.5], [0.5], [t_gamma]])
     sigma = np.array([[sm], [sm], [st]])
@@ -338,7 +329,8 @@ def beta_mc(
     # Each step writes into the work arrays but keeps the operations, and
     # their order, of the unblocked estimator (the tests' mc_reference), so
     # every weight has the same bits.
-    z, w = work.draws(seed)
+    z, w = work.z, work.w
+    np.random.default_rng(seed).standard_normal(out=z)
     m = 0
     for lo in range(0, samples, _MC_BLOCK):
         zb = z[:, lo:lo + _MC_BLOCK]
@@ -379,7 +371,7 @@ def beta_mc(
             np.subtract(lnq, denom, out=denom)
             np.multiply(q, denom, out=denom)
             denom.sum(axis=0, out=mi)  # sum of q*ln(q/denom)
-            np.subtract(lnq, work.ln_ref, out=tmp)
+            np.subtract(lnq, ln_ref, out=tmp)
             np.multiply(q, tmp, out=tmp)
             tmp.sum(axis=0, out=log_f)  # KL(q||ref)
             np.multiply(log_f, n, out=log_f)
@@ -540,9 +532,10 @@ def build_table(
     use the exact product-type sum: the continuous relaxation assigns the
     gamma = 0 acceptance region zero volume, so MC cannot see it. After the
     exact cells, the MC cells are dealt in row-major order, by stride, to W
-    = min(MC cells, available CPUs) workers: this thread and W - 1 helper
-    threads, each with its own _McWork. The table does not depend on W, and
-    a failure names the first failing MC cell in row-major order.
+    = min(MC cells, available CPUs) tasks, each with its own _McWork made
+    in this thread: task 0 runs in this thread, the others on a thread pool
+    of W - 1. The table does not depend on W, and a failure names the first
+    failing MC cell in row-major order.
     """
     if not (0.0 < eta < MI_UPPER):
         raise ValueError(f"eta={eta!r} outside (0, ln 2)")
@@ -580,28 +573,29 @@ def build_table(
     mc_cells = [(i, j) for i, n in enumerate(N_grid) if n > EXACT_CAP for j in pos]
     affinity = getattr(os, "sched_getaffinity", None)  # not on every platform
     workers = min(len(mc_cells), len(affinity(0)) if affinity else os.cpu_count() or 1)
-    t_of = dict(zip(pos_gammas, find_t_plus_batch(pos_gammas).tolist()))
-    works = [_McWork(ref, t_of, samples) for _ in range(workers)]
-    failed = []  # (row, column, error) of each worker's first failing cell
+    works = [_McWork(samples) for _ in range(workers)]
 
-    def run(k: int) -> None:
+    def run(k: int):
+        """Task k's cells; (row, column, error) of its first failing one."""
         for i, j in mc_cells[k::workers]:
             try:
                 betas[i, j] = beta_mc(N_grid[i], gamma_grid[j], eta, samples,
                                       derived_seed(seed, i, j), _work=works[k])
             except Exception as exc:
-                failed.append((i, j, exc))
-                return
+                return i, j, exc
+        return None
 
-    helpers = [threading.Thread(target=run, args=(k,)) for k in range(1, workers)]
-    try:
-        for h in helpers:
-            h.start()
-        if workers:
-            run(0)
-    finally:
-        for h in helpers:
-            h.join()
+    # imported here, as only a build needs it: it adds about 5 ms to an
+    # import of bnboost
+    from concurrent.futures import ThreadPoolExecutor
+
+    # Task 0 runs in this thread while the pool runs the others; with every
+    # task on the pool, glibc kept the freed work arrays resident after the
+    # build (recovery-n8's peak RSS rose by 2 MB). A pool starts its threads
+    # on submit, so with one worker or no MC cell it starts none.
+    with ThreadPoolExecutor(max(workers - 1, 1)) as pool:
+        rest = pool.map(run, range(1, workers))
+        failed = [f for f in [run(0) if workers else None, *rest] if f is not None]
     if failed:
         i, j, exc = min(failed, key=lambda f: f[:2])
         g = gamma_grid[j]

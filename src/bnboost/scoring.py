@@ -37,7 +37,9 @@ Moore & Lee, JAIR 1998); the Grams of the empty set and of single
 columns serve the whole call. A count, and every partial sum or
 difference the transform or the lattice forms, is an integer below 2^53,
 which float64 holds exactly in any order of operations, so all routes
-give bit-equal tables, log-likelihoods, boosts and scores.
+give bit-equal tables, log-likelihoods, boosts and scores. Above n = 24
+(_ZETA_MAX_N) no call takes the transform: its histogram would outgrow
+128 MiB.
 """
 
 from __future__ import annotations
@@ -111,6 +113,10 @@ _STRATA_BUDGET = 1 << 16
 # A call takes the superset-sum transform once M column sets times U distinct
 # rows reach this many times its n * 2^n additions (measured crossover).
 _ZETA_WORK = 2
+# ... and never above this n: the transform's 2^n float64 histogram is
+# 128 MiB at n = 24 and doubles with each column, while the direct routes'
+# memory does not grow with 2^n.
+_ZETA_MAX_N = 24
 
 
 def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -164,12 +170,13 @@ class _CountContext:
         Every count, and every partial sum or difference the transform or
         the lattice forms, is an integer below 2^53, which float64 holds
         exactly in any order of operations, so all three routes give the
-        same counts bit for bit."""
+        same counts bit for bit. Above _ZETA_MAX_N columns the transform is
+        never taken."""
         bits, weights = self.bits, self.weights
         m_all, k = colsets.shape
         n, u = bits.shape
         work = m_all if work is None else work
-        if work * u >= _ZETA_WORK * (n << n):
+        if n <= _ZETA_MAX_N and work * u >= _ZETA_WORK * (n << n):
             if self.sums is None:
                 self.sums = _superset_sums(bits, weights)
             return _zeta_count(colsets, self.sums)

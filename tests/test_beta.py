@@ -575,6 +575,39 @@ def test_threaded_build_error_names_the_first_failing_cell(monkeypatch, workers)
     assert threading.active_count() == threads
 
 
+def record_thread_starts(monkeypatch):
+    """Every thread started from here on."""
+    started = []
+    start = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start",
+                        lambda self: started.append(self) or start(self))
+    return started
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_threaded_build_joins_the_threads_it_starts(monkeypatch, workers):
+    # task 0 runs in the calling thread, so one worker starts no thread
+    use_workers(monkeypatch, workers)
+    started = record_thread_starts(monkeypatch)
+    threads = threading.active_count()
+    build_table(ETA, **THREADED_GRID, samples=20_000, seed=17)
+    assert len(started) == workers - 1
+    assert threading.active_count() == threads
+
+
+def test_exact_grid_makes_no_mc_work_and_starts_no_thread(monkeypatch):
+    # every row at or below EXACT_CAP: no MC cell, so no work arrays and no pool thread
+    use_workers(monkeypatch, 2)
+    made = []
+    monkeypatch.setattr(beta_module, "_McWork", lambda samples: made.append(samples))
+    started = record_thread_starts(monkeypatch)
+    tab = build_table(ETA, N_grid=[20, beta_module.EXACT_CAP],
+                      gamma_grid=[0.0, 0.005], seed=3)
+    assert made == [] and started == []
+    assert tab.neg_ln_beta[1, 1] == -math.log(
+        beta_exact(beta_module.EXACT_CAP, 0.005, reference_dist(ETA)))
+
+
 def test_table_build_error_carries_cell_coords():
     with pytest.raises(TableBuildError, match="N=500"):
         build_table(ETA, N_grid=[500], gamma_grid=[0.005], samples=10, seed=0)

@@ -481,6 +481,25 @@ def test_count_routes_follow_the_work_rule(monkeypatch):
                       ("_gram_count", (2448, 3))]
 
 
+@pytest.mark.parametrize("k", [1, 3])
+def test_counts_above_the_transform_bound_never_form_the_histogram(monkeypatch, k):
+    """At n = 25 a count whose work admits the transform takes a direct
+    route instead: the transform's histogram would hold 2^25 float64 cells
+    (256 MiB)."""
+    def refuse(*args):
+        raise AssertionError("the 2^n histogram was formed")
+
+    monkeypatch.setattr(scoring, "_superset_sums", refuse)
+    n = 25
+    assert n == scoring._ZETA_MAX_N + 1
+    data = sample(random_network(n, 2, seed=2500), 2000, seed=2501)
+    bits, weights = _distinct_rows(data.rows)
+    colsets = family_colsets(n, k)
+    assert 10 ** 9 * bits.shape[1] >= scoring._ZETA_WORK * (n << n)
+    got = _CountContext(bits, weights).count(colsets, work=10 ** 9)
+    assert (got == _bincount(bits, weights, colsets)).all()
+
+
 def test_zeta_count_temporaries_hold_the_histogram_and_one_chunk():
     # the strata of every pair given a separating set of two, at the largest
     # n whose 2000 rows admit them to the transform: at n = 21 even 2000
