@@ -17,7 +17,7 @@ import logging
 import sys
 import time
 
-from .beta import TableBuildError, build_table, load_table, save_table
+from .beta import EXACT_CAP, N_STAR, TableBuildError, build_table, load_table, save_table
 from .data import (
     Dag,
     load_dataset,
@@ -179,7 +179,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated sample sizes")
     p.add_argument("--gamma-grid", type=_float_list, default=None,
                    help="comma-separated MI thresholds")
-    p.add_argument("--samples", type=int, default=100_000)
+    p.add_argument("--samples", type=int, default=100_000,
+                   help=f"Monte Carlo samples per cell; only the rows with "
+                        f"{EXACT_CAP} < N < {N_STAR} take them")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_beta_table)

@@ -37,9 +37,9 @@ Moore & Lee, JAIR 1998); the Grams of the empty set and of single
 columns serve the whole call. A count, and every partial sum or
 difference the transform or the lattice forms, is an integer below 2^53,
 which float64 holds exactly in any order of operations, so all routes
-give bit-equal tables, log-likelihoods, boosts and scores. Above n = 24
-(_ZETA_MAX_N) no call takes the transform: its histogram would outgrow
-128 MiB.
+give bit-equal tables, log-likelihoods, boosts and scores. Above n = 23
+(_ZETA_MAX_N) no call takes the transform: its 64 MiB histogram would
+double per column and no longer buy time.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .beta import BetaTable, neg_ln_beta_batch
+from .beta import N_STAR, BetaTable, neg_ln_beta_batch
 from .data import BinaryDataset, Dag, Network, _utf8_error, check_count
 from .dist2x2 import mi_from_counts_batch
 
@@ -114,9 +114,11 @@ _STRATA_BUDGET = 1 << 16
 # rows reach this many times its n * 2^n additions (measured crossover).
 _ZETA_WORK = 2
 # ... and never above this n: the transform's 2^n float64 histogram is
-# 128 MiB at n = 24 and doubles with each column, while the direct routes'
-# memory does not grow with 2^n.
-_ZETA_MAX_N = 24
+# 64 MiB at n = 23 and doubles with each column. On a boosted pair_boosts
+# at N = 50 000 it took 0.37-0.38 s against 0.70-0.73 s without at n = 23,
+# but at n = 24 it took 0.62-0.78 s against 0.75-0.89 s for a 184 MB peak
+# against 61, and at N = 20 000 0.59-0.65 s against 0.36-0.49 s.
+_ZETA_MAX_N = 23
 
 
 def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -370,11 +372,12 @@ def _strata_chunks(n: int, k_max: int):
 
 
 def _log_strata(n_pairs: int, tally) -> None:
-    sets, tables, queries, interpolated, above, below, unseen = tally.tolist()
+    sets, tables, queries, answered, closed, above, below, unseen = tally.tolist()
     log.debug(
         "pair_boosts: %d pairs, %d separating sets, %d tables, %d queries "
-        "(%d below eta: %d above and %d below the N grid), %d unseen assignments",
-        n_pairs, sets, tables, queries, interpolated, above, below, unseen,
+        "(%d below eta: %d in closed form, %d above and %d below the N grid), "
+        "%d unseen assignments",
+        n_pairs, sets, tables, queries, answered, closed, above, below, unseen,
     )
 
 
@@ -397,7 +400,7 @@ def _boosts(table: BetaTable, counts: _CountContext, d: int) -> np.ndarray:
     pair_of = np.zeros((n, n), dtype=np.intp)  # pair_of[a, b]: the index of (a, b)
     pair_of[np.triu_indices(n, 1)] = np.arange(n_pairs)
     boosts = np.full(n_pairs, -np.inf)
-    tally = np.zeros(7, dtype=np.int64) if log.isEnabledFor(logging.DEBUG) else None
+    tally = np.zeros(8, dtype=np.int64) if log.isEnabledFor(logging.DEBUG) else None
     for parts in _strata_chunks(n, min(d, n - 2)):
         cells = np.concatenate([
             counts.count(sets, n_pairs * math.comb(n - 2, k)).reshape(-1, 4)
@@ -407,9 +410,11 @@ def _boosts(table: BetaTable, counts: _CountContext, d: int) -> np.ndarray:
         mi = mi_from_counts_batch(*cells)  # 0 where N_s = 0
         seen = n_s > 0
         if tally is not None:
-            interpolated = n_s[seen & (mi < table.eta)]  # the rest read 0
+            answered = n_s[seen & (mi < table.eta)]  # the rest read 0
+            interpolated = answered[answered < N_STAR]  # the rest in closed form
             tally += [sum(len(sets) for _, sets in parts), n_s.size, seen.sum(),
-                      interpolated.size, (interpolated > table.N_grid[-1]).sum(),
+                      answered.size, answered.size - interpolated.size,
+                      (interpolated > table.N_grid[-1]).sum(),
                       (interpolated < table.N_grid[0]).sum(), (~seen).sum()]
         values = np.zeros(n_s.shape)
         values[seen] = neg_ln_beta_batch(table, n_s[seen], mi[seen])

@@ -21,6 +21,7 @@ from bnboost.dist2x2 import (
 )
 from bnboost.beta import (
     ESS_FLOOR,
+    N_STAR,
     _MC_BLOCK,
     BetaTable,
     EffectiveSampleSizeError,
@@ -41,7 +42,10 @@ from bnboost import beta as beta_module
 from bnboost.beta import (
     _BATCH_ELEMENTS,
     _beta_exact_multi,
+    _closed_form,
+    _kl_of_gammas,
     _log_factorials,
+    _neg_ln_phi,
     _runs,
     _sigma_marginal,
     _sigma_t,
@@ -723,10 +727,12 @@ def test_batch_equals_element_by_element(small_table):
     # inside and above N_grid = [40, 80, 300]
     rng = np.random.default_rng(17)
     gammas = np.concatenate((
-        [0.0, 0.0, ETA, 0.5, 0.002, 0.002, ETA - 1e-9],
+        [0.0, 0.0, ETA, 0.5, 0.002, 0.002, ETA - 1e-9, 0.002, 0.0, ETA - 1e-9],
         rng.uniform(0.0, 1.2 * ETA, 40),
     ))
-    ns = np.concatenate(([1, 7, 40, 1000, 60, 301, 79], rng.integers(1, 700, 40)))
+    # ... and n at and above N_STAR, which take the closed form
+    ns = np.concatenate(([1, 7, 40, 1000, 60, 301, 79, N_STAR, 50_000, 5000],
+                         rng.integers(1, 700, 40)))
     batch = neg_ln_beta_batch(small_table, ns, gammas)
     one_by_one = [neg_ln_beta_batch(small_table, n, g) for n, g in zip(ns, gammas)]
     assert batch.tolist() == [float(v) for v in one_by_one]
@@ -740,6 +746,95 @@ def test_batch_equals_element_by_element(small_table):
         neg_ln_beta_batch(small_table, [40, 0], [0.001, 0.001])
     with pytest.raises(ValueError):
         neg_ln_beta_batch(small_table, [40, 40], [0.001, -1e-9])
+
+
+# ----------------------------------------------------------------- closed form
+
+def closed_form_at(n, gamma):
+    return float(_closed_form(np.array([float(n)]), _kl_of_gammas([gamma], ETA))[0])
+
+
+def test_neg_ln_phi_matches_erfc():
+    # the three rational pieces meet at 0.67448975 and sqrt(32)
+    cuts = [0.67448975, math.sqrt(32.0)]
+    xs = np.concatenate((np.linspace(0.0, 37.0, 20_001), cuts,
+                         np.nextafter(cuts, 1.0), np.nextafter(cuts, 0.0)))
+    want = np.array([-math.log(0.5 * math.erfc(x / math.sqrt(2.0))) for x in xs])
+    got = _neg_ln_phi(xs)
+    assert (np.abs(got - want) <= 1e-13 * want).all()
+
+
+def test_neg_ln_phi_stays_finite_and_continuous_up_to_n_1e7():
+    # past x = 37.5, Phi(-x) underflows and no erfc can check the tail; the
+    # asymptotic series x^2/2 + ln x + ln(2 pi)/2 - ln(1 - x^-2 + 3x^-4 -
+    # 15x^-6) is within 2e-14 relative there
+    xs = np.geomspace(40.0, 1e4, 2000)
+    series = (xs ** 2 / 2 + np.log(xs) + 0.5 * math.log(2 * math.pi)
+              - np.log1p(-xs ** -2.0 + 3 * xs ** -4.0 - 15 * xs ** -6.0))
+    assert (np.abs(_neg_ln_phi(xs) - series) <= 1e-13 * series).all()
+    # each cut between the rational pieces, and erfc's underflow at 37.5
+    for x in (0.67448975, math.sqrt(32.0), 37.5):
+        pair = _neg_ln_phi(np.array([x, np.nextafter(x, 99.0)]))
+        assert abs(pair[1] - pair[0]) <= 1e-13 * pair[0]
+    # the query's own N up to 1e7, over every gamma of the default grid:
+    # finite, rising in N, falling in gamma
+    ns = np.geomspace(N_STAR, 1e7, 60)[:, None]
+    vals = _closed_form(ns, _kl_of_gammas(default_gamma_grid(ETA), ETA))
+    assert np.isfinite(vals).all()
+    assert (np.diff(vals, axis=0) > 0).all()
+    assert (np.diff(vals, axis=1) < 0).all()
+
+
+def test_closed_form_tracks_exact_at_n_star(ref):
+    """Within 0.5% of the exact type sum at N = N_STAR. One margin walk
+    serves both gammas, and their Pinsker band is narrow: about 8 s on a
+    2-vCPU host."""
+    gammas = [2.2e-4, 2.6e-4]
+    for g, b in zip(gammas, _beta_exact_multi(N_STAR, gammas, ref)):
+        assert closed_form_at(N_STAR, g) == pytest.approx(-math.log(b), rel=5e-3)
+
+
+def test_default_table_rows_fall_in_gamma_from_the_product_mass(ref):
+    # both hold where the closed form answers; a bound over a row's gammas
+    # at fixed N can then take its gamma = 0 cell
+    tab = build_table(ETA)
+    assert (np.diff(tab.neg_ln_beta, axis=1) <= 0).all()
+    closed = [i for i, n in enumerate(tab.N_grid) if n >= N_STAR]
+    assert tab.N_grid[closed[0]] == N_STAR
+    g_min = tab.gamma_grid[1]
+    for i in closed:
+        assert tab.neg_ln_beta[i, 1:].tolist() == _closed_form(
+            np.array([float(tab.N_grid[i])]), _kl_of_gammas(tab.gamma_grid[1:], ETA)
+        ).tolist()
+    # a query at gamma = 0 takes the closed form at D(0) too
+    for n in (2000, 5000, 10_000, 50_000):
+        product_mass = -math.log(beta_product_mass(n, ref))
+        assert product_mass >= closed_form_at(n, 0.0) >= closed_form_at(n, g_min)
+
+
+def test_query_at_or_above_n_star_takes_the_closed_form_on_any_grid():
+    # a grid that stops at 500: no secant past it from N_STAR on
+    tab = BetaTable(eta=ETA, N_grid=[100, 500], gamma_grid=[0.0, 0.002, 0.005],
+                    neg_ln_beta=[[4.0, 1.0, 0.5], [9.0, 3.0, 1.5]],
+                    mc_samples=1, seed=0)
+    for n in (N_STAR, 20_000):
+        assert query_neg_ln_beta(tab, n, 0.002) == closed_form_at(n, 0.002)
+    secant = 3.0 + (3.0 - 1.0) * (20_000 - 500) / 400
+    assert closed_form_at(20_000, 0.002) != pytest.approx(secant, rel=0.1)
+    # below N_STAR the table answers, here by its secant
+    assert query_neg_ln_beta(tab, N_STAR - 1, 0.002) == pytest.approx(
+        3.0 + 2.0 * (N_STAR - 1 - 500) / 400, rel=1e-12)
+
+
+def test_query_jumps_to_ln_2_just_below_eta_at_large_n(small_table):
+    # at and above eta the query reads 0; just below it the closed form
+    # reads -ln Phi(0) = ln 2, while the table path at N = 100 falls to
+    # about 0 through its virtual kl = 0 column
+    assert query_neg_ln_beta(small_table, 5000, ETA) == 0.0
+    assert query_neg_ln_beta(small_table, 5000, 0.5) == 0.0
+    below = query_neg_ln_beta(small_table, 5000, ETA * (1 - 1e-9))
+    assert below == pytest.approx(math.log(2.0), abs=1e-3)
+    assert query_neg_ln_beta(small_table, 100, ETA * (1 - 1e-9)) < 1e-3
 
 
 def test_lockstep_t_plus_equals_find_t_plus():

@@ -263,7 +263,20 @@ def test_pair_boosts_logs_batch_counts_at_debug(table, caplog):
     (record,) = caplog.records
     assert record.getMessage() == (
         "pair_boosts: 3 pairs, 6 separating sets, 9 tables, 8 queries "
-        "(6 below eta: 0 above and 6 below the N grid), 1 unseen assignments"
+        "(6 below eta: 0 in closed form, 0 above and 6 below the N grid), "
+        "1 unseen assignments"
+    )
+    # 1000 copies of four rows: the strata of 2000 rows and more take the
+    # closed form, C's stratum C = 1 of 1000 rows the table
+    rows = np.tile([[0, 0, 0], [0, 1, 0], [1, 1, 0], [1, 0, 1]], (1000, 1))
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="bnboost.scoring"):
+        pair_boosts(BinaryDataset(("A", "B", "C"), rows), table, ScoreConfig())
+    (record,) = caplog.records
+    assert record.getMessage() == (
+        "pair_boosts: 3 pairs, 6 separating sets, 9 tables, 9 queries "
+        "(4 below eta: 3 in closed form, 0 above and 0 below the N grid), "
+        "0 unseen assignments"
     )
 
 
@@ -312,7 +325,8 @@ def test_debug_line_sums_over_chunks(table, monkeypatch, caplog):
         messages.append(record.getMessage())
     assert messages == 2 * [
         "pair_boosts: 15 pairs, 165 separating sets, 495 tables, 429 queries "
-        "(356 below eta: 0 above and 240 below the N grid), 66 unseen assignments"
+        "(356 below eta: 0 in closed form, 0 above and 240 below the N grid), "
+        "66 unseen assignments"
     ]
 
 
@@ -483,14 +497,14 @@ def test_count_routes_follow_the_work_rule(monkeypatch):
 
 @pytest.mark.parametrize("k", [1, 3])
 def test_counts_above_the_transform_bound_never_form_the_histogram(monkeypatch, k):
-    """At n = 25 a count whose work admits the transform takes a direct
-    route instead: the transform's histogram would hold 2^25 float64 cells
-    (256 MiB)."""
+    """At n = 24 a count whose work admits the transform takes a direct
+    route instead: the transform's histogram would hold 2^24 float64 cells
+    (128 MiB)."""
     def refuse(*args):
         raise AssertionError("the 2^n histogram was formed")
 
     monkeypatch.setattr(scoring, "_superset_sums", refuse)
-    n = 25
+    n = 24
     assert n == scoring._ZETA_MAX_N + 1
     data = sample(random_network(n, 2, seed=2500), 2000, seed=2501)
     bits, weights = _distinct_rows(data.rows)
