@@ -16,32 +16,27 @@ Three routes are provided, in increasing applicability:
                    relaxation of the type sum, cost independent of N; the
                    draws are weighted in cache-sized blocks of samples
 
-From N = N_STAR on, -ln(beta) takes the closed form -ln Phi(-sqrt(2*N*D)),
-D = H(p_gamma || p_eta) the Sanov rate: the sharp large-deviation form of
-Bahadur & Rao (Ann. Math. Stat. 1960), within 0.4% of the exact sum at
-N = 2000 for every gamma of the default grid.
-
-BetaTable precomputes -ln(beta) on an (N, gamma) grid for one eta so that
-scoring can answer interpolated queries cheaply, a whole array of them per
-neg_ln_beta_batch call. Its gamma = 0 cells are the exact product mass; its
-positive-gamma cells are the exact type sum up to EXACT_CAP, Monte Carlo
-between EXACT_CAP and N_STAR, and the closed form from N_STAR on. A build's
-Monte Carlo cells run as one task per available CPU, the first in the
-calling thread and the rest on a thread pool; the table does not depend on
-the number of tasks. A query with N >= N_STAR takes the closed form at its
-own N, whatever the grid.
+BetaTable holds -ln(beta) on an (N, gamma) grid for one eta so that
+scoring can answer queries cheaply, a whole array of them per
+neg_ln_beta_batch call. build_table fills rows up to EXACT_CAP only: the
+gamma = 0 cells with the exact product mass, the others with the exact
+type sum. A query up to EXACT_CAP interpolates the table. Above it, a
+query takes the closed form -ln Phi(-sqrt(2*N*D)), D = H(p_gamma || p_eta)
+the Sanov rate (the sharp large-deviation form of Bahadur & Rao, Ann.
+Math. Stat. 1960), plus the table's residual against that form at
+EXACT_CAP, scaled by EXACT_CAP/N. Nothing in a build or a query draws a
+random number or starts a thread.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import check_count, derived_seed, is_integer, json_field, load_json
+from .data import check_count, is_integer, json_field, load_json
 from .dist2x2 import (
     JointDist2x2,
     MI_UPPER,
@@ -55,7 +50,6 @@ from .dist2x2 import (
 __all__ = [
     "BetaTable",
     "EffectiveSampleSizeError",
-    "TableBuildError",
     "beta_bruteforce",
     "beta_exact",
     "beta_mc",
@@ -70,14 +64,13 @@ __all__ = [
     "default_gamma_grid",
 ]
 
-DEFAULT_N_GRID = (20, 50, 100, 200, 500, 1000, 2000, 5000, 10000)
+DEFAULT_N_GRID = (20, 50, 100, 200)
 DEFAULT_GAMMA_POINTS = 12  # positive thresholds of default_gamma_grid
-EXACT_CAP = 200  # table cells use the type sum up to here, MC beyond ...
-N_STAR = 2000  # ... and the closed form from here on, as do queries
+EXACT_CAP = 200  # a table's last row; queries above it take the closed form
 BETA_EXACT_MAX_N = 2000
 ESS_FLOOR = 100.0  # beta_mc fails below this effective sample size
 BRUTE_MAX_N = 8
-ETA_CONJECTURE_LIMIT = 0.11  # proposal centering is only validated below this
+ETA_CONJECTURE_LIMIT = 0.11  # beta_mc's proposal centering is only validated below this
 _BATCH_ELEMENTS = 1 << 19  # band slots per batch of the exact margin walk
 _SUB_ELEMENTS = 1 << 14  # types per cache-sized sub-range of a batch
 _MC_BLOCK = 8192  # beta_mc samples per block, sized to stay in cache
@@ -85,10 +78,6 @@ _MC_BLOCK = 8192  # beta_mc samples per block, sized to stay in cache
 
 class EffectiveSampleSizeError(RuntimeError):
     """Importance-sampling weights collapsed; the proposal is badly tuned."""
-
-
-class TableBuildError(RuntimeError):
-    """A table cell failed; message carries the (N, gamma) coordinates."""
 
 
 def default_gamma_grid(eta: float) -> list[float]:
@@ -266,9 +255,8 @@ def _sigma_t(n: int, t_gamma: float, ln_ref: np.ndarray) -> float:
 
 
 class _McWork:
-    """The arrays every beta_mc call of one table-build task overwrites:
-    draws and weights for samples, blocks of _MC_BLOCK samples; about
-    5.7 MiB traced at 100 000 samples."""
+    """The arrays of one beta_mc call: draws and weights for samples, and
+    blocks of _MC_BLOCK samples; about 5.7 MiB traced at 100 000 samples."""
 
     def __init__(self, samples: int):
         self.z = np.empty((3, samples))
@@ -297,8 +285,6 @@ def beta_mc(
     eta: float,
     samples: int = 100_000,
     seed: int = 0,
-    *,
-    _work: _McWork | None = None,
 ) -> float:
     """Importance-sampled estimate of beta(n, gamma) against the eta reference.
 
@@ -309,13 +295,18 @@ def beta_mc(
     Gaussian at t_gamma with width measured from the integrand peak. The
     (pA0, pB0, t) chart has unit Jacobian, so no volume correction appears.
     Deterministic given seed; raises EffectiveSampleSizeError when the
-    effective sample size falls below ESS_FLOOR. build_table passes a
-    task's _work so that its cells share arrays; the result is the same.
+    effective sample size falls below ESS_FLOOR. The proposal's centering
+    is validated only for eta up to ETA_CONJECTURE_LIMIT.
     """
     check_count("samples", samples, 1)
     check_count("seed", seed, 0)
     if not (0.0 < eta < MI_UPPER):
         raise ValueError(f"eta={eta!r} outside (0, ln 2)")
+    if eta > ETA_CONJECTURE_LIMIT:
+        raise ValueError(
+            f"eta={eta!r} above {ETA_CONJECTURE_LIMIT}; proposal centering is "
+            "unvalidated there"
+        )
     if not (0.0 < gamma < eta):
         raise ValueError(
             f"gamma={gamma!r} must lie in (0, eta); the gamma=0 acceptance "
@@ -323,7 +314,7 @@ def beta_mc(
         )
     check_count("n", n, 1)
 
-    work = _McWork(samples) if _work is None else _work
+    work = _McWork(samples)
     ln_ref = np.log(np.asarray(reference_dist(eta).cells))[:, None]
     t_gamma = find_t_plus(gamma)
     sm = _sigma_marginal(n)
@@ -434,39 +425,46 @@ def _check_grids(eta: float, N_grid, gamma_grid) -> None:
 class BetaTable:
     """-ln(beta) over an (N, gamma) grid for one eta, plus the KL coordinate
     H(p_gamma || p_eta) per gamma used for interpolation, derived from
-    (eta, gamma_grid)."""
+    (eta, gamma_grid), and the residual of the table against the closed
+    form at N = EXACT_CAP on those KL knots, which queries above EXACT_CAP
+    read."""
 
     eta: float
     N_grid: list[int]
     gamma_grid: list[float]
     neg_ln_beta: np.ndarray  # shape (len(N_grid), len(gamma_grid))
     kl_of_gamma: list[float] = field(init=False)
-    mc_samples: int
-    seed: int
     _n_axis: np.ndarray = field(init=False, repr=False)
     _kl_axis: np.ndarray = field(init=False, repr=False)
     _cols: np.ndarray = field(init=False, repr=False)
+    _residual: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         _check_grids(self.eta, self.N_grid, self.gamma_grid)
-        check_count("mc_samples", self.mc_samples, 1)
-        check_count("seed", self.seed, 0)
         self.neg_ln_beta = np.asarray(self.neg_ln_beta, dtype=np.float64)
         if self.neg_ln_beta.shape != (len(self.N_grid), len(self.gamma_grid)):
             raise ValueError("neg_ln_beta shape does not match the grids")
         if not (np.isfinite(self.neg_ln_beta) & (self.neg_ln_beta >= 0)).all():
             raise ValueError("neg_ln_beta entries must be finite and >= 0")
         self.kl_of_gamma = _kl_of_gammas(self.gamma_grid, self.eta).tolist()
-        # interpolation axis: ascending KL, i.e. gamma descending, with a
-        # virtual boundary column (kl=0 -> 0 boost) for continuity at eta
+        self._n_axis = np.asarray(self.N_grid, dtype=np.float64)
+        # interpolation axis: ascending KL, i.e. gamma descending
         kl = np.asarray(self.kl_of_gamma)[::-1]
         cols = self.neg_ln_beta[:, ::-1]
+        # the table's value at N = EXACT_CAP on each knot, less the closed form
+        r0, r1, dn, sn = _segment(self._n_axis, np.array([float(EXACT_CAP)]))
+        row = cols[r0[0]] + (cols[r1[0]] - cols[r0[0]]) * dn[0] / sn[0]
+        residual = np.maximum(row, 0.0) - _closed_form(EXACT_CAP, kl)
         if kl[0] > 0.0:
+            # a virtual boundary column at kl = 0: the table reads 0 there,
+            # for continuity at eta, and the residual 0, so that above
+            # EXACT_CAP a query just below eta reads the closed form's ln 2
             kl = np.concatenate(([0.0], kl))
             cols = np.concatenate((np.zeros((cols.shape[0], 1)), cols), axis=1)
-        self._n_axis = np.asarray(self.N_grid, dtype=np.float64)
+            residual = np.concatenate(([0.0], residual))
         self._kl_axis = kl
         self._cols = cols
+        self._residual = residual
 
 
 def _kl_of_gammas(gammas, eta: float) -> np.ndarray:
@@ -551,7 +549,7 @@ def _neg_ln_phi(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _closed_form(n: np.ndarray, kl: np.ndarray) -> np.ndarray:
+def _closed_form(n, kl: np.ndarray) -> np.ndarray:
     """-ln(beta) = -ln Phi(-sqrt(2*N*D)) at sizes n and KL coordinates kl."""
     return _neg_ln_phi(np.sqrt(2.0 * n * kl))
 
@@ -571,9 +569,12 @@ def _segment(xs: np.ndarray, x: np.ndarray):
 def neg_ln_beta_batch(table: BetaTable, ns, gammas) -> np.ndarray:
     """-ln(beta) at every (ns[i], gammas[i]); 0 where gamma >= eta.
 
-    From N = N_STAR on, the closed form at the element's own N. Below it,
-    bilinear in the coordinates (N, H(p_gamma||p_eta)) with linear
-    extrapolation in N outside the grid, clamped at 0 from below.
+    Up to N = EXACT_CAP, bilinear in the coordinates (N, D), D =
+    H(p_gamma||p_eta), with linear extrapolation in N outside the grid.
+    Above it, the closed form at the element's own N plus the table's
+    residual against that form at N = EXACT_CAP (BetaTable), linear in D
+    between the KL knots, times EXACT_CAP/N. Both clamped at 0 from below.
+    Each element's KL knots are found once, for either rule.
     """
     ns, gammas = np.broadcast_arrays(
         np.asarray(ns, dtype=np.float64), np.asarray(gammas, dtype=np.float64)
@@ -586,24 +587,36 @@ def neg_ln_beta_batch(table: BetaTable, ns, gammas) -> np.ndarray:
     below = gammas < table.eta
     kl = _kl_of_gammas(gammas[below], table.eta)
     n = ns[below]
-    closed = n >= N_STAR
-    values = np.empty(n.shape)
-    values[closed] = _closed_form(n[closed], kl[closed])
-    if not closed.all():
-        values[~closed] = _bilinear(table, n[~closed], kl[~closed])
-    out[below] = values
+    knots = _segment(table._kl_axis, kl)
+    far = n > EXACT_CAP
+    if far.all():
+        values = _above_cap(table, n, kl, *knots)
+    else:
+        # interpolating every element costs no more than the near ones alone
+        values = _bilinear(table, n, *knots)
+        if far.any():
+            values[far] = _above_cap(table, *(a[far] for a in (n, kl, *knots)))
+    out[below] = np.maximum(values, 0.0)
     return out
 
 
-def _bilinear(table: BetaTable, n: np.ndarray, kl: np.ndarray) -> np.ndarray:
-    """The table's bilinear interpolant at sizes n and KL coordinates kl,
-    clamped at 0 from below."""
-    k0, k1, dk, sk = _segment(table._kl_axis, kl)
+def _above_cap(table: BetaTable, n, kl, k0, k1, dk, sk) -> np.ndarray:
+    """The closed form at sizes n and KL coordinates kl plus the table's
+    residual at the KL knots (k0, k1, dk, sk) that _segment gives, times
+    EXACT_CAP/n."""
+    res = table._residual
+    residual = res[k0] + (res[k1] - res[k0]) * dk / sk
+    return _closed_form(n, kl) + residual * (EXACT_CAP / n)
+
+
+def _bilinear(table: BetaTable, n, k0, k1, dk, sk) -> np.ndarray:
+    """The table's bilinear interpolant at sizes n and the KL knots
+    (k0, k1, dk, sk) that _segment gives."""
     r0, r1, dn, sn = _segment(table._n_axis, n)
     cols = table._cols
     v0 = cols[r0, k0] + (cols[r0, k1] - cols[r0, k0]) * dk / sk
     v1 = cols[r1, k0] + (cols[r1, k1] - cols[r1, k0]) * dk / sk
-    return np.maximum(v0 + (v1 - v0) * dn / sn, 0.0)
+    return v0 + (v1 - v0) * dn / sn
 
 
 def query_neg_ln_beta(table: BetaTable, n: int, gamma: float) -> float:
@@ -611,109 +624,43 @@ def query_neg_ln_beta(table: BetaTable, n: int, gamma: float) -> float:
     return float(neg_ln_beta_batch(table, n, gamma))
 
 
-def build_table(
-    eta: float,
-    N_grid=None,
-    gamma_grid=None,
-    samples: int = 100_000,
-    seed: int = 0,
-) -> BetaTable:
-    """Tabulate -ln(beta) over the (N, gamma) grid for one eta.
+def build_table(eta: float, N_grid=None, gamma_grid=None) -> BetaTable:
+    """Tabulate -ln(beta) over the (N, gamma) grid for one eta, every N at
+    most EXACT_CAP: queries above it read only the table's residual at
+    EXACT_CAP (neg_ln_beta_batch).
 
-    Positive-gamma cells with N <= EXACT_CAP use the exact type sum, those
-    with EXACT_CAP < N < N_STAR the Monte Carlo estimate of samples draws
-    with a per-cell seed derived from (seed, row, column), so the result is
-    independent of evaluation order, and those with N >= N_STAR the closed
-    form. gamma = 0 cells always use the exact product-type sum: the
-    continuous relaxation assigns the gamma = 0 acceptance region zero
-    volume, so neither MC nor the closed form sees it. After the exact
-    cells, the MC cells are dealt in row-major order, by stride, to W
-    = min(MC cells, available CPUs) tasks, each with its own _McWork made
-    in this thread: task 0 runs in this thread, the others on a thread pool
-    of W - 1. The table does not depend on W, and a failure names the first
-    failing MC cell in row-major order.
+    Positive-gamma cells take the exact type sum, one margin walk per row.
+    gamma = 0 cells take the exact product-type sum: the continuous
+    relaxation gives the gamma = 0 acceptance region zero volume, so the
+    closed form does not see it.
     """
     if not (0.0 < eta < MI_UPPER):
         raise ValueError(f"eta={eta!r} outside (0, ln 2)")
-    check_count("samples", samples, 1)
-    check_count("seed", seed, 0)
-    if eta > ETA_CONJECTURE_LIMIT:
-        raise ValueError(
-            f"eta={eta!r} above {ETA_CONJECTURE_LIMIT}; proposal centering is "
-            "unvalidated there"
-        )
     N_grid = list(DEFAULT_N_GRID) if N_grid is None else list(N_grid)
     gamma_grid = (
         default_gamma_grid(eta) if gamma_grid is None else [float(g) for g in gamma_grid]
     )
     _check_grids(eta, N_grid, gamma_grid)
     N_grid = [int(n) for n in N_grid]
+    if N_grid[-1] > EXACT_CAP:
+        raise ValueError(
+            f"N_grid {N_grid} must stop at or below {EXACT_CAP}; queries "
+            "above it take the closed form"
+        )
 
     ref = reference_dist(eta)
     pos = [j for j, g in enumerate(gamma_grid) if g > 0.0]
     pos_gammas = [gamma_grid[j] for j in pos]
-    betas = np.ones((len(N_grid), len(gamma_grid)))  # closed-form cells: see neg
+    betas = np.ones((len(N_grid), len(gamma_grid)))
     for i, n in enumerate(N_grid):
-        if n <= EXACT_CAP and pos:  # one margin walk for the row's positive gammas
-            try:
-                betas[i, pos] = _beta_exact_multi(n, pos_gammas, ref)
-            except Exception as exc:
-                raise TableBuildError(f"exact cells at N={n}: {exc}") from exc
+        if pos:  # one margin walk for the row's positive gammas
+            betas[i, pos] = _beta_exact_multi(n, pos_gammas, ref)
         if gamma_grid[0] == 0.0:  # the grid ascends from >= 0
-            try:
-                betas[i, 0] = beta_product_mass(n, ref)
-            except Exception as exc:
-                g = gamma_grid[0]
-                raise TableBuildError(f"cell N={n}, gamma={g!r}: {exc}") from exc
-
-    mc_cells = [(i, j) for i, n in enumerate(N_grid) if EXACT_CAP < n < N_STAR for j in pos]
-    affinity = getattr(os, "sched_getaffinity", None)  # not on every platform
-    workers = min(len(mc_cells), len(affinity(0)) if affinity else os.cpu_count() or 1)
-    works = [_McWork(samples) for _ in range(workers)]
-
-    def run(k: int):
-        """Task k's cells; (row, column, error) of its first failing one."""
-        for i, j in mc_cells[k::workers]:
-            try:
-                betas[i, j] = beta_mc(N_grid[i], gamma_grid[j], eta, samples,
-                                      derived_seed(seed, i, j), _work=works[k])
-            except Exception as exc:
-                return i, j, exc
-        return None
-
-    # imported here, as only a build needs it: it adds about 5 ms to an
-    # import of bnboost
-    from concurrent.futures import ThreadPoolExecutor
-
-    # Task 0 runs in this thread while the pool runs the others; with every
-    # task on the pool, glibc kept the freed work arrays resident after the
-    # build (recovery-n8's peak RSS rose by 2 MB). A pool starts its threads
-    # on submit, so with one worker or no MC cell it starts none.
-    with ThreadPoolExecutor(max(workers - 1, 1)) as pool:
-        rest = pool.map(run, range(1, workers))
-        failed = [f for f in [run(0) if workers else None, *rest] if f is not None]
-    if failed:
-        i, j, exc = min(failed, key=lambda f: f[:2])
-        g = gamma_grid[j]
-        raise TableBuildError(f"cell N={N_grid[i]}, gamma={g!r}: {exc}") from exc
-
-    neg = np.array([[max(0.0, -math.log(max(b, 1e-300))) for b in row]
-                    for row in betas.tolist()])
-    # closed-form cells in the log domain, as beta itself may underflow. Made
-    # here, not before the exact rows, where recovery-n8's peak RSS read
-    # 1.6 MB higher.
-    closed = [i for i, n in enumerate(N_grid) if n >= N_STAR]
-    neg[np.ix_(closed, pos)] = _closed_form(
-        np.asarray(N_grid, dtype=np.float64)[closed, None], _kl_of_gammas(pos_gammas, eta)
-    )
-    return BetaTable(
-        eta=eta,
-        N_grid=N_grid,
-        gamma_grid=gamma_grid,
-        neg_ln_beta=neg,
-        mc_samples=samples,
-        seed=seed,
-    )
+            betas[i, 0] = beta_product_mass(n, ref)
+    # beta is at least the mass of the product type with every draw in cell
+    # 00, p00^N >= 0.25^EXACT_CAP > 1e-121, so its log is finite
+    neg = np.array([[max(0.0, -math.log(b)) for b in row] for row in betas.tolist()])
+    return BetaTable(eta=eta, N_grid=N_grid, gamma_grid=gamma_grid, neg_ln_beta=neg)
 
 
 # ---------------------------------------------------------------------------
@@ -729,8 +676,6 @@ def table_to_json(table: BetaTable) -> str:
     lines = [
         "{",
         f'  "eta": {_fmt(table.eta)},',
-        f'  "mc_samples": {int(table.mc_samples)},',
-        f'  "seed": {int(table.seed)},',
         f'  "N_grid": [{", ".join(str(int(n)) for n in table.N_grid)}],',
         f'  "gamma_grid": [{", ".join(_fmt(g) for g in table.gamma_grid)}],',
         f'  "kl_of_gamma": [{", ".join(_fmt(k) for k in table.kl_of_gamma)}],',
@@ -742,8 +687,9 @@ def table_to_json(table: BetaTable) -> str:
 
 def _table_from_doc(doc) -> BetaTable:
     """The table of a parsed table_to_json document; kl_of_gamma is not read
-    but recomputed. A document of another shape raises ValueError naming
-    the key."""
+    but recomputed, and the mc_samples and seed keys of older files are
+    ignored. A document of another shape raises ValueError naming the
+    key."""
     eta = json_field(doc, "eta", float, "beta table")
     N_grid = json_field(doc, "N_grid", list, "beta table", each=int)
     gamma_grid = json_field(doc, "gamma_grid", list, "beta table", each=float)
@@ -756,8 +702,6 @@ def _table_from_doc(doc) -> BetaTable:
         N_grid=N_grid,
         gamma_grid=gamma_grid,
         neg_ln_beta=np.asarray(cells, dtype=np.float64).reshape(shape),
-        mc_samples=json_field(doc, "mc_samples", int, "beta table"),
-        seed=json_field(doc, "seed", int, "beta table"),
     )
 
 

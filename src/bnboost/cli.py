@@ -17,7 +17,7 @@ import logging
 import sys
 import time
 
-from .beta import EXACT_CAP, N_STAR, TableBuildError, build_table, load_table, save_table
+from .beta import EXACT_CAP, build_table, load_table, save_table
 from .data import (
     Dag,
     load_dataset,
@@ -79,13 +79,7 @@ def _cmd_gen_data(args) -> int:
 
 
 def _cmd_beta_table(args) -> int:
-    table = build_table(
-        args.eta,
-        N_grid=args.n_grid,
-        gamma_grid=args.gamma_grid,
-        samples=args.samples,
-        seed=args.seed,
-    )
+    table = build_table(args.eta, N_grid=args.n_grid, gamma_grid=args.gamma_grid)
     save_table(table, args.out)
     log.info("wrote beta table (%d x %d cells) to %s",
              len(table.N_grid), len(table.gamma_grid), args.out)
@@ -176,13 +170,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("beta-table", help="precompute -ln(beta) over an (N, gamma) grid")
     p.add_argument("--eta", type=float, required=True)
     p.add_argument("--n-grid", type=_int_list, default=None,
-                   help="comma-separated sample sizes")
+                   help=f"comma-separated sample sizes, none above {EXACT_CAP}")
     p.add_argument("--gamma-grid", type=_float_list, default=None,
                    help="comma-separated MI thresholds")
-    p.add_argument("--samples", type=int, default=100_000,
-                   help=f"Monte Carlo samples per cell; only the rows with "
-                        f"{EXACT_CAP} < N < {N_STAR} take them")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_beta_table)
 
@@ -223,9 +213,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """Run one subcommand. Every refusal is a ValueError, raised here or in
     the library (a bad argument value, a malformed input file, structures
-    that do not match), an OSError naming a file that cannot be opened, or
-    a TableBuildError naming the beta-table cell that failed. It is reported
-    the way argparse reports a bad flag: a usage error on stderr, exit 2."""
+    that do not match) or an OSError naming a file that cannot be opened.
+    It is reported the way argparse reports a bad flag: a usage error on
+    stderr, exit 2."""
     parser = build_parser()
     args = parser.parse_args(argv)
     logging.basicConfig(
@@ -234,7 +224,7 @@ def main(argv=None) -> int:
     )
     try:
         return args.func(args)
-    except (ValueError, OSError, TableBuildError) as exc:
+    except (ValueError, OSError) as exc:
         parser.error(str(exc))
 
 

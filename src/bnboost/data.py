@@ -54,9 +54,9 @@ def check_count(name: str, value, low: int) -> None:
 
 
 def derived_seed(*parts: int) -> int:
-    """The sub-seed rule: the seed of one part of a seeded run (a table
-    cell, an experiment's dataset or search), fixed by the run's seed and
-    the part's indices alone, so it does not depend on evaluation order."""
+    """The sub-seed rule: the seed of one part of a seeded run (an
+    experiment's dataset or search), fixed by the run's seed and the
+    part's indices alone, so it does not depend on evaluation order."""
     return int(np.random.SeedSequence(parts).generate_state(1)[0])
 
 

@@ -17,8 +17,11 @@ goes when the build returns. The strata stream by separating set: chunks
 of at most _STRATA_BUDGET strata (2x2 tables) pass through the counting
 kernel, one MI call and one batched -ln(beta) query, then reduce into
 each pair's running max over sets of its min over assignments, so memory
-does not grow with the number of pairs. Families, strata and
-edge_strengths take their column sets from one enumerator (_column_sets).
+does not grow with the number of pairs. A query reads the beta table's
+interpolant for strata of at most 200 rows (beta.EXACT_CAP) and the
+closed form, corrected by the table's residual, above that. Families,
+strata and edge_strengths take their column sets from one enumerator
+(_column_sets).
 
 Every contingency table of the data comes from one counting kernel
 (_CountContext.count) over the dataset's distinct rows, each weighted by
@@ -51,7 +54,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .beta import N_STAR, BetaTable, neg_ln_beta_batch
+from .beta import EXACT_CAP, BetaTable, neg_ln_beta_batch
 from .data import BinaryDataset, Dag, Network, _utf8_error, check_count
 from .dist2x2 import mi_from_counts_batch
 
@@ -372,12 +375,12 @@ def _strata_chunks(n: int, k_max: int):
 
 
 def _log_strata(n_pairs: int, tally) -> None:
-    sets, tables, queries, answered, closed, above, below, unseen = tally.tolist()
+    sets, tables, queries, answered, far, above, below, unseen = tally.tolist()
     log.debug(
         "pair_boosts: %d pairs, %d separating sets, %d tables, %d queries "
-        "(%d below eta: %d in closed form, %d above and %d below the N grid), "
-        "%d unseen assignments",
-        n_pairs, sets, tables, queries, answered, closed, above, below, unseen,
+        "(%d below eta: %d above the exact rows, %d above and %d below the N "
+        "grid), %d unseen assignments",
+        n_pairs, sets, tables, queries, answered, far, above, below, unseen,
     )
 
 
@@ -411,7 +414,7 @@ def _boosts(table: BetaTable, counts: _CountContext, d: int) -> np.ndarray:
         seen = n_s > 0
         if tally is not None:
             answered = n_s[seen & (mi < table.eta)]  # the rest read 0
-            interpolated = answered[answered < N_STAR]  # the rest in closed form
+            interpolated = answered[answered <= EXACT_CAP]  # the rest above EXACT_CAP
             tally += [sum(len(sets) for _, sets in parts), n_s.size, seen.sum(),
                       answered.size, answered.size - interpolated.size,
                       (interpolated > table.N_grid[-1]).sum(),

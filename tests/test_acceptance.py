@@ -71,7 +71,7 @@ def report(num, name, ok, detail=""):
 
 @pytest.fixture(scope="module")
 def default_table():
-    return build_table(ETA, samples=100_000, seed=1234)
+    return build_table(ETA)
 
 
 def rsquared(xs, ys):

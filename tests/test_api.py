@@ -90,7 +90,7 @@ def test_build_calls_pair_boosts_through_scoring_globals(monkeypatch):
 
     monkeypatch.setattr(scoring, "pair_boosts", recording_boosts)
     data = sample(random_network(4, 2, seed=3), 200, seed=4)
-    table = build_table(0.01, N_grid=[50, 200], gamma_grid=[0.0, 0.005], samples=1000)
+    table = build_table(0.01, N_grid=[50, 200], gamma_grid=[0.0, 0.005])
     scoring.build_parent_set_scores(data, table, scoring.ScoreConfig())
     assert len(got) == 1 and isinstance(got[0], dict)
     assert list(got[0]) == list(combinations(range(4), 2))

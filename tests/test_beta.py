@@ -1,7 +1,5 @@
 import json
 import math
-import os
-import sys
 import threading
 import tracemalloc
 
@@ -21,11 +19,10 @@ from bnboost.dist2x2 import (
 )
 from bnboost.beta import (
     ESS_FLOOR,
-    N_STAR,
+    EXACT_CAP,
     _MC_BLOCK,
     BetaTable,
     EffectiveSampleSizeError,
-    TableBuildError,
     beta_bruteforce,
     beta_exact,
     beta_mc,
@@ -394,30 +391,27 @@ def test_blocked_mc_matches_full_array_reference():
 
 @pytest.fixture(scope="module")
 def small_table():
-    return build_table(
-        ETA,
-        N_grid=[40, 80, 300],
-        gamma_grid=[0.0, 0.002, 0.005],
-        samples=50_000,
-        seed=11,
-    )
+    # its last row stops short of EXACT_CAP, so queries up to the cap can
+    # extrapolate past it
+    return build_table(ETA, N_grid=[40, 80, 150], gamma_grid=[0.0, 0.002, 0.005])
 
 
 def test_single_cell_table_reproduces_direct_call(ref):
-    tab = build_table(ETA, N_grid=[60], gamma_grid=[0.005], samples=1000, seed=5)
+    tab = build_table(ETA, N_grid=[60], gamma_grid=[0.005])
     direct = beta_exact(60, 0.005, ref)
     assert tab.neg_ln_beta[0, 0] == -math.log(direct)
-    tab0 = build_table(ETA, N_grid=[60], gamma_grid=[0.0], samples=1000, seed=5)
+    tab0 = build_table(ETA, N_grid=[60], gamma_grid=[0.0])
     assert tab0.neg_ln_beta[0, 0] == -math.log(beta_product_mass(60, ref))
 
 
 def test_table_cells_match_routes(small_table, ref):
-    # exact rows below the cap, MC row above, zero column always exact
+    # positive-gamma cells from the type sum, the zero column from the
+    # product mass
     assert small_table.neg_ln_beta[0, 2] == pytest.approx(
         -math.log(beta_exact(40, 0.005, ref)), abs=1e-12
     )
     assert small_table.neg_ln_beta[2, 0] == pytest.approx(
-        -math.log(beta_product_mass(300, ref)), abs=1e-12
+        -math.log(beta_product_mass(150, ref)), abs=1e-12
     )
 
 
@@ -433,21 +427,17 @@ def test_table_entries_nonnegative(small_table):
 def test_table_monotone_in_n_in_decay_regime():
     # -ln(beta) grows along N once the exponential-decay regime is reached;
     # below N ~ 200 the statistic's small-sample bias can push it the other
-    # way, so the claim is checked from the 200 row onward (5% slack for MC)
-    tab = build_table(
-        ETA,
-        N_grid=[200, 500, 1000, 2000],
-        gamma_grid=[0.0, *np.geomspace(ETA / 1000.0, 0.9 * ETA, 6).tolist()],
-        samples=50_000,
-        seed=23,
-    )
-    for j in range(len(tab.gamma_grid)):
-        col = tab.neg_ln_beta[:, j]
-        assert all(col[i + 1] >= 0.95 * col[i] for i in range(len(col) - 1))
+    # way, so the claim is checked from the 200 row onward, on the queries
+    # above it (5% slack: at gamma = 0 the 200 row is the product mass)
+    tab = build_table(ETA)
+    ns = [EXACT_CAP, 201, 300, 500, 1000, 2000, 5000]
+    for g in [0.0, *np.geomspace(ETA / 1000.0, 0.9 * ETA, 6).tolist()]:
+        col = [query_neg_ln_beta(tab, n, g) for n in ns]
+        assert all(col[i + 1] >= 0.95 * col[i] for i in range(len(col) - 1)), g
 
 
 def test_table_build_determinism():
-    kw = dict(N_grid=[30, 400], gamma_grid=[0.001, 0.005], samples=20_000, seed=9)
+    kw = dict(N_grid=[30, 150], gamma_grid=[0.001, 0.005])
     t1 = build_table(ETA, **kw)
     t2 = build_table(ETA, **kw)
     assert (t1.neg_ln_beta == t2.neg_ln_beta).all()
@@ -460,123 +450,14 @@ def test_table_validation_errors():
         build_table(ETA, N_grid=[10, 10], gamma_grid=[0.001])
     with pytest.raises(ValueError):
         build_table(ETA, N_grid=[10], gamma_grid=[0.02])  # gamma >= eta
-    with pytest.raises(ValueError):
-        build_table(0.2, N_grid=[10], gamma_grid=[0.001])  # conjecture guard
-    # checked on entry, also when every cell is exact and no MC cell runs
-    for samples in (-5, 0, 2.5, True):
-        with pytest.raises(ValueError, match=f"samples={samples!r} must be an integer"):
-            build_table(ETA, N_grid=[20, 50], samples=samples)
-    for seed in (-1, 2.5, True):
-        with pytest.raises(ValueError, match=f"seed={seed!r} must be an integer >= 0"):
-            build_table(ETA, N_grid=[50], gamma_grid=[0.005], seed=seed)
+    # the conjecture guard is beta_mc's alone; the exact rows hold for any eta
+    with pytest.raises(ValueError, match="proposal centering is unvalidated"):
+        beta_mc(100, 0.005, 0.2)
+    assert (build_table(0.2, N_grid=[10], gamma_grid=[0.0, 0.001]).neg_ln_beta > 0).all()
     # refused, not truncated to [20, 50] or [1, 50]
     for N_grid in ([20.7, 50], [True, 50]):
         with pytest.raises(ValueError, match=r"must hold integers"):
             build_table(ETA, N_grid=N_grid, gamma_grid=[0.0, 0.005])
-
-
-def cell_seed(seed, i, j):
-    return int(np.random.SeedSequence((seed, i, j)).generate_state(1)[0])
-
-
-def test_table_mc_cells_match_full_array_reference():
-    # a worker's cells share one set of arrays and still equal the
-    # unblocked estimator at their derived seeds, bit for bit
-    tab = build_table(ETA, N_grid=[300, 600], gamma_grid=[0.002, 0.005],
-                      samples=20_000, seed=41)
-    for i, n in enumerate(tab.N_grid):
-        for j, g in enumerate(tab.gamma_grid):
-            want = -math.log(mc_reference(n, g, ETA, 20_000, cell_seed(41, i, j)))
-            assert tab.neg_ln_beta[i, j] == want, (n, g)
-    # a plain call afterwards with another sample count is unaffected
-    assert beta_mc(600, 0.005, ETA, 5_000, 77) == mc_reference(600, 0.005, ETA, 5_000, 77)
-
-
-def use_workers(monkeypatch, workers):
-    """Make build_table see `workers` CPUs in this process's affinity."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)),
-                        raising=False)
-
-
-def record_mc_arrays(monkeypatch):
-    """The (draws, weights) addresses of every MC cell build_table runs."""
-    draws = []
-
-    def recording_mc(*args, _work, **kwargs):
-        out = beta_mc(*args, _work=_work, **kwargs)
-        draws.append((_work.z.ctypes.data, _work.w.ctypes.data))
-        return out
-
-    monkeypatch.setattr(beta_module, "beta_mc", recording_mc)
-    return draws
-
-
-MC_SAMPLES = 100_000
-# 3.2 MB of draws and weights, about 1.7 MiB of block arrays per worker;
-# allocating them per cell would not raise the peak, which is why the
-# addresses are checked as well
-MC_WORK_BOUND = 4 * 8 * MC_SAMPLES + 3 * 2 ** 20
-
-
-def traced_mc_build(monkeypatch, workers):
-    use_workers(monkeypatch, workers)
-    draws = record_mc_arrays(monkeypatch)
-    _, peak = traced_peak(build_table, ETA, N_grid=[500, 1000],
-                          gamma_grid=[0.002, 0.005], samples=MC_SAMPLES, seed=3)
-    return draws, peak
-
-
-def test_table_mc_cells_share_one_set_of_arrays(monkeypatch):
-    # one worker: four cells, one allocation of the draws and weights
-    draws, peak = traced_mc_build(monkeypatch, 1)
-    assert len(draws) == 4 and len(set(draws)) == 1
-    assert peak < MC_WORK_BOUND, peak / 2 ** 20
-
-
-def test_table_mc_workers_each_share_one_set_of_arrays(monkeypatch):
-    # two workers: four cells, one allocation per worker
-    draws, peak = traced_mc_build(monkeypatch, 2)
-    assert len(draws) == 4 and len(set(draws)) == 2
-    assert peak < 2 * MC_WORK_BOUND, peak / 2 ** 20
-
-
-# an exact row and a gamma = 0 column around 3 MC rows x 3 gammas: more MC
-# cells than workers at every worker count tested
-THREADED_GRID = dict(N_grid=[100, 300, 600, 1200],
-                     gamma_grid=[0.0, 0.001, 0.003, 0.006])
-
-
-def test_threaded_build_is_independent_of_worker_count(monkeypatch):
-    # the threads switch often, so a lost cell write would show in the table
-    tables = []
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for workers in (1, 2, 3):
-            use_workers(monkeypatch, workers)
-            draws = record_mc_arrays(monkeypatch)
-            tables.append(build_table(ETA, **THREADED_GRID, samples=20_000, seed=17))
-            assert len(draws) == 9 and len(set(draws)) == workers
-    finally:
-        sys.setswitchinterval(interval)
-    for tab in tables[1:]:
-        assert tab.neg_ln_beta.tolist() == tables[0].neg_ln_beta.tolist()
-    for i, n in enumerate(THREADED_GRID["N_grid"][1:], start=1):
-        for j, g in enumerate(THREADED_GRID["gamma_grid"][1:], start=1):
-            want = -math.log(mc_reference(n, g, ETA, 20_000, cell_seed(17, i, j)))
-            assert tables[0].neg_ln_beta[i, j] == want, (n, g)
-
-
-@pytest.mark.parametrize("workers", [1, 2, 3])
-def test_threaded_build_error_names_the_first_failing_cell(monkeypatch, workers):
-    # with 10 samples every MC cell fails; the error names the first in
-    # row-major order, as a serial build would, and no helper outlives it
-    use_workers(monkeypatch, workers)
-    threads = threading.active_count()
-    with pytest.raises(TableBuildError, match=r"^cell N=300, gamma=0\.001: ") as info:
-        build_table(ETA, **THREADED_GRID, samples=10, seed=0)
-    assert isinstance(info.value.__cause__, EffectiveSampleSizeError)
-    assert threading.active_count() == threads
 
 
 def record_thread_starts(monkeypatch):
@@ -588,33 +469,28 @@ def record_thread_starts(monkeypatch):
     return started
 
 
-@pytest.mark.parametrize("workers", [1, 2, 3])
-def test_threaded_build_joins_the_threads_it_starts(monkeypatch, workers):
-    # task 0 runs in the calling thread, so one worker starts no thread
-    use_workers(monkeypatch, workers)
-    started = record_thread_starts(monkeypatch)
-    threads = threading.active_count()
-    build_table(ETA, **THREADED_GRID, samples=20_000, seed=17)
-    assert len(started) == workers - 1
-    assert threading.active_count() == threads
-
-
 def test_exact_grid_makes_no_mc_work_and_starts_no_thread(monkeypatch):
-    # every row at or below EXACT_CAP: no MC cell, so no work arrays and no pool thread
-    use_workers(monkeypatch, 2)
+    # every row is at or below EXACT_CAP, so a build and its queries draw
+    # no sample: no work arrays and no thread
     made = []
     monkeypatch.setattr(beta_module, "_McWork", lambda samples: made.append(samples))
     started = record_thread_starts(monkeypatch)
-    tab = build_table(ETA, N_grid=[20, beta_module.EXACT_CAP],
-                      gamma_grid=[0.0, 0.005], seed=3)
+    tab = build_table(ETA, N_grid=[20, EXACT_CAP], gamma_grid=[0.0, 0.005])
+    neg_ln_beta_batch(tab, [10, 150, 500, 50_000], [0.0, 0.003, 0.003, 0.009])
     assert made == [] and started == []
     assert tab.neg_ln_beta[1, 1] == -math.log(
-        beta_exact(beta_module.EXACT_CAP, 0.005, reference_dist(ETA)))
+        beta_exact(EXACT_CAP, 0.005, reference_dist(ETA)))
 
 
 def test_table_build_error_carries_cell_coords():
-    with pytest.raises(TableBuildError, match="N=500"):
-        build_table(ETA, N_grid=[500], gamma_grid=[0.005], samples=10, seed=0)
+    # a row above EXACT_CAP is refused before any cell is built, and the
+    # message names the grid
+    with pytest.raises(ValueError) as info:
+        build_table(ETA, N_grid=[20, 500], gamma_grid=[0.005])
+    assert str(info.value) == (
+        "N_grid [20, 500] must stop at or below 200; queries above it take "
+        "the closed form"
+    )
 
 
 @pytest.mark.parametrize("eta", [0.0, -0.01, 0.7, math.nan])
@@ -634,25 +510,8 @@ def test_table_refuses_a_descending_gamma_grid():
 def test_table_refuses_a_negative_or_infinite_cell(cell):
     with pytest.raises(ValueError) as info:
         BetaTable(eta=ETA, N_grid=[20], gamma_grid=[0.0, 0.005],
-                  neg_ln_beta=[[1.0, cell]], mc_samples=10, seed=0)
+                  neg_ln_beta=[[1.0, cell]])
     assert str(info.value) == "neg_ln_beta entries must be finite and >= 0"
-
-
-@pytest.mark.parametrize("name, message", [
-    ("_beta_exact_multi", "exact cells at N=20: cell failed"),
-    ("beta_product_mass", "cell N=20, gamma=0.0: cell failed"),
-], ids=["exact-row", "product-mass"])
-def test_table_build_names_a_failing_exact_cell(monkeypatch, name, message):
-    cause = RuntimeError("cell failed")
-
-    def fail(*args):
-        raise cause
-
-    monkeypatch.setattr(beta_module, name, fail)
-    with pytest.raises(TableBuildError) as info:
-        build_table(ETA, N_grid=[20], gamma_grid=[0.0, 0.005])
-    assert str(info.value) == message
-    assert info.value.__cause__ is cause
 
 
 # ----------------------------------------------------------------- queries
@@ -693,12 +552,12 @@ def test_query_linear_in_n_between_rows(small_table):
 
 
 def test_query_extrapolates_beyond_grid(small_table):
-    v1 = query_neg_ln_beta(small_table, 300, 0.002)
+    v1 = query_neg_ln_beta(small_table, 150, 0.002)
     v2 = query_neg_ln_beta(small_table, 80, 0.002)
-    # beyond the last row: continue the last-segment line
-    slope = (v1 - v2) / (300 - 80)
-    expect = v1 + slope * 300
-    assert query_neg_ln_beta(small_table, 600, 0.002) == pytest.approx(
+    # beyond the last row, up to EXACT_CAP: continue the last-segment line
+    slope = (v1 - v2) / (150 - 80)
+    expect = v1 + slope * (EXACT_CAP - 150)
+    assert query_neg_ln_beta(small_table, EXACT_CAP, 0.002) == pytest.approx(
         expect, rel=1e-9
     )
     # results never go negative
@@ -724,14 +583,14 @@ def test_query_rejects_bad_args(small_table):
 
 def test_batch_equals_element_by_element(small_table):
     # one array mixing gamma = 0, gamma >= eta, repeated gammas, and n below,
-    # inside and above N_grid = [40, 80, 300]
+    # inside and above N_grid = [40, 80, 150]
     rng = np.random.default_rng(17)
     gammas = np.concatenate((
         [0.0, 0.0, ETA, 0.5, 0.002, 0.002, ETA - 1e-9, 0.002, 0.0, ETA - 1e-9],
         rng.uniform(0.0, 1.2 * ETA, 40),
     ))
-    # ... and n at and above N_STAR, which take the closed form
-    ns = np.concatenate(([1, 7, 40, 1000, 60, 301, 79, N_STAR, 50_000, 5000],
+    # ... and n above EXACT_CAP, which take the closed form and the residual
+    ns = np.concatenate(([1, 7, 40, 1000, 60, 301, 79, 2000, 50_000, 5000],
                          rng.integers(1, 700, 40)))
     batch = neg_ln_beta_batch(small_table, ns, gammas)
     one_by_one = [neg_ln_beta_batch(small_table, n, g) for n, g in zip(ns, gammas)]
@@ -778,62 +637,84 @@ def test_neg_ln_phi_stays_finite_and_continuous_up_to_n_1e7():
         assert abs(pair[1] - pair[0]) <= 1e-13 * pair[0]
     # the query's own N up to 1e7, over every gamma of the default grid:
     # finite, rising in N, falling in gamma
-    ns = np.geomspace(N_STAR, 1e7, 60)[:, None]
+    ns = np.geomspace(EXACT_CAP + 1, 1e7, 60)[:, None]
     vals = _closed_form(ns, _kl_of_gammas(default_gamma_grid(ETA), ETA))
     assert np.isfinite(vals).all()
     assert (np.diff(vals, axis=0) > 0).all()
     assert (np.diff(vals, axis=1) < 0).all()
 
 
-def test_closed_form_tracks_exact_at_n_star(ref):
-    """Within 0.5% of the exact type sum at N = N_STAR. One margin walk
-    serves both gammas, and their Pinsker band is narrow: about 8 s on a
-    2-vCPU host."""
-    gammas = [2.2e-4, 2.6e-4]
-    for g, b in zip(gammas, _beta_exact_multi(N_STAR, gammas, ref)):
-        assert closed_form_at(N_STAR, g) == pytest.approx(-math.log(b), rel=5e-3)
+def relative_errors(tab, n, gammas, ref):
+    """|query - exact| / exact of -ln(beta) at (n, gamma) for each gamma,
+    against one margin walk of the exact type sum."""
+    exact = -np.log(_beta_exact_multi(n, gammas, ref))
+    got = neg_ln_beta_batch(tab, np.full(len(gammas), n), gammas)
+    return np.abs(got - exact) / exact
 
 
-def test_default_table_rows_fall_in_gamma_from_the_product_mass(ref):
-    # both hold where the closed form answers; a bound over a row's gammas
-    # at fixed N can then take its gamma = 0 cell
+def test_default_table_tracks_exact_above_the_cap(ref):
+    """Above EXACT_CAP the default table answers by the closed form plus
+    its residual at the cap: within 5% of the exact type sum for gamma in
+    [1e-5, 0.9 eta], on and off the grid's gammas, and within 7% below and
+    above that range (the grid's interpolation between its 200 and 500
+    rows read 0.19 against 0.75 at N = 300, gamma = 9.5e-3). Below about
+    1e-6 the exact sum approaches the product mass, a lattice effect the
+    continuous form does not follow: at N = 500 the query is 9% under it
+    at gamma = 1e-7 and 23% at gamma = 0."""
+    tab = build_table(ETA)
+    grid = tab.gamma_grid[1:]
+    inner = sorted(grid + np.sqrt(np.multiply(grid[:-1], grid[1:])).tolist())
+    outer = [1e-6, 3e-6, 5e-6, 9.2e-3, 9.5e-3, 9.8e-3, 9.95e-3, 9.99e-3]
+    for n in (300, 500):
+        worst = relative_errors(tab, n, inner, ref).max()
+        assert worst <= 0.05, (n, worst)
+        worst = relative_errors(tab, n, outer, ref).max()
+        assert worst <= 0.07, (n, worst)
+
+
+def test_default_table_rows_fall_in_gamma_from_the_product_mass():
+    # the rows fall in gamma from their product-mass cell; above EXACT_CAP a
+    # query falls in gamma too, so a bound over a stratum's gammas at fixed
+    # N can take the query at gamma = 0
     tab = build_table(ETA)
     assert (np.diff(tab.neg_ln_beta, axis=1) <= 0).all()
-    closed = [i for i, n in enumerate(tab.N_grid) if n >= N_STAR]
-    assert tab.N_grid[closed[0]] == N_STAR
-    g_min = tab.gamma_grid[1]
-    for i in closed:
-        assert tab.neg_ln_beta[i, 1:].tolist() == _closed_form(
-            np.array([float(tab.N_grid[i])]), _kl_of_gammas(tab.gamma_grid[1:], ETA)
-        ).tolist()
-    # a query at gamma = 0 takes the closed form at D(0) too
-    for n in (2000, 5000, 10_000, 50_000):
-        product_mass = -math.log(beta_product_mass(n, ref))
-        assert product_mass >= closed_form_at(n, 0.0) >= closed_form_at(n, g_min)
+    gammas = np.concatenate(([0.0], np.geomspace(1e-9, ETA * (1 - 1e-9), 400)))
+    for n in (201, 500, 5000, 50_000, 10**6):
+        vals = neg_ln_beta_batch(tab, np.full(gammas.size, n), gammas)
+        assert (np.diff(vals) <= 0).all(), n
+        assert vals.max() == vals[0]
 
 
-def test_query_at_or_above_n_star_takes_the_closed_form_on_any_grid():
-    # a grid that stops at 500: no secant past it from N_STAR on
-    tab = BetaTable(eta=ETA, N_grid=[100, 500], gamma_grid=[0.0, 0.002, 0.005],
-                    neg_ln_beta=[[4.0, 1.0, 0.5], [9.0, 3.0, 1.5]],
-                    mc_samples=1, seed=0)
-    for n in (N_STAR, 20_000):
-        assert query_neg_ln_beta(tab, n, 0.002) == closed_form_at(n, 0.002)
-    secant = 3.0 + (3.0 - 1.0) * (20_000 - 500) / 400
-    assert closed_form_at(20_000, 0.002) != pytest.approx(secant, rel=0.1)
-    # below N_STAR the table answers, here by its secant
-    assert query_neg_ln_beta(tab, N_STAR - 1, 0.002) == pytest.approx(
-        3.0 + 2.0 * (N_STAR - 1 - 500) / 400, rel=1e-12)
+def test_query_above_the_exact_cap_takes_the_rule_on_any_grid():
+    # a loaded table may hold rows above EXACT_CAP: queries above the cap
+    # read the closed form plus the table's residual at the cap, and no row
+    # beyond it
+    cells = [[4.0, 1.0, 0.5], [6.0, 2.0, 1.0], [9.0, 3.0, 1.5]]
+    tab = BetaTable(eta=ETA, N_grid=[100, EXACT_CAP, 500],
+                    gamma_grid=[0.0, 0.002, 0.005], neg_ln_beta=cells)
+    residual = 2.0 - closed_form_at(EXACT_CAP, 0.002)
+    for n in (EXACT_CAP + 1, 2000, 20_000):
+        assert query_neg_ln_beta(tab, n, 0.002) == pytest.approx(
+            closed_form_at(n, 0.002) + residual * EXACT_CAP / n, rel=1e-12)
+    other = BetaTable(eta=ETA, N_grid=[100, EXACT_CAP, 500],
+                      gamma_grid=[0.0, 0.002, 0.005],
+                      neg_ln_beta=cells[:2] + [[90.0, 30.0, 15.0]])
+    ns, gs = [201, 450, 5000, 50_000], [0.0, 0.001, 0.002, 0.009]
+    assert (neg_ln_beta_batch(other, ns, gs) == neg_ln_beta_batch(tab, ns, gs)).all()
+    # up to the cap the table answers, here between its 100 and 200 rows
+    assert query_neg_ln_beta(tab, 150, 0.002) == pytest.approx(1.5, rel=1e-12)
 
 
 def test_query_jumps_to_ln_2_just_below_eta_at_large_n(small_table):
     # at and above eta the query reads 0; just below it the closed form
-    # reads -ln Phi(0) = ln 2, while the table path at N = 100 falls to
-    # about 0 through its virtual kl = 0 column
-    assert query_neg_ln_beta(small_table, 5000, ETA) == 0.0
-    assert query_neg_ln_beta(small_table, 5000, 0.5) == 0.0
-    below = query_neg_ln_beta(small_table, 5000, ETA * (1 - 1e-9))
-    assert below == pytest.approx(math.log(2.0), abs=1e-3)
+    # reads -ln Phi(0) = ln 2 from just above EXACT_CAP on, as the residual
+    # is 0 at kl = 0, while the table path at N = 100 falls to about 0
+    # through its virtual kl = 0 column
+    for n in (EXACT_CAP + 1, 5000):
+        assert query_neg_ln_beta(small_table, n, ETA) == 0.0
+        assert query_neg_ln_beta(small_table, n, 0.5) == 0.0
+        below = query_neg_ln_beta(small_table, n, ETA * (1 - 1e-9))
+        assert below == pytest.approx(math.log(2.0), abs=1e-3)
     assert query_neg_ln_beta(small_table, 100, ETA * (1 - 1e-9)) < 1e-3
 
 
@@ -871,8 +752,8 @@ def test_table_json_roundtrip(small_table, tmp_path):
     assert back.gamma_grid == small_table.gamma_grid
     assert back.kl_of_gamma == small_table.kl_of_gamma
     assert (back.neg_ln_beta == small_table.neg_ln_beta).all()
-    assert back.mc_samples == small_table.mc_samples
-    assert back.seed == small_table.seed
+    assert set(json.loads(text)) == {"eta", "N_grid", "gamma_grid", "kl_of_gamma",
+                                     "neg_ln_beta"}
 
     path = tmp_path / "beta.json"
     save_table(small_table, path)
@@ -892,12 +773,6 @@ def test_table_json_roundtrip(small_table, tmp_path):
     ("neg_ln_beta", lambda v: v[:-1], "neg_ln_beta has 8 cells"),
     ("eta", lambda v: 0.8, "outside"),
     ("N_grid", lambda v: [n + 0.7 for n in v], "entry of beta table key 'N_grid' is 40.7, not an integer"),
-    ("seed", lambda v: 1.9, "'seed' is 1.9, not an integer"),
-    ("mc_samples", lambda v: 1000.0, "'mc_samples' is 1000.0, not an integer"),
-    ("seed", lambda v: True, "'seed' is True, not an integer"),
-    ("mc_samples", lambda v: -5, "mc_samples=-5 must be an integer >= 1"),
-    ("mc_samples", lambda v: 0, "mc_samples=0 must be an integer >= 1"),
-    ("seed", lambda v: -1, "seed=-1 must be an integer >= 0"),
     ("N_grid", lambda v: 5, "'N_grid' is 5, not a list"),
     ("neg_ln_beta", lambda v: {"cells": v}, "'neg_ln_beta' is .*, not a list"),
     ("gamma_grid", lambda v: v[:-1] + [None], "entry of beta table key 'gamma_grid' is None"),
@@ -907,9 +782,8 @@ def test_table_json_roundtrip(small_table, tmp_path):
      "entry of beta table key 'gamma_grid' is nan, not a finite number"),
 ], ids=[
     "nan-cell", "reversed-N", "gamma-at-eta", "missing-key", "short-cells", "eta-above-ln2",
-    "fractional-N", "fractional-seed", "float-mc-samples", "bool-seed",
-    "negative-mc-samples", "zero-mc-samples", "negative-seed",
-    "int-N-grid", "object-cells", "null-gamma", "nested-cells", "list-eta", "nan-gamma",
+    "fractional-N", "int-N-grid", "object-cells", "null-gamma", "nested-cells", "list-eta",
+    "nan-gamma",
 ])
 def test_table_from_json_rejects_bad_grids_and_cells(
     small_table, tmp_path, field, value, match
@@ -956,20 +830,4 @@ def test_table_rejects_malformed():
             N_grid=[10, 20],
             gamma_grid=[0.001],
             neg_ln_beta=np.zeros((1, 1)),
-            mc_samples=10,
-            seed=0,
         )
-
-
-@pytest.mark.parametrize("field, value, match", [
-    ("mc_samples", 0, "mc_samples=0 must be an integer >= 1"),
-    ("mc_samples", True, "mc_samples=True must be an integer >= 1"),
-    ("seed", -1, "seed=-1 must be an integer >= 0"),
-])
-def test_table_refuses_a_count_that_no_file_could_hold(small_table, field, value, match):
-    """The table checks its own mc_samples and seed, so save_table never
-    writes a file that load_table refuses."""
-    kwargs = {k: getattr(small_table, k) for k in
-              ("eta", "N_grid", "gamma_grid", "neg_ln_beta", "mc_samples", "seed")}
-    with pytest.raises(ValueError, match=match):
-        BetaTable(**{**kwargs, field: value})

@@ -33,9 +33,8 @@ def test_full_pipeline(tmp_path, capsys):
     assert ds.n_rows == 800 and ds.n_vars == 5
 
     assert run("--quiet", "beta-table", "--eta", 0.01,
-               "--n-grid", "50,200,1000,5000",
-               "--gamma-grid", "0,0.001,0.005",
-               "--samples", 20000, "--seed", 5, "--out", table) == 0
+               "--n-grid", "20,50,100,200",
+               "--gamma-grid", "0,0.001,0.005", "--out", table) == 0
     tab = load_table(table)
     assert tab.eta == 0.01 and tab.neg_ln_beta.shape == (4, 3)
 
@@ -152,7 +151,7 @@ def test_score_rejects_eta_mismatch(tmp_path, capsys):
     run("--quiet", "gen-net", "--n", 3, "--d", 1, "--seed", 1, "--out", net)
     run("--quiet", "gen-data", "--net", net, "--rows", 50, "--seed", 2, "--out", data)
     run("--quiet", "beta-table", "--eta", 0.01, "--n-grid", "50",
-        "--gamma-grid", "0.005", "--samples", 1000, "--seed", 3, "--out", table)
+        "--gamma-grid", "0.005", "--out", table)
     # refused also at psi2 = 0, where the table would go unused
     for psi2 in (1.0, 0):
         err = usage_error(capsys, "score", "--data", data, "--beta-table", table,
@@ -228,8 +227,8 @@ def test_eval_refuses_structures_of_other_variables(tmp_path, capsys):
 
 def test_experiment_command(tmp_path):
     table = tmp_path / "beta.json"
-    run("--quiet", "beta-table", "--eta", 0.01, "--n-grid", "100,1000",
-        "--gamma-grid", "0,0.005", "--samples", 5000, "--seed", 1, "--out", table)
+    run("--quiet", "beta-table", "--eta", 0.01, "--n-grid", "100,200",
+        "--gamma-grid", "0,0.005", "--out", table)
     cfg = {
         "network": {"n": 3, "d": 1},
         "N_schedule": [200],
@@ -271,22 +270,17 @@ def test_experiment_without_out_writes_the_csv_to_stdout(tmp_path, capsys):
 
 
 def test_a_failing_beta_table_cell_is_a_usage_error(tmp_path, capsys):
+    # no cell above N = 200 can be built: the row is refused by name
     table = tmp_path / "t.json"
-    err = usage_error(capsys, "beta-table", "--eta", 0.01, "--n-grid", 500,
-                      "--gamma-grid", 0.005, "--samples", 1, "--out", table)
-    assert ("bnboost: error: cell N=500, gamma=0.005: effective sample size 1.0 "
-            "below floor 100") in err
+    err = usage_error(capsys, "beta-table", "--eta", 0.01, "--n-grid", "50,500",
+                      "--gamma-grid", 0.005, "--out", table)
+    assert ("bnboost: error: N_grid [50, 500] must stop at or below 200; "
+            "queries above it take the closed form") in err
     assert not table.exists()
 
 
 def test_library_value_errors_are_usage_errors(tmp_path, capsys):
     table = tmp_path / "beta.json"
-    beta_args = ("beta-table", "--eta", 0.01, "--n-grid", 500, "--gamma-grid", 0.005,
-                 "--out", table)
-    err = usage_error(capsys, *beta_args, "--samples", 1000, "--seed", -1)
-    assert "bnboost: error: seed=-1 must be an integer >= 0" in err
-    err = usage_error(capsys, *beta_args, "--samples", 0, "--seed", 1)
-    assert "bnboost: error: samples=0 must be an integer >= 1" in err
     err = usage_error(capsys, "beta-table", "--eta", 0.01, "--gamma-grid", "0,nan",
                       "--out", table)
     assert "bnboost: error: gamma_grid [0.0, nan] must be finite" in err
@@ -309,7 +303,7 @@ def test_malformed_beta_table_is_a_usage_error(tmp_path, capsys):
     run("--quiet", "gen-net", "--n", 3, "--d", 1, "--seed", 1, "--out", net)
     run("--quiet", "gen-data", "--net", net, "--rows", 50, "--seed", 2, "--out", data)
     run("--quiet", "beta-table", "--eta", 0.01, "--n-grid", "50",
-        "--gamma-grid", "0.005", "--samples", 1000, "--seed", 3, "--out", table)
+        "--gamma-grid", "0.005", "--out", table)
     doc = json.loads(table.read_text())
     for bad, message in ((5, "beta table is not a JSON object"),
                          ({**doc, "N_grid": 5}, "beta table key 'N_grid' is 5, not a list")):

@@ -8,10 +8,7 @@ import numpy as np
 import pytest
 
 import bnboost.data
-from bnboost.beta import (
-    beta_bruteforce, beta_exact, beta_mc, beta_product_mass, build_table,
-    table_to_json,
-)
+from bnboost.beta import beta_bruteforce, beta_exact, beta_mc, beta_product_mass
 from bnboost.data import (
     BinaryDataset,
     CycleError,
@@ -485,9 +482,6 @@ def integer_sites():
     data = sample(net, 300, 12)
     scores = build_parent_set_scores(data, None, ScoreConfig(psi2=0.0, d=1))
 
-    def table(samples=20000, seed=1):
-        return table_to_json(build_table(0.01, [20, 300], [0.0, 0.005], samples, seed))
-
     def climb(restarts=2, seed=1):
         result = greedy_hill_climb(scores, restarts, seed)
         return result.dag, result.score
@@ -505,8 +499,6 @@ def integer_sites():
         "beta_mc-n": (1, 300, lambda v: beta_mc(v, 0.005, 0.01, 20000, 0)),
         "beta_mc-samples": (1, 20000, lambda v: beta_mc(300, 0.005, 0.01, v, 0)),
         "beta_mc-seed": (0, 3, lambda v: beta_mc(300, 0.005, 0.01, 20000, v)),
-        "build_table-samples": (1, 20000, lambda v: table(samples=v)),
-        "build_table-seed": (0, 3, lambda v: table(seed=v)),
         "Dag-n": (1, 3, lambda v: Dag(v, frozenset({(0, 2)}))),
         "Pdag-n": (1, 3, lambda v: Pdag(v, frozenset({(0, 2)}), frozenset())),
         "random_network-n": (1, 6, lambda v: random_network(v, 2, 7)),
@@ -533,7 +525,7 @@ def integer_sites():
 
 @pytest.mark.parametrize("site", [
     "beta_exact-n", "beta_bruteforce-n", "beta_product_mass-n", "beta_mc-n",
-    "beta_mc-samples", "beta_mc-seed", "build_table-samples", "build_table-seed",
+    "beta_mc-samples", "beta_mc-seed",
     "Dag-n", "Pdag-n",
     "random_network-n", "random_network-d", "random_network-seed", "sample-n_rows",
     "sample-seed", "ScoreConfig-d", "edge_strength-a", "edge_strength-b", "edge_strength-d",

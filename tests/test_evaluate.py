@@ -189,10 +189,7 @@ def test_pdag_validation():
 
 @pytest.fixture(scope="module")
 def tiny_table():
-    return build_table(
-        0.01, N_grid=[100, 1000, 10000], gamma_grid=[0.0, 0.002, 0.005],
-        samples=20_000, seed=2,
-    )
+    return build_table(0.01, N_grid=[100, 200], gamma_grid=[0.0, 0.002, 0.005])
 
 
 def test_run_experiment_recovers_strong_edge(tmp_path, tiny_table):

@@ -1,3 +1,4 @@
+import json
 import logging
 import math
 import re
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from bnboost import scoring
-from bnboost.beta import build_table, query_neg_ln_beta
+from bnboost.beta import build_table, load_table, query_neg_ln_beta, table_to_json
 from bnboost.data import BinaryDataset, Dag, Network, random_network, sample
 from bnboost.dist2x2 import JointDist2x2, mi_from_counts, mutual_information
 from bnboost.scoring import (
@@ -38,12 +39,7 @@ LN_HALF = math.log(0.5)
 
 @pytest.fixture(scope="module")
 def table():
-    return build_table(
-        0.01,
-        N_grid=[20, 50, 100, 200, 500, 1000, 2000, 5000],
-        samples=30_000,
-        seed=1,
-    )
+    return build_table(0.01)
 
 
 def mask_counts(rows, cols):
@@ -263,21 +259,44 @@ def test_pair_boosts_logs_batch_counts_at_debug(table, caplog):
     (record,) = caplog.records
     assert record.getMessage() == (
         "pair_boosts: 3 pairs, 6 separating sets, 9 tables, 8 queries "
-        "(6 below eta: 0 in closed form, 0 above and 6 below the N grid), "
-        "1 unseen assignments"
+        "(6 below eta: 0 above the exact rows, 0 above and 6 below the N "
+        "grid), 1 unseen assignments"
     )
-    # 1000 copies of four rows: the strata of 2000 rows and more take the
-    # closed form, C's stratum C = 1 of 1000 rows the table
-    rows = np.tile([[0, 0, 0], [0, 1, 0], [1, 1, 0], [1, 0, 1]], (1000, 1))
+    # 100 copies of four rows: strata of 100 to 400 rows, on both sides of
+    # the table's last row, N = 200
+    rows = np.tile([[0, 0, 0], [0, 1, 0], [1, 1, 0], [1, 0, 1]], (100, 1))
     caplog.clear()
     with caplog.at_level(logging.DEBUG, logger="bnboost.scoring"):
         pair_boosts(BinaryDataset(("A", "B", "C"), rows), table, ScoreConfig())
     (record,) = caplog.records
     assert record.getMessage() == (
         "pair_boosts: 3 pairs, 6 separating sets, 9 tables, 9 queries "
-        "(4 below eta: 3 in closed form, 0 above and 0 below the N grid), "
-        "0 unseen assignments"
+        "(4 below eta: 1 above the exact rows, 0 above and 0 below the N "
+        "grid), 0 unseen assignments"
     )
+
+
+def test_an_old_table_file_boosts_as_the_default_table(table, tmp_path):
+    # a file of the earlier format: rows up to 10 000 past the default
+    # table's (any values, here random) and the keys mc_samples and seed.
+    # It loads, and as no query reads a row above N = 200, its boosts equal
+    # the default table's bit for bit
+    doc = json.loads(table_to_json(table))
+    extra = [500, 1000, 2000, 5000, 10_000]
+    above = np.random.default_rng(39).uniform(0.0, 100.0, (len(extra), len(table.gamma_grid)))
+    doc.update(mc_samples=100_000, seed=1234, N_grid=table.N_grid + extra,
+               neg_ln_beta=table.neg_ln_beta.ravel().tolist() + above.ravel().tolist())
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    old = load_table(path)
+    assert old.N_grid[-1] == 10_000
+    net = random_network(8, 2, seed=3901)
+    for n_rows in (500, 5000):
+        data = sample(net, n_rows, seed=3902 + n_rows)
+        want = {pair: v.hex() for pair, v in pair_boosts(data, table, ScoreConfig()).items()}
+        got = {pair: v.hex() for pair, v in pair_boosts(data, old, ScoreConfig()).items()}
+        assert got == want, n_rows
+        assert sum(float.fromhex(v) > 0.0 for v in want.values()) > 5
 
 
 def boosted_results(data, table, cfg):
@@ -325,8 +344,8 @@ def test_debug_line_sums_over_chunks(table, monkeypatch, caplog):
         messages.append(record.getMessage())
     assert messages == 2 * [
         "pair_boosts: 15 pairs, 165 separating sets, 495 tables, 429 queries "
-        "(356 below eta: 0 in closed form, 0 above and 240 below the N grid), "
-        "66 unseen assignments"
+        "(356 below eta: 0 above the exact rows, 0 above and 240 below the N "
+        "grid), 66 unseen assignments"
     ]
 
 

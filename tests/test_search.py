@@ -383,8 +383,7 @@ def test_subset_dp_matches_the_two_phase_reference():
         sweep_table(n, d, rng, ties)
         for n in range(1, 10) for d in range(4) for ties in (True, False) for _ in range(8)
     ]
-    beta = build_table(0.01, N_grid=[40, 80, 300], gamma_grid=[0.0, 0.002, 0.005],
-                       samples=20_000, seed=11)
+    beta = build_table(0.01, N_grid=[40, 80, 200], gamma_grid=[0.0, 0.002, 0.005])
     for n in range(8, 13):
         data = sample(random_network(n, 2, seed=900 + n), 2000, seed=1900 + n)
         tables.append(build_parent_set_scores(data, None, ScoreConfig(psi2=0.0)))
@@ -411,8 +410,7 @@ def test_kept_families_match_their_definition():
         sweep_table(n, d, rng, ties)
         for n in range(1, 10) for d in range(4) for ties in (True, False) for _ in range(4)
     ]
-    beta = build_table(0.01, N_grid=[40, 80, 300], gamma_grid=[0.0, 0.002, 0.005],
-                       samples=20_000, seed=11)
+    beta = build_table(0.01, N_grid=[40, 80, 200], gamma_grid=[0.0, 0.002, 0.005])
     for n in range(6, 13):
         data = sample(random_network(n, 2, seed=700 + n), 1000, seed=1700 + n)
         tables.append(build_parent_set_scores(data, None, ScoreConfig(psi2=0.0)))
